@@ -1,8 +1,10 @@
 """From relations to the involution.
 
 Every value rewrites into coordinates on the Thakur index set (entries
-<= q, last entry <= q-1).  The rewriting subtracts relation generators,
-so it preserves values, and generators themselves reduce to zero.  On
+<= q, last entry <= q-1).  Each rewriting step subtracts a relation
+generator, so it preserves values; the memoised normal form of an index
+applies steps until only Thakur indices remain, and generators
+themselves reduce to zero.  On
 the quotient by the weight-(q-1) zeta value, sending each value to its
 dagger counterpart is a well-defined involution; here it becomes an
 exact matrix we can square.
@@ -13,13 +15,13 @@ from ffmzv import Evaluator, Index, IndexAlgebra, Reducer, field
 F = field(2)
 A = IndexAlgebra(F)
 E = Evaluator(F)
-R = Reducer(A, E)
+R = Reducer(A)
 
 print("Rewriting (3) on the li side at q = 2:")
 step = R.u_step("li", A.mono((3,)))
-print(f"  one pass : {step}")
+print(f"  one step    : {step}")
 red = R.reduce_to_T("li", A.mono((3,)))
-print(f"  fixpoint : {red}")
+print(f"  normal form : {red}")
 print(f"  value preserved at N=40: "
       f"{E.eval_value('li', red, 40) == E.eval_value('li', Index((3,)), 40)}")
 

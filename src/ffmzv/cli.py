@@ -171,7 +171,7 @@ class Context:
         self.budget = EvalBudget(max_bruteforce=budget)
         self.evaluator = Evaluator(self.field, self.budget)
         self.algebra = IndexAlgebra(self.field)
-        self.reducer = Reducer(self.algebra, self.evaluator, cap=args.cap)
+        self.reducer = Reducer(self.algebra, cap=args.cap)
         self.args = args
 
     @property
@@ -196,7 +196,7 @@ def _common_flags(sp):
     sp.add_argument("--deg-bound", type=int, default=3)
     sp.add_argument("--budget", type=int, default=1 << 20,
                     help="brute-force enumeration cap (env FFMZV_BUDGET overrides)")
-    sp.add_argument("--cap", type=int, default=10_000, help="rewriting iteration cap")
+    sp.add_argument("--cap", type=int, default=10_000, help="cap on the rewriting height")
     sp.add_argument("--json", default=None, metavar="PATH",
                     help="write the JSON report to PATH ('-' for stdout)")
     sp.add_argument("--seed", type=int, default=20260811)

@@ -18,9 +18,13 @@ class PrecisionTooExpensive(FFMZVError):
 
 
 class ReductionDiverged(FFMZVError):
-    """Basis reduction ran past its iteration cap.
+    """Rewriting to the Thakur basis cannot finish.
 
-    Carries the trail of indices that were still outside the target set.
+    Either an index re-entered its own rewriting, and the trail is that
+    cycle, or an index needs more rewriting levels than the cap allows,
+    and the trail is the chain of indices being rewritten when the cap
+    was hit, outermost first.  Rewriting nested deeper than the
+    interpreter's recursion limit carries the input's support instead.
     """
 
     def __init__(self, message, trail=()):

@@ -2,12 +2,13 @@
 
 For each side ("zeta" with the q-shuffle product, "li" with the
 harmonic product) the generator family gen_A spans all linear
-relations among the values.  One rewriting step subtracts the
+relations among the values.  The rewriting rule subtracts the
 generator in which a non-Thakur index occurs with unit coefficient;
-iterating expresses any combination in coordinates on the Thakur
-index set, where exact linear algebra over F_q(T) decides ideal
-membership, builds the weight-graded quotients by the weight-(q-1)
-zeta value, and realizes the dagger involution as an explicit matrix.
+its memoised normal form NF(a) expresses any combination in
+coordinates on the Thakur index set.  There, one reduced-echelon
+elimination over F_q(T) decides ideal membership, builds the
+weight-graded quotients by the weight-(q-1) zeta value, and solves
+linear systems; the dagger involution becomes an explicit matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +32,36 @@ def _family(name) -> str:
     if name not in _FAMILIES:
         raise InvalidInput(f"family must be one of {_FAMILIES}, got {name!r}")
     return name
+
+
+def _echelon(rows, ncols: int):
+    """Reduced row echelon form over F_q(T): (nonzero rows, pivot columns ascending)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for ci in range(ncols):
+        rank = len(pivots)
+        sel = next((r for r in range(rank, len(rows)) if not rows[r][ci].is_zero), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = rows[rank][ci].inverse()
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and not rows[r][ci].is_zero:
+                f = rows[r][ci]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(ci)
+    return rows[:len(pivots)], pivots
+
+
+def _reduce(vec, echelon, pivots):
+    """The residual of a dense vector after clearing every pivot column of the echelon."""
+    vec = list(vec)
+    for row, pc in zip(echelon, pivots):
+        c = vec[pc]
+        if not c.is_zero:
+            vec = [a if b.is_zero else a - c * b for a, b in zip(vec, row)]
+    return vec
 
 
 @dataclass(frozen=True)
@@ -73,12 +104,13 @@ class BasisVector:
 class QuotientSpace:
     """The weight-w piece of the value span modulo the weight-(q-1) zeta ideal."""
 
-    def __init__(self, weight: int, basis, ideal_gens, echelon, pivots):
+    def __init__(self, weight: int, basis, ideal_gens, echelon, pivots, field):
         self.weight = weight
         self.basis = basis            # canonical list of Thakur indices
         self.ideal_gens = ideal_gens  # BasisVectors, pre-echelon
         self.echelon = echelon        # reduced rows, list[list[RatFunc]]
         self.pivots = pivots          # pivot column positions, ascending
+        self.field = field
         self.quotient_basis = [b for i, b in enumerate(basis) if i not in set(pivots)]
 
     @property
@@ -94,24 +126,16 @@ class QuotientSpace:
         return len(self.quotient_basis)
 
     def class_vector(self, vec: BasisVector):
-        """Quotient coordinates (on quotient_basis); None entries mean zero."""
+        """Quotient coordinates (on quotient_basis), as RatFuncs."""
         if vec.weight != self.weight:
             raise InvalidInput("weight mismatch")
-        dense = [vec.coords.get(s) for s in self.basis]
-        for r, pc in zip(self.echelon, self.pivots):
-            c = dense[pc]
-            if c is None or c.is_zero:
-                continue
-            for j in range(pc, len(self.basis)):
-                if r[j].is_zero:
-                    continue
-                term = c * r[j]
-                dense[j] = (-term) if dense[j] is None else dense[j] - term
+        zero = RatFunc.of(0, self.field)
+        dense = _reduce([vec.coords.get(s, zero) for s in self.basis], self.echelon, self.pivots)
         pivot_set = set(self.pivots)
         return [dense[i] for i in range(len(self.basis)) if i not in pivot_set]
 
     def class_is_zero(self, vec: BasisVector) -> bool:
-        return all(v is None or v.is_zero for v in self.class_vector(vec))
+        return all(v.is_zero for v in self.class_vector(vec))
 
 
 class IotaMatrix:
@@ -142,29 +166,23 @@ class IotaMatrix:
         return out
 
     def squared_is_identity(self) -> bool:
-        n = self.dim
-        zero = RatFunc.of(0, self.field)
-        one = RatFunc.of(1, self.field)
-        for i in range(n):
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    acc = acc + self.rows[i][k] * self.rows[k][j]
-                if acc != (one if i == j else zero):
-                    return False
+        zero, one = RatFunc.of(0, self.field), RatFunc.of(1, self.field)
+        for j in range(self.dim):
+            unit = [one if i == j else zero for i in range(self.dim)]
+            if self.apply([row[j] for row in self.rows]) != unit:
+                return False
         return True
 
 
 class Reducer:
     """Rewriting, exact linear algebra, and the theorem checkers for one GF(q)."""
 
-    def __init__(self, algebra: IndexAlgebra, evaluator=None, cap: int = 10_000):
+    def __init__(self, algebra: IndexAlgebra, *, cap: int = 10_000):
         self.algebra = algebra
         self.field = algebra.field
         self.q = algebra.q
         self.cap = cap
-        self.evaluator = evaluator
-        self._ustep_memo = {}
+        self._nf_memo = {}
         self._dagger_memo = {}
         self._quotient_memo = {}
         self._iota_memo = {}
@@ -222,18 +240,11 @@ class Reducer:
     def u_step(self, family, P: IndexPoly) -> IndexPoly:
         """One value-preserving rewriting pass; fixes anything already Thakur."""
         family = _family(family)
-        out = IndexPoly.zero(self.field)
-        for a, c in P.terms.items():
-            out = out + self._u_image(family, a).scale(c)
-        return out
+        return P.linear_map(lambda a: self._u_image(family, a))
 
     def _u_image(self, family, a: Index) -> IndexPoly:
         if a.is_thakur(self.q):
             return self.algebra.mono(a)
-        key = (family, a)
-        hit = self._ustep_memo.get(key)
-        if hit is not None:
-            return hit
         dec = self.decompose_T(a)
         if not dec.n.is_empty:
             littler = Index((dec.n[0] - self.q,)).cat(dec.n.minus)
@@ -244,21 +255,52 @@ class Reducer:
         out = self.algebra.mono(a) - gen
         if not out.coeff(a).is_zero:
             raise InvalidInput(f"rewriting failed to cancel {a}")
-        self._ustep_memo[key] = out
         return out
 
+    def _normal_form(self, family, a: Index, cap: int, path: list):
+        """(NF(a), rewriting height of a), memoised; path lists the indices
+        being rewritten above a, outermost first."""
+        key = (family, a)
+        hit = self._nf_memo.get(key)
+        if hit is None:
+            if a.is_thakur(self.q):
+                hit = (self.algebra.mono(a), 0)
+            else:
+                if a in path:
+                    raise ReductionDiverged(f"rewriting {a} re-entered {a}",
+                                            trail=path[path.index(a):])
+                path.append(a)
+                if len(path) > cap:
+                    raise ReductionDiverged(
+                        f"rewriting {path[0]} needs more than {cap} levels", trail=path)
+                out, height = IndexPoly.zero(self.field), 0
+                for b, c in self._u_image(family, a).terms.items():
+                    nf, h = self._normal_form(family, b, cap, path)
+                    out = out + nf.scale(c)
+                    height = max(height, h)
+                path.pop()
+                hit = (out, height + 1)
+            self._nf_memo[key] = hit
+        if len(path) + hit[1] > cap:
+            trail = path + [a]
+            raise ReductionDiverged(
+                f"rewriting {trail[0]} needs more than {cap} levels", trail=trail)
+        return hit
+
     def reduce_to_T(self, family, P: IndexPoly, cap=None) -> IndexPoly:
-        """Iterate rewriting until the support lies in the Thakur set."""
+        """Sum of c * NF(a) over the terms c*a of P: Thakur-supported, same value.
+
+        Raises ReductionDiverged when the rewriting of some index re-enters
+        itself (trail: the cycle) or needs more than cap rewriting levels,
+        or more levels than the interpreter's recursion limit allows.
+        """
         family = _family(family)
         cap = self.cap if cap is None else cap
-        cur = P
-        for _ in range(cap):
-            if all(a.is_thakur(self.q) for a in cur.terms):
-                return cur
-            cur = self.u_step(family, cur)
-        trail = [a for a in cur.support() if not a.is_thakur(self.q)]
-        raise ReductionDiverged(
-            f"no Thakur support after {cap} rewriting passes", trail=trail)
+        try:
+            return P.linear_map(lambda a: self._normal_form(family, a, cap, [])[0])
+        except RecursionError:
+            raise ReductionDiverged("rewriting nests deeper than the recursion limit",
+                                    trail=sorted(P.terms)) from None
 
     # -- dagger expansion ------------------------------------------------------------
 
@@ -296,9 +338,8 @@ class Reducer:
     def linear_solve(self, vectors, target):
         """Exact membership of target in the span; returns coefficients or None.
 
-        Pivoting is deterministic: sweep coordinates in canonical order
-        and prefer the unused vector whose pivot entry has the smallest
-        numerator+denominator degree.
+        Eliminates the rows [v_i | e_i] and reduces [target | 0] against
+        them: the residual is [target - sum x_i v_i | -x].
         """
         if not vectors and target.is_zero:
             return []
@@ -308,46 +349,17 @@ class Reducer:
                 raise InvalidInput("weight mismatch in linear_solve")
         basis = thakur_indices(self.q, weight)
         zero = RatFunc.of(0, self.field)
-        cols = [[v.coords.get(s, zero) for s in basis] for v in vectors]
-        rhs = [target.coords.get(s, zero) for s in basis]
+        one = RatFunc.of(1, self.field)
         n = len(vectors)
-        coeff_rows = [[RatFunc.of(1 if i == j else 0, self.field) for j in range(n)]
-                      for i in range(n)]
-        used = [False] * n
-        assign = {}
-        for ci in range(len(basis)):
-            cands = [i for i in range(n) if not used[i] and not cols[i][ci].is_zero]
-            if not cands:
-                continue
-            cands.sort(key=lambda i: (cols[i][ci].num.degree + cols[i][ci].den.degree, i))
-            pi = cands[0]
-            used[pi] = True
-            assign[ci] = pi
-            pivot = cols[pi][ci]
-            for i in range(n):
-                if i == pi or cols[i][ci].is_zero:
-                    continue
-                f = cols[i][ci] / pivot
-                for j in range(len(basis)):
-                    cols[i][j] = cols[i][j] - f * cols[pi][j]
-                for j in range(n):
-                    coeff_rows[i][j] = coeff_rows[i][j] - f * coeff_rows[pi][j]
-        # eliminate the target against the pivots, tracking the combination
-        combo = [zero] * n
-        for ci in range(len(basis)):
-            if rhs[ci].is_zero:
-                continue
-            pi = assign.get(ci)
-            if pi is None:
-                return None
-            f = rhs[ci] / cols[pi][ci]
-            for j in range(len(basis)):
-                rhs[j] = rhs[j] - f * cols[pi][j]
-            for j in range(n):
-                combo[j] = combo[j] + f * coeff_rows[pi][j]
-        if any(not v.is_zero for v in rhs):
+        rows = [[v.coords.get(s, zero) for s in basis] + [zero] * n for v in vectors]
+        for i, row in enumerate(rows):
+            row[len(basis) + i] = one
+        echelon, pivots = _echelon(rows, len(basis) + n)
+        residual = _reduce([target.coords.get(s, zero) for s in basis] + [zero] * n,
+                           echelon, pivots)
+        if any(not v.is_zero for v in residual[:len(basis)]):
             return None
-        return combo
+        return [-v for v in residual[len(basis):]]
 
     def quotient_space(self, w: int) -> QuotientSpace:
         if w < 0:
@@ -363,29 +375,10 @@ class Reducer:
             for b in thakur_indices(self.q, lower):
                 prod = A.harmonic(A.mono(Index((self.q - 1,))), A.mono(b))
                 gens.append(self.to_vector(w, self.reduce_to_T("li", prod)))
-        # reduced echelon form over F_q(T)
         zero = RatFunc.of(0, self.field)
-        rows = [[g.coords.get(s, zero) for s in basis] for g in gens]
-        pivots = []
-        rank = 0
-        for ci in range(len(basis)):
-            sel = None
-            for r in range(rank, len(rows)):
-                if not rows[r][ci].is_zero:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            rows[rank], rows[sel] = rows[sel], rows[rank]
-            inv = rows[rank][ci].inverse()
-            rows[rank] = [v * inv for v in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and not rows[r][ci].is_zero:
-                    f = rows[r][ci]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-            pivots.append(ci)
-            rank += 1
-        out = QuotientSpace(w, basis, gens, rows[:rank], pivots)
+        echelon, pivots = _echelon([[g.coords.get(s, zero) for s in basis] for g in gens],
+                                   len(basis))
+        out = QuotientSpace(w, basis, gens, echelon, pivots, self.field)
         self._quotient_memo[w] = out
         return out
 
@@ -398,14 +391,11 @@ class Reducer:
         if hit is not None:
             return hit
         qs = self.quotient_space(w)
-        zero = RatFunc.of(0, self.field)
         cols = []
         for a in qs.quotient_basis:
             img = self.reduce_to_T("li", self.dagger_expand("li", a))
             cols.append(qs.class_vector(self.to_vector(w, img)))
-        n = len(qs.quotient_basis)
-        rows = [[(cols[j][i] if cols[j][i] is not None else zero) for j in range(n)]
-                for i in range(n)]
+        rows = [list(row) for row in zip(*cols)]
         out = IotaMatrix(w, qs.quotient_basis, rows, self.field)
         self._iota_memo[w] = out
         return out
@@ -547,12 +537,10 @@ class Reducer:
         w = s.weight
         qs = self.quotient_space(w)
         iota = self.iota_matrix(w)
-        zero = RatFunc.of(0, self.field)
-        lhs_vec = qs.class_vector(self.to_vector(w, self.reduce_to_T("zeta", self.algebra.mono(s))))
-        lhs = iota.apply([v if v is not None else zero for v in lhs_vec])
-        rhs_vec = qs.class_vector(self.to_vector(
+        lhs = iota.apply(qs.class_vector(
+            self.to_vector(w, self.reduce_to_T("zeta", self.algebra.mono(s)))))
+        rhs = qs.class_vector(self.to_vector(
             w, self.reduce_to_T("zeta", self.dagger_expand("zeta", s))))
-        rhs = [v if v is not None else zero for v in rhs_vec]
         diff = [a - b for a, b in zip(lhs, rhs)]
         equal = all(v.is_zero for v in diff)
         detail = "classes equal" if equal else (

@@ -11,7 +11,7 @@ def _setup(q):
     f = field(q)
     a = IndexAlgebra(f)
     e = Evaluator(f)
-    r = Reducer(a, e)
+    r = Reducer(a)
     return Setup(f, a, r, e)
 
 

@@ -83,7 +83,7 @@ def test_criterion_04_prodsum_and_dagger_expansion():
     for q in (2, 3):
         F = field(q)
         E = Evaluator(F)
-        R = Reducer(IndexAlgebra(F), E)
+        R = Reducer(IndexAlgebra(F))
         for w in range(1, 7):
             for s in compositions(w, max_depth=4):
                 for fam in (ValueFamily.ZETA, ValueFamily.LI):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ffmzv import (EMPTY, Index, IndexAlgebra, InvalidInput, RatFunc, Reducer,
+from ffmzv import (EMPTY, Evaluator, Index, IndexAlgebra, InvalidInput, RatFunc, Reducer,
                    ReductionDiverged, carlitz_bracket, compositions, field)
 from ffmzv.reduction import BasisVector
 
@@ -112,6 +112,68 @@ def test_reduction_cap():
     assert err.value.trail
 
 
+def test_reducer_cap_is_keyword_only():
+    A = IndexAlgebra(field(2))
+    with pytest.raises(TypeError):
+        Reducer(A, 5)
+    assert Reducer(A, cap=5).cap == 5
+
+
+def test_cap_bounds_the_height_fresh_and_warmed():
+    """(5,5) at q=2 needs 43 rewriting levels, whatever is memoised already."""
+    height = 43
+    fresh = Reducer(IndexAlgebra(field(2)))
+    P = fresh.algebra.mono((5, 5))
+    red = fresh.reduce_to_T("li", P, cap=height)
+    assert red.support() and all(a.is_thakur(2) for a in red.terms)
+    with pytest.raises(ReductionDiverged):  # warmed: every index is memoised
+        fresh.reduce_to_T("li", P, cap=height - 1)
+    assert fresh.reduce_to_T("li", P, cap=height) == red
+    fresh = Reducer(IndexAlgebra(field(2)))
+    with pytest.raises(ReductionDiverged) as err:
+        fresh.reduce_to_T("li", P, cap=height - 1)
+    assert err.value.trail[0] == Index((5, 5))
+    assert fresh.reduce_to_T("li", P, cap=height) == red  # warmed by the failed run
+
+
+def test_rewriting_cycle_raises_with_the_cycle(monkeypatch):
+    R = Reducer(IndexAlgebra(field(2)))
+    A = R.algebra
+    a, b, c = Index((3,)), Index((1, 2)), Index((4,))
+    rule = {c: A.mono(a), a: A.mono(b) + A.mono((1, 1)), b: A.mono(a)}
+    monkeypatch.setattr(R, "_u_image", lambda family, x: rule[x])
+    with pytest.raises(ReductionDiverged) as err:
+        R.reduce_to_T("li", A.mono(c))
+    assert err.value.trail == (a, b)
+
+
+def test_unbounded_rewriting_raises(monkeypatch):
+    """A chain deeper than the recursion limit is a ReductionDiverged, not a crash."""
+    R = Reducer(IndexAlgebra(field(2)))
+    A = R.algebra
+    monkeypatch.setattr(R, "_u_image", lambda family, x: A.mono((x[0] + 1,)))
+    with pytest.raises(ReductionDiverged) as err:
+        R.reduce_to_T("li", A.mono((3,)))
+    assert err.value.trail == (Index((3,)),)
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_rewriting_other_fields(q):
+    """Generators reduce to zero and normal forms keep values, beyond q in {2, 3}."""
+    F = field(q)
+    R, E = Reducer(IndexAlgebra(F)), Evaluator(F)
+    A = R.algebra
+    for fam in ("li", "zeta"):
+        for s, m, n in ((EMPTY, 1, EMPTY), (Index((1,)), 1, EMPTY), (EMPTY, 1, Index((1,)))):
+            assert R.reduce_to_T(fam, R.gen_A(fam, s, m, n)).is_zero, (fam, s, m, n)
+        for s in ((q,), (q + 1,), (1, q), (q, 1)):
+            red = R.reduce_to_T(fam, A.mono(s))
+            assert all(a.is_thakur(q) for a in red.terms)
+            diff = E.eval_value(fam, red, 30) - E.eval_value(fam, Index(s), 30)
+            # the L1-power coefficients cost precision: 12 of 30 remain at q=9
+            assert diff.is_zero_to_prec and diff.prec >= 12, (fam, s, diff.prec)
+
+
 def test_value_preservation(ctx2, ctx3):
     rng = random.Random(7)
     for ctx in (ctx2, ctx3):
@@ -183,6 +245,25 @@ def test_linear_solve(ctx2):
                            Index((2, 1)): RatFunc.of(1, F)})
     coeffs = R.linear_solve([e1, e2], both)
     assert coeffs == [RatFunc.of(F.T, F), RatFunc.of(1, F)]
+
+
+def test_linear_solve_dependent_set(ctx3):
+    R, F = ctx3.reducer, ctx3.field
+    T = RatFunc.of(F.T, F)
+    one = RatFunc.of(1, F)
+    x, y, z = Index((1, 1, 1)), Index((1, 2)), Index((2, 1))
+    vecs = [BasisVector(3, {x: one, y: T}),
+            BasisVector(3, {y: one, z: one}),
+            BasisVector(3, {x: one, y: T + one, z: one}),  # the sum of the first two
+            BasisVector(3, {x: T})]
+    target = BasisVector(3, {x: T * T + one, y: T - one, z: one})
+    coeffs = R.linear_solve(vecs, target)
+    combo = {}
+    for c, v in zip(coeffs, vecs):
+        for s, e in v.coords.items():
+            combo[s] = combo.get(s, RatFunc.of(0, F)) + c * e
+    assert BasisVector(3, combo) == target
+    assert R.linear_solve(vecs[:3], BasisVector(3, {x: one})) is None
 
 
 def test_quotient_dimensions(ctx2, ctx4):
