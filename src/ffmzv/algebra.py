@@ -47,57 +47,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# Minimal F_p[u] helpers on int lists (low degree first), used only to
-# validate moduli before any FieldSpec exists.
-
-def _fp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _fp_mod(a, m, p):
-    a = list(a)
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
-        if c:
-            sh = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[sh + i] = (a[sh + i] - c * mi) % p
-        a.pop()
-    return _fp_trim(a)
-
-
-def _fp_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_is_irreducible(m, p):
-    """Brute trial division by all monic polynomials of degree <= deg(m)/2."""
-    deg = len(m) - 1
-    if deg < 1 or m[-1] != 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for tail in range(p ** d):
-            div = []
-            v = tail
-            for _ in range(d):
-                div.append(v % p)
-                v //= p
-            div.append(1)
-            if not _fp_mod(m, div, p):
-                return False
-    return True
-
-
 class FieldSpec:
     """GF(q) for q = p^e with full arithmetic tables.
 
@@ -126,7 +75,12 @@ class FieldSpec:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != e + 1:
                 raise InvalidInput("modulus must have degree e")
-            if not _fp_is_irreducible(list(modulus), p):
+            # trial division by every monic polynomial of degree <= e/2
+            fp = field(p)
+            m = fp.poly(modulus)
+            factors = (fp.poly([t // p ** k % p for k in range(d)] + [1])
+                       for d in range(1, e // 2 + 1) for t in range(p ** d))
+            if modulus[-1] != 1 or any((m % f).is_zero for f in factors):
                 raise InvalidInput("modulus is not monic irreducible over F_p")
         self.p = p
         self.e = e
@@ -154,34 +108,16 @@ class FieldSpec:
         for a in range(q):
             for b in range(q):
                 add[a][b] = self._encode([(x + y) % p for x, y in zip(digits[a], digits[b])])
-        # u^t mod modulus for t < 2e-1, as codes
-        upow = [0] * (2 * e - 1) if e > 1 else [1]
-        if e > 1:
-            cur = [1]
-            for t in range(2 * e - 1):
-                upow[t] = self._encode(cur + [0] * (e - len(cur)))
-                cur = _fp_mod([0] + cur, list(self.modulus), p)
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = digits[a]
-            for b in range(a, q):
-                db = digits[b]
-                if e == 1:
-                    c = (a * b) % p
-                else:
-                    acc = [0] * e
-                    for i, x in enumerate(da):
-                        if not x:
-                            continue
-                        for j, y in enumerate(db):
-                            if not y:
-                                continue
-                            ud = self._digits(upow[i + j])
-                            for t in range(e):
-                                acc[t] = (acc[t] + x * y * ud[t]) % p
-                    c = self._encode(acc)
-                mul[a][b] = c
-                mul[b][a] = c
+        if e == 1:
+            upow = [1]
+            mul = [[(a * b) % p for b in range(q)] for a in range(q)]
+        else:
+            # F_q = F_p[u]/(modulus): products and u-powers reduce as polynomials over F_p
+            fp = field(p)
+            m = fp.poly(self.modulus)
+            upow = [self._encode((fp.T ** t % m).c) for t in range(2 * e - 1)]
+            ups = [fp.poly(d) for d in digits]
+            mul = [[self._encode((x * y % m).c) for y in ups] for x in ups]
         neg = [self._encode([(-x) % p for x in digits[a]]) for a in range(q)]
         inv = [0] * q
         for a in range(1, q):
@@ -451,6 +387,27 @@ def poly_lucas_binom(a: int, b: int, p: int) -> int:
 _SCHOOLBOOK_CUTOFF = 96
 
 
+def _mul_codes(spec: FieldSpec, a, b, n=None) -> list:
+    """First n coefficients (all if n is None) of the product of two code sequences."""
+    full = len(a) + len(b) - 1 if a and b else 0
+    n = full if n is None else min(n, full)
+    if n <= 0:
+        return []
+    if len(a) * len(b) > _SCHOOLBOOK_CUTOFF * _SCHOOLBOOK_CUTOFF:
+        import numpy as np
+        out = spec.vec.conv(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+        return [int(v) for v in out[:n]]
+    mul, add = spec._mul, spec._add
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            row = mul[ai]
+            for k, bj in enumerate(b[:n - i], i):
+                if bj:
+                    out[k] = add[out[k]][row[bj]]
+    return out
+
+
 class Poly:
     """Polynomial over GF(q) in T, coefficients low degree first, canonical."""
 
@@ -534,23 +491,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        a, b = self.c, other.c
-        if not a or not b:
-            return Poly._make(self.spec, ())
-        if len(a) * len(b) > _SCHOOLBOOK_CUTOFF * _SCHOOLBOOK_CUTOFF:
-            import numpy as np
-            out = self.spec.vec.conv(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-            return Poly._make(self.spec, tuple(int(v) for v in out))
-        mul = self.spec.mul_idx
-        add = self.spec.add_idx
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-        return Poly._make(self.spec, tuple(out))
+        return Poly._make(self.spec, tuple(_mul_codes(self.spec, self.c, other.c)))
 
     __rmul__ = __mul__
 
@@ -593,16 +534,24 @@ class Poly:
         return self.divmod(other)[1]
 
     def __pow__(self, n: int) -> "Poly":
+        """self ** n; the factor p^k of n is applied as a k-fold Frobenius first."""
         if n < 0:
             raise InvalidInput("negative polynomial power")
-        acc = self.spec.poly([1])
-        base = self
+        times = 0
+        while n and n % self.spec.p == 0:
+            n //= self.spec.p
+            times += 1
+        base = self.frobenius(times) if times else self
+        acc = Poly._make(self.spec, (1,))
         while n:
             if n & 1:
                 acc = acc * base
-            base = base * base if n > 1 else base
             n >>= 1
+            if n:
+                base = base * base
         return acc
+
+    power = __pow__
 
     def frobenius(self, times: int = 1) -> "Poly":
         """self ** (p ** times), via coefficient Frobenius and stride spreading."""
@@ -617,17 +566,6 @@ class Poly:
                 w = spec.frob_idx(w)
             out[k * stride] = w
         return Poly._make(spec, tuple(out))
-
-    def power(self, n: int) -> "Poly":
-        """Like **, but peels off Frobenius factors of the exponent first."""
-        if n == 0:
-            return self.spec.poly([1])
-        times = 0
-        while n % self.spec.p == 0:
-            n //= self.spec.p
-            times += 1
-        base = self.frobenius(times) if times else self
-        return base ** n
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -819,31 +757,40 @@ class LaurentSeries:
     __slots__ = ("spec", "lead", "c", "prec")
 
     def __init__(self, spec: FieldSpec, lead: int, coeffs, prec: int):
-        idx = [v.i if isinstance(v, FieldElem) else int(v) % spec.p for v in coeffs]
-        # drop anything below the precision, then strip leading zeros
+        """Coefficients are FieldElems or ints (embedded in the prime subfield)."""
+        self._set(spec, lead, [v.i if isinstance(v, FieldElem) else int(v) % spec.p
+                               for v in coeffs], prec)
+
+    @classmethod
+    def _make(cls, spec: FieldSpec, lead: int, codes, prec: int) -> "LaurentSeries":
+        """Series from field codes (0..q-1), the form every internal result takes."""
+        self = object.__new__(cls)
+        self._set(spec, lead, codes, prec)
+        return self
+
+    def _set(self, spec, lead, codes, prec):
+        # drop anything below the precision, strip leading zeros, and pad so
+        # that exactly one entry is stored per exponent down to -prec
         keep = lead + prec + 1
-        if keep < len(idx):
-            idx = idx[:max(keep, 0)]
+        codes = codes[:max(keep, 0)]
         start = 0
-        while start < len(idx) and idx[start] == 0:
+        while start < len(codes) and codes[start] == 0:
             start += 1
-        idx = idx[start:]
-        lead -= start
-        if idx:
-            # canonical storage: exactly one entry per exponent down to -prec
-            idx.extend([0] * (lead + prec + 1 - len(idx)))
         self.spec = spec
-        self.lead = lead if idx else None
-        self.c = tuple(idx)
         self.prec = prec
+        if start == len(codes):
+            self.lead, self.c = None, ()
+        else:
+            self.lead = lead - start
+            self.c = tuple(codes[start:]) + (0,) * (keep - len(codes))
 
     @classmethod
     def zero(cls, spec: FieldSpec, prec: int) -> "LaurentSeries":
-        return cls(spec, 0, (), prec)
+        return cls._make(spec, 0, (), prec)
 
     @classmethod
     def one(cls, spec: FieldSpec, prec: int) -> "LaurentSeries":
-        return cls(spec, 0, (1,), prec)
+        return cls._make(spec, 0, (1,), prec)
 
     @property
     def is_zero_to_prec(self) -> bool:
@@ -863,10 +810,10 @@ class LaurentSeries:
         return FieldElem(self.spec, self.c[k] if k < len(self.c) else 0)
 
     def with_prec(self, prec: int) -> "LaurentSeries":
+        """Truncate to precision prec; a series never gains precision."""
         if prec >= self.prec:
-            return self if prec == self.prec else LaurentSeries(
-                self.spec, self.lead or 0, self.c, self.prec)
-        return LaurentSeries(self.spec, self.lead or 0, self.c, prec)
+            return self
+        return LaurentSeries._make(self.spec, self.lead or 0, self.c, prec)
 
     def _check(self, other):
         if self.spec != other.spec:
@@ -881,22 +828,21 @@ class LaurentSeries:
             return other.with_prec(prec)
         if other.is_zero_to_prec:
             return self.with_prec(prec)
-        lead = max(self.lead, other.lead)
-        n = lead + prec + 1
-        add = self.spec.add_idx
-        out = [0] * max(n, 0)
-        for k in range(len(out)):
-            e = lead - k
-            a = self.c[self.lead - e] if self.lead >= e >= self.lead - len(self.c) + 1 else 0
-            b = other.c[other.lead - e] if other.lead >= e >= other.lead - len(other.c) + 1 else 0
-            out[k] = add(a, b)
-        return LaurentSeries(self.spec, lead, out, prec)
+        a, b = (self, other) if self.lead >= other.lead else (other, self)
+        n = a.lead + prec + 1
+        off = a.lead - b.lead
+        out = list(a.c[:max(n, 0)])
+        add = self.spec._add
+        for k, v in enumerate(b.c[:max(n - off, 0)], off):
+            if v:
+                out[k] = add[out[k]][v]
+        return LaurentSeries._make(self.spec, a.lead, out, prec)
 
     def __neg__(self):
         if self.is_zero_to_prec:
             return self
         neg = self.spec.neg_idx
-        return LaurentSeries(self.spec, self.lead, [neg(v) for v in self.c], self.prec)
+        return LaurentSeries._make(self.spec, self.lead, [neg(v) for v in self.c], self.prec)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -913,25 +859,8 @@ class LaurentSeries:
         if self.is_zero_to_prec or other.is_zero_to_prec:
             return LaurentSeries.zero(self.spec, prec)
         lead = self.lead + other.lead
-        need = lead + prec + 1
-        if need <= 0:
-            return LaurentSeries.zero(self.spec, prec)
-        a, b = self.c, other.c
-        if len(a) * len(b) > _SCHOOLBOOK_CUTOFF * _SCHOOLBOOK_CUTOFF:
-            import numpy as np
-            out = self.spec.vec.conv(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
-            return LaurentSeries(self.spec, lead, [int(v) for v in out[:need]], prec)
-        mul, add = self.spec.mul_idx, self.spec.add_idx
-        out = [0] * min(need, len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not ai or i >= need:
-                continue
-            for j, bj in enumerate(b):
-                if i + j >= need:
-                    break
-                if bj:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
-        return LaurentSeries(self.spec, lead, out, prec)
+        out = _mul_codes(self.spec, self.c, other.c, lead + prec + 1)
+        return LaurentSeries._make(self.spec, lead, out, prec)
 
     def scale(self, c) -> "LaurentSeries":
         if isinstance(c, int):
@@ -939,13 +868,14 @@ class LaurentSeries:
         if c.is_zero or self.is_zero_to_prec:
             return LaurentSeries.zero(self.spec, self.prec)
         mul = self.spec.mul_idx
-        return LaurentSeries(self.spec, self.lead, [mul(c.i, v) for v in self.c], self.prec)
+        return LaurentSeries._make(self.spec, self.lead, [mul(c.i, v) for v in self.c],
+                                   self.prec)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by the exact monomial T^k."""
         if self.is_zero_to_prec:
             return LaurentSeries.zero(self.spec, self.prec - k)
-        return LaurentSeries(self.spec, self.lead + k, self.c, self.prec - k)
+        return LaurentSeries._make(self.spec, self.lead + k, self.c, self.prec - k)
 
     def inverse(self) -> "LaurentSeries":
         if self.is_zero_to_prec:
@@ -957,7 +887,7 @@ class LaurentSeries:
         if m <= 0:
             return LaurentSeries.zero(self.spec, prec)
         inv = _recip_codes(self.spec, self.c, m)
-        return LaurentSeries(self.spec, -self.lead, inv, prec)
+        return LaurentSeries._make(self.spec, -self.lead, inv, prec)
 
     def __truediv__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -1014,19 +944,8 @@ def rat_to_laurent(f: RatFunc, prec: int) -> LaurentSeries:
     m = lead + prec + 1
     if m <= 0:
         return LaurentSeries.zero(spec, prec)
-    rn = tuple(reversed(f.num.c))
-    rd = tuple(reversed(f.den.c))
-    inv = _recip_codes(spec, rd, m)
-    mul, add = spec.mul_idx, spec.add_idx
-    out = [0] * m
-    for i, ai in enumerate(rn):
-        if not ai or i >= m:
-            continue
-        for j in range(m - i):
-            bj = inv[j]
-            if bj:
-                out[i + j] = add(out[i + j], mul(ai, bj))
-    return LaurentSeries(spec, lead, out, prec)
+    inv = _recip_codes(spec, f.den.c[::-1], m)
+    return LaurentSeries._make(spec, lead, _mul_codes(spec, f.num.c[::-1], inv, m), prec)
 
 
 @lru_cache(maxsize=None)

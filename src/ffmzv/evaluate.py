@@ -71,16 +71,10 @@ def default_precision(weight: int) -> int:
 
 
 class EvalBudget:
-    """Knobs and caches for a family of evaluations."""
+    """The cap on brute-force enumerations of monic polynomials."""
 
-    def __init__(self, prec: int = 40, max_bruteforce: int = 1 << 20):
-        if prec < 0:
-            raise InvalidInput("precision must be >= 0")
-        self.prec = prec
+    def __init__(self, max_bruteforce: int = 1 << 20):
         self.max_bruteforce = max_bruteforce
-        self.power_sums = {}
-        self.u_series = {}
-        self.values = {}
 
     def check_enumeration(self, q: int, d: int):
         if self.max_bruteforce < q:
@@ -93,12 +87,16 @@ class EvalBudget:
 
 
 class Evaluator:
-    """Value computations over one GF(q)."""
+    """Value computations over one GF(q), memoising power sums, level series
+    and values."""
 
     def __init__(self, field: FieldSpec, budget: EvalBudget | None = None):
         self.field = field
         self.q = field.q
         self.budget = budget if budget is not None else EvalBudget()
+        self._power_sums = {}
+        self._level = {}
+        self._values = {}
 
     # -- Carlitz factorials -------------------------------------------------
 
@@ -113,7 +111,7 @@ class Evaluator:
         if d < 0 or s < 1:
             raise InvalidInput("need d >= 0 and s >= 1")
         key = (d, s, prec)
-        hit = self.budget.power_sums.get(key)
+        hit = self._power_sums.get(key)
         if hit is not None:
             return hit
         self.budget.check_enumeration(self.q, d)
@@ -122,8 +120,8 @@ class Evaluator:
             out = LaurentSeries.zero(self.field, prec)
         else:
             coeffs = self.field.vec.brute_power_sum(d, s, m)
-            out = LaurentSeries(self.field, -s * d, coeffs, prec)
-        self.budget.power_sums[key] = out
+            out = LaurentSeries._make(self.field, -s * d, coeffs, prec)
+        self._power_sums[key] = out
         return out
 
     def power_sum_exact(self, d: int, s: int) -> RatFunc:
@@ -187,7 +185,7 @@ class Evaluator:
     def _level_series(self, side: str, s: int, d: int, prec: int) -> LaurentSeries:
         """The level-d factor: 1/L_d^s on the li side, S_d(s) on the zeta side."""
         key = (side, s, d, prec)
-        hit = self.budget.u_series.get(key)
+        hit = self._level.get(key)
         if hit is not None:
             return hit
         if side == "li" or s <= self.q:
@@ -201,7 +199,7 @@ class Evaluator:
                 out = LaurentSeries.zero(self.field, prec)
             else:
                 out = self.power_sum(d, s, prec)
-        self.budget.u_series[key] = out
+        self._level[key] = out
         return out
 
     def _level_cutoff(self, family: ValueFamily, s: Index, prec: int) -> int:
@@ -227,17 +225,19 @@ class Evaluator:
                 self.budget.check_enumeration(self.q, prec // entry)
 
     def value_of_index(self, family: ValueFamily, s: Index, prec: int) -> LaurentSeries:
+        """Value of one index; a star value is (-1)^depth times the dagger value
+        of the reversed index."""
         family = ValueFamily.parse(family)
         if family.is_star:
             sign = -1 if s.depth % 2 else 1
             inner = self.value_of_index(family.dagger, s.reversed(), prec)
             return inner.scale(sign)
         key = (family, s, prec)
-        hit = self.budget.values.get(key)
+        hit = self._values.get(key)
         if hit is not None:
             return hit
         out = self._dp_value(family, s, prec)
-        self.budget.values[key] = out
+        self._values[key] = out
         return out
 
     def _dp_value(self, family: ValueFamily, s: Index, prec: int) -> LaurentSeries:
@@ -251,21 +251,16 @@ class Evaluator:
         # entries[i] multiplies H_{i+1}; plain families consume the index from
         # the right (innermost level is the last entry), daggers from the left
         entries = tuple(reversed(s)) if not family.is_dagger else tuple(s)
+        # ascending i lets H_i take H_{i-1} of the same level (weak, daggers);
+        # descending i takes it from earlier levels only (strict, plain)
+        order = range(1, r + 1) if family.is_dagger else range(r, 0, -1)
         H = [LaurentSeries.one(spec, prec)] + [LaurentSeries.zero(spec, prec)] * r
-        if family.is_dagger:
-            for d in range(0, dmax + 1):
-                for i in range(1, r + 1):
-                    u = self._level_series(side, entries[i - 1], d, prec)
-                    if u.is_zero_to_prec:
-                        continue
-                    H[i] = (H[i] + u * H[i - 1]).with_prec(prec)
-        else:
-            for d in range(0, dmax + 1):
-                for i in range(r, 0, -1):
-                    u = self._level_series(side, entries[i - 1], d, prec)
-                    if u.is_zero_to_prec:
-                        continue
-                    H[i] = (H[i] + u * H[i - 1]).with_prec(prec)
+        for d in range(0, dmax + 1):
+            for i in order:
+                u = self._level_series(side, entries[i - 1], d, prec)
+                if u.is_zero_to_prec:
+                    continue
+                H[i] = (H[i] + u * H[i - 1]).with_prec(prec)
         out = H[r].with_prec(prec)
         if family.is_dagger and r % 2:
             out = out.scale(-1)
@@ -280,17 +275,12 @@ class Evaluator:
             return self.value_of_index(family, Index(P), prec)
         out = LaurentSeries.zero(self.field, prec)
         for s, c in P.terms.items():
-            v = self.value_of_index(family, s, prec)
             if not (c.num.degree == 0 and c.den.degree == 0):
-                v = v * rat_to_laurent(c, prec)
+                # a coefficient of degree k > 0 costs k coefficients of the value
+                ext = prec + max(c.num.degree - c.den.degree, 0)
+                v = self.value_of_index(family, s, ext) * rat_to_laurent(c, ext)
             else:
-                v = v.scale(c.num.leading() * c.den.leading().inverse())
+                v = self.value_of_index(family, s, prec).scale(
+                    c.num.leading() * c.den.leading().inverse())
             out = out + v
         return out
-
-    def star_value(self, kind, s: Index, prec: int) -> LaurentSeries:
-        """Sign-and-reversal transform of the matching dagger value."""
-        kind = ValueFamily.parse(kind)
-        if not kind.is_star:
-            raise InvalidInput("star_value needs a star family")
-        return self.value_of_index(kind, Index(s), prec)

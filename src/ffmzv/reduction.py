@@ -159,7 +159,7 @@ class IotaMatrix:
             acc = zero
             for j in range(n):
                 c = coords[j]
-                if c is None or c.is_zero:
+                if c.is_zero:
                     continue
                 acc = acc + self.rows[i][j] * c
             out.append(acc)

@@ -94,6 +94,15 @@ def test_depend_with_literal_value():
     assert code == 0
 
 
+def test_depend_extension_field_literals():
+    """At q=4 the u-coefficients survive expansion: only the true relation is found."""
+    code, text = run_cli(["depend", "--q", "4", "--values", "(u*T+1)/T;u;1/T",
+                          "--deg-bound", "0", "--prec", "10"])
+    assert code == 0
+    candidates = [line for line in text.splitlines() if "] candidate" in line]
+    assert len(candidates) == 1 and candidates[0].endswith("(1, 1, 1)")
+
+
 def test_json_schema_and_determinism(tmp_path):
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", "--suite", "theorem", "--q", "2", "--max-weight", "3", "--json"]

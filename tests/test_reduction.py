@@ -170,8 +170,7 @@ def test_rewriting_other_fields(q):
             red = R.reduce_to_T(fam, A.mono(s))
             assert all(a.is_thakur(q) for a in red.terms)
             diff = E.eval_value(fam, red, 30) - E.eval_value(fam, Index(s), 30)
-            # the L1-power coefficients cost precision: 12 of 30 remain at q=9
-            assert diff.is_zero_to_prec and diff.prec >= 12, (fam, s, diff.prec)
+            assert diff.is_zero_to_prec and diff.prec == 30, (fam, s, diff.prec)
 
 
 def test_value_preservation(ctx2, ctx3):
