@@ -451,7 +451,7 @@ class Poly:
         return FieldElem(self.spec, self.c[-1])
 
     def _check(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise InvalidInput("mixed fields")
 
     def __add__(self, other):
@@ -463,17 +463,18 @@ class Poly:
         a, b = self.c, other.c
         if len(a) < len(b):
             a, b = b, a
-        add = self.spec.add_idx
+        add = self.spec._add
         out = list(a)
         for k, v in enumerate(b):
-            out[k] = add(out[k], v)
+            if v:
+                out[k] = add[out[k]][v]
         return Poly._make(self.spec, tuple(out))
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.spec.neg_idx
-        return Poly._make(self.spec, tuple(neg(v) for v in self.c))
+        neg = self.spec._neg
+        return Poly._make(self.spec, tuple([neg[v] for v in self.c]))
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -496,8 +497,8 @@ class Poly:
     __rmul__ = __mul__
 
     def scale(self, c: FieldElem) -> "Poly":
-        mul = self.spec.mul_idx
-        return Poly._make(self.spec, tuple(mul(c.i, v) for v in self.c))
+        row = self.spec._mul[c.i]
+        return Poly._make(self.spec, tuple([row[v] for v in self.c]))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by T^k (k >= 0)."""
@@ -517,14 +518,15 @@ class Poly:
         dd = other.degree
         qlen = len(rem) - dd
         quo = [0] * qlen
-        mul, add, neg = spec.mul_idx, spec.add_idx, spec.neg_idx
+        mul, add = spec._mul, spec._add
         for i in range(qlen - 1, -1, -1):
-            c = mul(rem[i + dd], inv_lead)
+            c = mul[rem[i + dd]][inv_lead]
             if c:
                 quo[i] = c
-                for j, oj in enumerate(other.c):
+                row = mul[spec._neg[c]]
+                for j, oj in enumerate(other.c, i):
                     if oj:
-                        rem[i + j] = add(rem[i + j], neg(mul(c, oj)))
+                        rem[j] = add[rem[j]][row[oj]]
         return Poly._make(spec, tuple(quo)), Poly._make(spec, tuple(rem[:dd]))
 
     def __floordiv__(self, other):
@@ -621,10 +623,11 @@ class RatFunc:
         if num.is_zero:
             den = num.spec.poly([1])
         else:
-            g = num.gcd(den)
-            if g.degree > 0:
-                num = num // g
-                den = den // g
+            if num.degree > 0 and den.degree > 0:  # a constant shares no factor
+                g = num.gcd(den)
+                if g.degree > 0:
+                    num = num // g
+                    den = den // g
             lead = den.leading()
             if lead != num.spec.one:
                 inv = lead.inverse()
@@ -633,9 +636,21 @@ class RatFunc:
         self.num = num
         self.den = den
 
+    @classmethod
+    def _make(cls, num: Poly, den: Poly = None) -> "RatFunc":
+        """num/den from a pair that is already reduced with den monic (default 1), no gcd."""
+        self = object.__new__(cls)
+        self.num = num
+        self.den = Poly._make(num.spec, (1,)) if den is None else den
+        return self
+
     @property
     def spec(self):
         return self.num.spec
+
+    @property
+    def is_poly(self) -> bool:
+        return self.den.c == (1,)
 
     @property
     def is_zero(self):
@@ -646,13 +661,13 @@ class RatFunc:
         if isinstance(value, RatFunc):
             return value
         if isinstance(value, Poly):
-            return cls(value, value.spec.poly([1]))
+            return cls._make(value)
         if isinstance(value, FieldElem):
-            return cls(value.spec.poly([value]), value.spec.poly([1]))
+            return cls._make(value.spec.poly([value]))
         if isinstance(value, int):
             if spec is None:
                 raise InvalidInput("field needed to coerce an int")
-            return cls(spec.poly([value]), spec.poly([1]))
+            return cls._make(spec.poly([value]))
         raise InvalidInput(f"cannot coerce {value!r} to a rational function")
 
     def _coerce(self, other):
@@ -666,12 +681,14 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.is_poly and o.is_poly:
+            return RatFunc._make(self.num + o.num)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return RatFunc._make(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -686,6 +703,8 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.is_poly and o.is_poly:
+            return RatFunc._make(self.num * o.num)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
@@ -693,7 +712,8 @@ class RatFunc:
     def inverse(self) -> "RatFunc":
         if self.is_zero:
             raise DivisionByZero("inverse of the zero rational function")
-        return RatFunc(self.den, self.num)
+        inv = self.num.leading().inverse()
+        return RatFunc._make(self.den.scale(inv), self.num.scale(inv))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -703,12 +723,14 @@ class RatFunc:
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
+        if o is None:
+            return NotImplemented
         return o * self.inverse()
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        return RatFunc(self.num.power(n), self.den.power(n))
+        return RatFunc._make(self.num.power(n), self.den.power(n))
 
     def __eq__(self, other):
         o = self._coerce(other) if not isinstance(other, RatFunc) else other

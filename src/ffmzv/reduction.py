@@ -6,16 +6,21 @@ relations among the values.  The rewriting rule subtracts the
 generator in which a non-Thakur index occurs with unit coefficient;
 its memoised normal form NF(a) expresses any combination in
 coordinates on the Thakur index set.  There, one reduced-echelon
-elimination over F_q(T) decides ideal membership, builds the
-weight-graded quotients by the weight-(q-1) zeta value, and solves
-linear systems; the dagger involution becomes an explicit matrix.
+elimination decides ideal membership, builds the weight-graded quotients
+by the weight-(q-1) zeta value, and solves linear systems; the dagger
+involution becomes an explicit matrix.  The elimination computes the
+reduced row echelon form over F_q(T) fraction-free over F_q[T]: rows
+stay polynomial, each with its pivot entry as its denominator, and a
+residual is one polynomial combination over one common denominator, so
+no gcd runs per entry.  The reduced echelon form and the residual are
+unique, so the results are those of plain Gauss-Jordan over F_q(T).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import RatFunc, carlitz_bracket
+from .algebra import Poly, RatFunc, carlitz_bracket
 from .errors import InvalidInput, ReductionDiverged
 from .evaluate import ValueFamily
 from .indices import (EMPTY, Index, IndexAlgebra, IndexPoly, ProductKind,
@@ -34,34 +39,90 @@ def _family(name) -> str:
     return name
 
 
+def _lcm(a: Poly, b: Poly) -> Poly:
+    """The monic lcm of two monic polynomials."""
+    if a.degree == 0:
+        return b
+    if b.degree == 0:
+        return a
+    g = a.gcd(b)
+    return a * (b // g) if g.degree > 0 else a * b
+
+
+def _clear(vec):
+    """(polynomial numerators, monic common denominator) of a nonempty RatFunc vector."""
+    den = vec[0].den
+    for v in vec[1:]:
+        den = _lcm(den, v.den)
+    if den.degree == 0:
+        return [v.num for v in vec], den
+    return [v.num * (den // v.den) for v in vec], den
+
+
+def _primitive(row):
+    """The polynomial row divided by the monic gcd of its entries."""
+    g = None
+    for x in row:
+        if not x.is_zero:
+            g = x if g is None else g.gcd(x)
+            if g.degree == 0:
+                return row
+    if g is None:
+        return row
+    g = g.monic()
+    return [x // g for x in row]
+
+
 def _echelon(rows, ncols: int):
-    """Reduced row echelon form over F_q(T): (nonzero rows, pivot columns ascending)."""
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form over F_q(T), computed fraction-free over F_q[T].
+
+    Returns (rows, pivots), pivot columns ascending.  Each returned row N is a
+    primitive polynomial row with N[pc] != 0 at its own pivot column pc and 0
+    at every other pivot column, so N / N[pc] is the reduced row.  A column's
+    pivot is its lowest-degree entry, and eliminating f against the pivot d
+    replaces the row R by (d/g)*R - (f/g)*P with g = gcd(d, f), so entries
+    stay polynomials; dividing out the content keeps their degrees down.
+    """
+    rows = [_primitive(_clear(r)[0]) for r in rows]
     pivots = []
     for ci in range(ncols):
         rank = len(pivots)
-        sel = next((r for r in range(rank, len(rows)) if not rows[r][ci].is_zero), None)
-        if sel is None:
+        live = [r for r in range(rank, len(rows)) if not rows[r][ci].is_zero]
+        if not live:
             continue
+        sel = min(live, key=lambda r: rows[r][ci].degree)
         rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = rows[rank][ci].inverse()
-        rows[rank] = [v * inv for v in rows[rank]]
+        pivot_row = rows[rank]
+        d = pivot_row[ci]
         for r in range(len(rows)):
-            if r != rank and not rows[r][ci].is_zero:
-                f = rows[r][ci]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+            f = rows[r][ci]
+            if r == rank or f.is_zero:
+                continue
+            g = d.gcd(f)
+            a, b = (d // g, f // g) if g.degree > 0 else (d, f)
+            rows[r] = _primitive([a * x if y.is_zero else a * x - b * y
+                                  for x, y in zip(rows[r], pivot_row)])
         pivots.append(ci)
     return rows[:len(pivots)], pivots
 
 
-def _reduce(vec, echelon, pivots):
-    """The residual of a dense vector after clearing every pivot column of the echelon."""
-    vec = list(vec)
-    for row, pc in zip(echelon, pivots):
-        c = vec[pc]
-        if not c.is_zero:
-            vec = [a if b.is_zero else a - c * b for a, b in zip(vec, row)]
-    return vec
+def _residual(vec, echelon, pivots):
+    """The residual of a dense RatFunc vector after clearing every pivot column
+    of the echelon, as (polynomial numerators, one common denominator).
+
+    With W = D*vec polynomial and L the lcm of the pivot entries d_i = N_i[pc_i]
+    that W meets, the residual is (L*W - sum W[pc_i] * (L/d_i) * N_i) / (D*L).
+    """
+    w, den = _clear(vec)
+    used = [(row, pc) for row, pc in zip(echelon, pivots) if not w[pc].is_zero]
+    lcm = den.spec.poly([1])
+    for row, pc in used:
+        lcm = _lcm(lcm, row[pc].monic())
+    out = w if lcm.degree == 0 else [lcm * x for x in w]
+    for row, pc in used:
+        c = w[pc] * (lcm // row[pc])
+        out = [x if y.is_zero else x - c * y for x, y in zip(out, row)]
+    return out, den * lcm
 
 
 @dataclass(frozen=True)
@@ -108,7 +169,7 @@ class QuotientSpace:
         self.weight = weight
         self.basis = basis            # canonical list of Thakur indices
         self.ideal_gens = ideal_gens  # BasisVectors, pre-echelon
-        self.echelon = echelon        # reduced rows, list[list[RatFunc]]
+        self.echelon = echelon        # polynomial rows N, reduced row N / N[pivot]
         self.pivots = pivots          # pivot column positions, ascending
         self.field = field
         self.quotient_basis = [b for i, b in enumerate(basis) if i not in set(pivots)]
@@ -127,15 +188,19 @@ class QuotientSpace:
 
     def class_vector(self, vec: BasisVector):
         """Quotient coordinates (on quotient_basis), as RatFuncs."""
+        nums, den = self._clear_pivots(vec)
+        pivot_set = set(self.pivots)
+        return [RatFunc(x, den) for i, x in enumerate(nums) if i not in pivot_set]
+
+    def class_is_zero(self, vec: BasisVector) -> bool:
+        return all(x.is_zero for x in self._clear_pivots(vec)[0])
+
+    def _clear_pivots(self, vec: BasisVector):
         if vec.weight != self.weight:
             raise InvalidInput("weight mismatch")
         zero = RatFunc.of(0, self.field)
-        dense = _reduce([vec.coords.get(s, zero) for s in self.basis], self.echelon, self.pivots)
-        pivot_set = set(self.pivots)
-        return [dense[i] for i in range(len(self.basis)) if i not in pivot_set]
-
-    def class_is_zero(self, vec: BasisVector) -> bool:
-        return all(v.is_zero for v in self.class_vector(vec))
+        return _residual([vec.coords.get(s, zero) for s in self.basis],
+                         self.echelon, self.pivots)
 
 
 class IotaMatrix:
@@ -355,11 +420,11 @@ class Reducer:
         for i, row in enumerate(rows):
             row[len(basis) + i] = one
         echelon, pivots = _echelon(rows, len(basis) + n)
-        residual = _reduce([target.coords.get(s, zero) for s in basis] + [zero] * n,
-                           echelon, pivots)
-        if any(not v.is_zero for v in residual[:len(basis)]):
+        nums, den = _residual([target.coords.get(s, zero) for s in basis] + [zero] * n,
+                              echelon, pivots)
+        if any(not x.is_zero for x in nums[:len(basis)]):
             return None
-        return [-v for v in residual[len(basis):]]
+        return [RatFunc(-x, den) for x in nums[len(basis):]]
 
     def quotient_space(self, w: int) -> QuotientSpace:
         if w < 0:

@@ -131,6 +131,71 @@ def test_ratfunc_field_ops():
     assert (a / b) * b == a
 
 
+def _random_ratfunc(F, rng, fractional):
+    def poly(deg):
+        return F.poly([F.from_index(rng.randrange(F.q)) for _ in range(deg + 1)])
+    if not fractional:
+        return RatFunc.of(poly(rng.randint(0, 4)))
+    den = poly(rng.randint(1, 3))
+    while den.degree < 1:
+        den = poly(rng.randint(1, 3))
+    return RatFunc(poly(rng.randint(0, 4)), den)
+
+
+def _assert_canonical(x):
+    assert x.den.leading() == x.spec.one
+    assert x.num.gcd(x.den) == x.spec.poly([1])
+    assert not x.num.is_zero or x.den == x.spec.poly([1])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_ratfunc_ring_laws(q):
+    """Polynomial operands take the gcd-free path, fractional ones the general
+    one; every result is the canonical reduced fraction either way."""
+    F = field(q)
+    rng = random.Random(q)
+    zero, one = RatFunc.of(0, F), RatFunc.of(1, F)
+    for _ in range(30):
+        a, b, c = (_random_ratfunc(F, rng, rng.random() < 0.5) for _ in range(3))
+        results = [a + b, a - b, a * b, -a, a ** 3, (a + b) + c, a + (b + c),
+                   (a * b) * c, a * (b * c), a * (b + c), a * b + a * c]
+        for x in results:
+            _assert_canonical(x)
+        assert a + b == b + a and a * b == b * a
+        assert (a + b) + c == a + (b + c)
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert a - a == zero and a + (-a) == zero and -(-a) == a
+        assert a + zero == a and a * one == a and a * zero == zero
+        assert a ** 3 == a * a * a
+        if not a.is_zero:
+            _assert_canonical(a.inverse())
+            _assert_canonical(b / a)
+            assert a * a.inverse() == one
+            assert (b / a) * a == b
+            assert a ** -2 == (a * a).inverse()
+
+
+def test_ratfunc_mixed_fields_raise():
+    F2, F3, F4 = field(2), field(3), field(4)
+    frac = RatFunc(F2.poly([1]), F2.T)
+    for a, b in ((F2.rat(F2.T), F3.rat(F3.T)),  # both polynomial: the fast path
+                 (F2.rat(F2.T), F4.rat(F4.T)),
+                 (frac, F4.rat(F4.T)), (F3.rat(F3.T), frac)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y,
+                   lambda x, y: x * y, lambda x, y: x / y):
+            with pytest.raises(InvalidInput):
+                op(a, b)
+
+
+def test_ratfunc_rtruediv_unsupported_operand():
+    F = field(3)
+    x = F.rat(F.T)
+    with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for /"):
+        1.5 / x
+    assert 1 / x == x.inverse() == RatFunc(F.poly([1]), F.T)
+
+
 def test_rat_to_laurent_examples():
     F3 = field(3)
     t = F3.T

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from ffmzv import (EMPTY, Evaluator, Index, IndexAlgebra, InvalidInput, RatFunc, Reducer,
-                   ReductionDiverged, carlitz_bracket, compositions, field)
-from ffmzv.reduction import BasisVector
+                   ReductionDiverged, carlitz_bracket, compositions, field, thakur_indices)
+from ffmzv.reduction import BasisVector, QuotientSpace, _echelon
 
 
 def l1(ctx):
@@ -364,3 +364,142 @@ def test_check_conjecture(ctx2):
         assert rep.cases[0].detail == "classes equal"
     rep = ctx2.reducer.check_conjecture(Index((1, 2)))
     assert rep.cases[0].status == "observation"
+
+
+# -- reference elimination over F_q(T) ------------------------------------------------
+# The elimination in ffmzv.reduction runs fraction-free over F_q[T]; this is
+# the plain Gauss-Jordan over F_q(T) it replaced, kept here as the oracle.
+# Reduced row echelon forms are unique, so both must agree entry for entry.
+
+def _field_echelon(rows, ncols: int):
+    """Reduced row echelon form over F_q(T): (nonzero rows, pivot columns ascending)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for ci in range(ncols):
+        rank = len(pivots)
+        sel = next((r for r in range(rank, len(rows)) if not rows[r][ci].is_zero), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        inv = rows[rank][ci].inverse()
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and not rows[r][ci].is_zero:
+                f = rows[r][ci]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        pivots.append(ci)
+    return rows[:len(pivots)], pivots
+
+
+def _field_reduce(vec, echelon, pivots):
+    """The residual of a dense vector after clearing every pivot column of the echelon."""
+    vec = list(vec)
+    for row, pc in zip(echelon, pivots):
+        c = vec[pc]
+        if not c.is_zero:
+            vec = [a if b.is_zero else a - c * b for a, b in zip(vec, row)]
+    return vec
+
+
+def _dense(F, basis, vec):
+    zero = RatFunc.of(0, F)
+    return [vec.coords.get(s, zero) for s in basis]
+
+
+def _oracle_class(F, basis, gens, vec):
+    echelon, pivots = _field_echelon([_dense(F, basis, g) for g in gens], len(basis))
+    dense = _field_reduce(_dense(F, basis, vec), echelon, pivots)
+    return [v for i, v in enumerate(dense) if i not in pivots]
+
+
+def _oracle_solve(F, basis, vectors, target):
+    zero, one, n = RatFunc.of(0, F), RatFunc.of(1, F), len(vectors)
+    rows = [_dense(F, basis, v) + [one if j == i else zero for j in range(n)]
+            for i, v in enumerate(vectors)]
+    echelon, pivots = _field_echelon(rows, len(basis) + n)
+    residual = _field_reduce(_dense(F, basis, target) + [zero] * n, echelon, pivots)
+    if any(not v.is_zero for v in residual[:len(basis)]):
+        return None
+    return [-v for v in residual[len(basis):]]
+
+
+def _assert_same_echelon(F, rows, ncols):
+    echelon, pivots = _echelon(rows, ncols)
+    ref_rows, ref_pivots = _field_echelon(rows, ncols)
+    assert pivots == ref_pivots
+    assert [[RatFunc(x, row[pc]) for x in row] for row, pc in zip(echelon, pivots)] == ref_rows
+    return echelon, pivots
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_elimination_matches_field_oracle(q):
+    """Quotients, class vectors, iota rows and linear_solve at w <= 6 equal the
+    F_q(T) Gauss-Jordan reference exactly."""
+    R = Reducer(IndexAlgebra(field(q)))
+    F, A = R.field, R.algebra
+    for w in range(0, 7):
+        qs = R.quotient_space(w)
+        gens = qs.ideal_gens
+        _assert_same_echelon(F, [_dense(F, qs.basis, g) for g in gens], len(qs.basis))
+        images = [R.to_vector(w, R.reduce_to_T(fam, P)) for fam, P in
+                  [("li", R.dagger_expand("li", a)) for a in qs.quotient_basis]
+                  + [("zeta", A.mono(s)) for s in thakur_indices(q, w)[:3]]]
+        cols = [_oracle_class(F, qs.basis, gens, v) for v in images]
+        assert [qs.class_vector(v) for v in images] == cols
+        assert [qs.class_is_zero(v) for v in images] == [all(x.is_zero for x in c)
+                                                          for c in cols]
+        assert R.iota_matrix(w).rows == [list(r) for r in zip(*cols[:qs.dim_quotient])]
+        for target in images[-2:] + gens[-1:]:
+            assert R.linear_solve(gens, target) == _oracle_solve(F, qs.basis, gens, target)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_elimination_fractional_rows_match_field_oracle(q):
+    """Genuinely fractional, rank-deficient rows take the lcm-clearing path."""
+    F = field(q)
+    R = Reducer(IndexAlgebra(F))
+    rng = random.Random(1000 + q)
+    w = 6 if q == 2 else 5
+    basis = thakur_indices(q, w)
+
+    def poly(deg):
+        return F.poly([F.from_index(rng.randrange(q)) for _ in range(deg + 1)])
+
+    def rat():
+        den = poly(rng.randint(0, 2))
+        while den.is_zero:
+            den = poly(rng.randint(0, 2))
+        return RatFunc(poly(rng.randint(0, 2)), den)
+
+    def combo(coeffs, vecs):
+        out = {}
+        for c, v in zip(coeffs, vecs):
+            for s, e in v.coords.items():
+                out[s] = out.get(s, RatFunc.of(0, F)) + c * e
+        return BasisVector(w, out)
+
+    for _ in range(4):
+        free = [BasisVector(w, {s: rat() for s in rng.sample(basis, rng.randint(2, 5))})
+                for _ in range(4)]
+        vecs = free + [combo([rat() for _ in free], free) for _ in range(2)]
+        rng.shuffle(vecs)
+        assert any(not c.is_poly for v in vecs for c in v.coords.values())
+        echelon, pivots = _assert_same_echelon(
+            F, [_dense(F, basis, v) for v in vecs], len(basis))
+        assert len(pivots) < len(vecs)
+        qs = QuotientSpace(w, basis, vecs, echelon, pivots, F)
+        inside = combo([rat() for _ in vecs], vecs)
+        outside = BasisVector(w, {s: rat() for s in basis})
+        for target in (inside, outside):
+            assert qs.class_vector(target) == _oracle_class(F, basis, vecs, target)
+            assert R.linear_solve(vecs, target) == _oracle_solve(F, basis, vecs, target)
+        assert qs.class_is_zero(inside) and R.linear_solve(vecs, inside) is not None
+
+
+def test_check_theorem_weight_8_q2(ctx2):
+    rep = ctx2.reducer.check_theorem(8)
+    assert rep.ok and len(rep.cases) == 179
+
+
+def test_iota_involution_weight_7_q3(ctx3):
+    assert ctx3.reducer.iota_matrix(7).squared_is_identity()
