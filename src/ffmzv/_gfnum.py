@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# int16 cells of one row block of the exact division (4 MB)
+_BLOCK_CELLS = 1 << 21
+
 
 class GFVec:
     """Array arithmetic bound to one ``FieldSpec``."""
@@ -109,14 +112,14 @@ class GFVec:
         rows = A.shape[0]
         e = self.e
         acc = np.zeros((rows, M, 2 * e - 1), dtype=np.int64)
-        la, lb = A.shape[1], B.shape[1]
-        for k in range(M):
-            lo = max(0, k - lb + 1)
-            hi = min(k, la - 1)
-            for i in range(lo, hi + 1):
-                for x in range(e):
-                    for y in range(e):
-                        acc[:, k, x + y] += A[:, i, x] * B[:, k - i, y]
+        lb = B.shape[1]
+        # one pass per coefficient i of A: its product with B fills columns i..i+n-1
+        for i in range(min(A.shape[1], M)):
+            n = min(lb, M - i)
+            for x in range(e):
+                a = A[:, i, x]
+                if a.any():
+                    acc[:, i:i + n, x:x + e] += a[:, None, None] * B[:, :n, :]
         return self._reduce_uplanes(acc)
 
     def _rows_inv(self, A, M):
@@ -150,20 +153,90 @@ class GFVec:
         Returns the first M coefficients (codes), i.e. the series is
         T^(-s*d) * (c[0] + c[1] T^-1 + ...).
         """
-        q, e = self.q, self.e
-        rows = q ** d
-        r = np.arange(rows, dtype=np.int64)
+        codes = self._monic_codes(d)
         # a = T^d (1 + u), u's T^-k coefficient is a's coefficient of T^(d-k)
         mu = min(d, M - 1)
-        A = np.zeros((rows, mu + 1, e), dtype=np.int64)
+        A = np.zeros((len(codes), mu + 1, self.e), dtype=np.int64)
         A[:, 0, 0] = 1
-        for k in range(1, mu + 1):
-            codes = (r // q ** (d - k)) % q
-            A[:, k, :] = self.dig_t[codes]
+        A[:, 1:, :] = self.dig_t[codes[:, d - mu:d][:, ::-1]]
         W = self._rows_inv(A, M)
         V = self._rows_pow(W, s, M)
         total = V.sum(axis=0) % self.p
         return [int(c) for c in self.encode(total)]
+
+    # -- exact power sums over the monic polynomials ----------------------
+
+    def _monic_codes(self, d):
+        """The q^d monic polynomials of degree d as a (q^d, d+1) code matrix.
+
+        Low degree first; row r holds the base-q digits of r below the
+        leading 1.  int16 holds every code, since the q x q tables bound q.
+        """
+        q = self.q
+        out = np.ones((q ** d, d + 1), dtype=np.int16)
+        digits = np.arange(q, dtype=np.int16)
+        for j in range(d):
+            out[:, j] = np.tile(np.repeat(digits, q ** j), q ** (d - 1 - j))
+        return out
+
+    def monic_quotient_power_sum(self, num, d, s):
+        """Codes of the sum over monic degree-d a of (num / a)^s.
+
+        Returns None if some a leaves a remainder.  The monic polynomials
+        are taken in row blocks, so the int16 division matrix stays near
+        _BLOCK_CELLS cells however long num is.
+        """
+        codes = self._monic_codes(d)
+        block = max(1, _BLOCK_CELLS // len(num))
+        total = 0
+        for lo in range(0, len(codes), block):
+            quo, rem = self._divide_rows(num, codes[lo:lo + block, :d])
+            if rem.any():
+                return None
+            total = total + self._rows_power_sum(quo, s)
+        return [int(c) for c in self.encode(total % self.p)]
+
+    def _divide_rows(self, num, low):
+        """Divide num by each monic polynomial whose coefficients below the
+        leading 1 are a row of low; returns (quotients, remainders) as int16."""
+        d = low.shape[1]
+        low = low.astype(np.int64)
+        R = np.tile(np.asarray(num, dtype=np.int16), (len(low), 1))
+        # synthetic division in place: column i + d becomes quotient digit i
+        if self.e == 1:
+            for i in range(len(num) - d - 1, -1, -1):
+                R[:, i:i + d] = (R[:, i:i + d] - R[:, i + d, None] * low) % self.p
+        else:
+            neg_low = self.neg_t[low]
+            for i in range(len(num) - d - 1, -1, -1):
+                R[:, i:i + d] = self.add_t[R[:, i:i + d], self.mul_t[R[:, i + d, None], neg_low]]
+        return R[:, d:], R[:, :d]
+
+    def _rows_power_sum(self, rows, s):
+        """Digit planes (unreduced) of the sum of row^s over polynomial code rows.
+
+        For s = 1 the sum counts each code per column.  For s > 1 each row
+        is powered with ``conv``: at these lengths (hundreds of columns) one
+        C convolution per row beats a shift loop vectorised over the rows.
+        """
+        if s == 1:
+            counts = np.stack([(rows == c).sum(axis=0) for c in range(1, self.q)], axis=1)
+            return counts @ self.dig_t[1:]
+        total = 0
+        for row in rows:
+            total = total + self.dig_t[self._pow(row.astype(np.int64), s)]
+        return total
+
+    def _pow(self, a, s):
+        """a^s for one code array, by squaring with ``conv``."""
+        acc = None
+        while s:
+            if s & 1:
+                acc = a if acc is None else self.conv(acc, a)
+            s >>= 1
+            if s:
+                a = self.conv(a, a)
+        return acc
 
     # -- exact linear algebra over GF(q) -----------------------------------
 

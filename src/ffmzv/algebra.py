@@ -758,13 +758,13 @@ class RatFunc:
 def _recip_codes(spec: FieldSpec, codes, m: int):
     """First m coefficients of 1 / (c0 + c1 t + ...); c0 must be invertible."""
     inv0 = spec.inv_idx(codes[0])
-    mul, add, neg = spec.mul_idx, spec.add_idx, spec.neg_idx
+    mul, add, neg = spec._mul, spec._add, spec._neg
     out = [inv0]
     for k in range(1, m):
         acc = 0
         for j in range(1, min(k, len(codes) - 1) + 1):
-            acc = add(acc, mul(codes[j], out[k - j]))
-        out.append(mul(inv0, neg(acc)))
+            acc = add[acc][mul[codes[j]][out[k - j]]]
+        out.append(mul[inv0][neg[acc]])
     return out
 
 
@@ -863,8 +863,8 @@ class LaurentSeries:
     def __neg__(self):
         if self.is_zero_to_prec:
             return self
-        neg = self.spec.neg_idx
-        return LaurentSeries._make(self.spec, self.lead, [neg(v) for v in self.c], self.prec)
+        neg = self.spec._neg
+        return LaurentSeries._make(self.spec, self.lead, [neg[v] for v in self.c], self.prec)
 
     def __sub__(self, other):
         if not isinstance(other, LaurentSeries):
@@ -889,9 +889,8 @@ class LaurentSeries:
             c = self.spec.elem(c)
         if c.is_zero or self.is_zero_to_prec:
             return LaurentSeries.zero(self.spec, self.prec)
-        mul = self.spec.mul_idx
-        return LaurentSeries._make(self.spec, self.lead, [mul(c.i, v) for v in self.c],
-                                   self.prec)
+        row = self.spec._mul[c.i]
+        return LaurentSeries._make(self.spec, self.lead, [row[v] for v in self.c], self.prec)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by the exact monomial T^k."""
@@ -987,3 +986,8 @@ def carlitz_l(spec: FieldSpec, d: int) -> Poly:
     if d == 0:
         return spec.poly([1])
     return carlitz_l(spec, d - 1) * carlitz_bracket(spec, d)
+
+
+def carlitz_l_degree(q: int, d: int) -> int:
+    """deg L_d = q + q^2 + ... + q^d, without building L_d."""
+    return q * (q ** d - 1) // (q - 1)

@@ -78,18 +78,18 @@ def find_dependence(problem: DependenceProblem) -> list:
     ncols = m * (D + 1)
     mat = np.zeros((nrows, ncols), dtype=np.int64)
     for j, v in enumerate(vals):
+        if v.is_zero_to_prec:
+            continue
         for t in range(D + 1):
-            shifted = v.shift(t)
-            col = j * (D + 1) + t
-            for r, expo in enumerate(range(high, low - 1, -1)):
-                mat[r, col] = shifted.coeff(expo).i
+            # row r is the coefficient of T^(high - r) in T^t v, i.e. v.c[r - top]
+            top = high - v.lead - t
+            seg = v.c[:max(nrows - top, 0)]
+            mat[top:top + len(seg), j * (D + 1) + t] = seg
     kernel = spec.vec.kernel(mat)
     out = []
     for vec in kernel:
-        polys = []
-        for j in range(m):
-            codes = [int(vec[j * (D + 1) + t]) for t in range(D + 1)]
-            polys.append(Poly(spec, [spec.from_index(c) for c in codes]))
+        polys = [Poly._make(spec, tuple(int(c) for c in vec[j * (D + 1):(j + 1) * (D + 1)]))
+                 for j in range(m)]
         # normalize: first nonzero polynomial monic
         lead = next((p for p in polys if not p.is_zero), None)
         if lead is None:
@@ -97,19 +97,27 @@ def find_dependence(problem: DependenceProblem) -> list:
         inv = lead.leading().inverse()
         polys = [p.scale(inv) for p in polys]
         # re-verify against the inputs at their common precision
-        acc = None
-        for p, v in zip(polys, vals):
-            term = _poly_times_series(p, v)
-            acc = term if acc is None else acc + term
-        if not acc.is_zero_to_prec:
-            continue
-        out.append(tuple(polys))
+        if _combination_vanishes(spec, polys, vals):
+            out.append(tuple(polys))
     return out
 
 
-def _poly_times_series(p: Poly, v: LaurentSeries) -> LaurentSeries:
-    out = LaurentSeries.zero(v.spec, v.prec - max(p.degree, 0))
-    for t, c in enumerate(p.c):
-        if c:
-            out = out + v.shift(t).scale(v.spec.from_index(c))
-    return out
+def _combination_vanishes(spec, polys, vals) -> bool:
+    """Whether sum_j p_j v_j is zero to its precision, prec - max deg p_j."""
+    floor = max(max(p.degree, 0) for p in polys) - vals[0].prec
+    terms = [(p, v) for p, v in zip(polys, vals) if not p.is_zero and not v.is_zero_to_prec]
+    if not terms:
+        return True
+    high = max(v.lead + p.degree for p, v in terms)
+    # acc[r] is the coefficient of T^(high - r), down to T^floor
+    acc = np.zeros(max(high - floor + 1, 0), dtype=np.int64)
+    vec = spec.vec
+    for p, v in terms:
+        vc = np.array(v.c, dtype=np.int64)
+        for t, c in enumerate(p.c):
+            if c:
+                top = high - v.lead - t
+                n = min(len(vc), len(acc) - top)
+                if n > 0:
+                    acc[top:top + n] = vec.add(acc[top:top + n], vec.scale(c, vc[:n]))
+    return not acc.any()

@@ -6,6 +6,12 @@ weakly ascending levels with the sign (-1)^depth for the dagger
 families.  Power sums S_d(s) are brute-forced over the q^d monic
 polynomials of degree d (budgeted); for s <= q the closed form 1/L_d^s
 is used, which the test suite cross-checks against the brute force.
+One vectorised enumerator (``GFVec._monic_codes``) serves both the
+series and the exact power sums: the exact numerators divide L_d by all
+monic a at once and sum the quotients' powers, with a Frobenius for the
+p-power part of s.  Level cutoffs read deg L_d from its closed form
+q(q^d - 1)/(q - 1); L_d itself is built only where a series or an exact
+numerator uses it.
 
 Truncation is conservative: a level tuple is dropped only when its
 order provably exceeds the requested precision (sum of s_i * d_i for
@@ -23,7 +29,7 @@ import enum
 import math
 
 from .algebra import (FieldSpec, LaurentSeries, Poly, RatFunc, carlitz_bracket,
-                      carlitz_l, rat_to_laurent)
+                      carlitz_l, carlitz_l_degree, rat_to_laurent)
 from .errors import InvalidInput, PrecisionTooExpensive
 from .indices import Index, IndexPoly
 from .reports import Case, Report
@@ -95,6 +101,7 @@ class Evaluator:
         self.q = field.q
         self.budget = budget if budget is not None else EvalBudget()
         self._power_sums = {}
+        self._numerators = {}
         self._level = {}
         self._values = {}
 
@@ -133,24 +140,23 @@ class Evaluator:
         return RatFunc(num, self.L(d).power(s))
 
     def _power_sum_numerator(self, d: int, s: int) -> Poly:
-        """Sum over monic degree-d a of (L_d / a)^s; every a divides L_d."""
-        spec = self.field
-        q = self.q
-        L = self.L(d)
-        total = None
-        for tail in range(q ** d):
-            coeffs = []
-            v = tail
-            for _ in range(d):
-                coeffs.append(v % q)
-                v //= q
-            a = Poly(spec, [spec.from_index(c) for c in coeffs] + [spec.one])
-            quo, rem = L.divmod(a)
-            if not rem.is_zero:
+        """Sum over monic degree-d a of (L_d / a)^s; every a divides L_d.
+
+        With s = s0 * p^k the sum is (sum of (L_d / a)^s0)^(p^k), a Frobenius
+        of the memoised s0 numerator.
+        """
+        s0, k = s, 0
+        while s0 % self.field.p == 0:
+            s0 //= self.field.p
+            k += 1
+        num = self._numerators.get((d, s0))
+        if num is None:
+            codes = self.field.vec.monic_quotient_power_sum(self.L(d).c, d, s0)
+            if codes is None:
                 raise InvalidInput("internal: L_d must be divisible by every monic a")
-            term = quo.power(s)
-            total = term if total is None else total + term
-        return total
+            num = Poly._make(self.field, tuple(codes))
+            self._numerators[(d, s0)] = num
+        return num.frobenius(k)
 
     def fundamental_identity_check(self, d: int) -> Report:
         """S_d(q) - L_1 S_{d+1}(1) * sum_{i<=d} S_i(q-1) = 0, exactly.
@@ -190,7 +196,7 @@ class Evaluator:
             return hit
         if side == "li" or s <= self.q:
             # order is s * deg(L_d); below precision, skip the expansion
-            if s * self.L(d).degree > prec:
+            if s * carlitz_l_degree(self.q, d) > prec:
                 out = LaurentSeries.zero(self.field, prec)
             else:
                 out = rat_to_laurent(RatFunc(self.field.poly([1]), self.L(d).power(s)), prec)
@@ -210,7 +216,7 @@ class Evaluator:
             if entry <= self.q:
                 # closed form; levels die once s*deg(L_d) > prec
                 d = 0
-                while entry * self.L(d + 1).degree <= prec:
+                while entry * carlitz_l_degree(self.q, d + 1) <= prec:
                     d += 1
                 cut = max(cut, d)
             else:

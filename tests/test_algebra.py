@@ -8,6 +8,7 @@ import pytest
 from ffmzv import (DivisionByZero, InsufficientPrecision, InvalidInput,
                    LaurentSeries, RatFunc, carlitz_l, field, poly_lucas_binom,
                    rat_to_laurent)
+from ffmzv.algebra import carlitz_l_degree
 
 
 def test_gf_small_examples():
@@ -300,10 +301,11 @@ def test_precision_soundness_recompute_higher():
 
 
 def test_carlitz_l_degrees():
-    for q in (2, 3, 4):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         F = field(q)
         for d in range(5):
             assert carlitz_l(F, d).degree == (q ** (d + 1) - q) // (q - 1)
+            assert carlitz_l_degree(q, d) == carlitz_l(F, d).degree
     F2 = field(2)
     assert carlitz_l(F2, 0) == F2.poly([1])
     assert carlitz_l(F2, 1) == F2.T + F2.T ** 2

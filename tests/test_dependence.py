@@ -1,11 +1,15 @@
 """Numeric dependence search: recovery, emptiness, and soundness."""
 
+import random
+
+import numpy as np
 import pytest
 
 from ffmzv import (DependenceProblem, Evaluator, Index, InvalidInput,
                    LaurentSeries, carlitz_l, field, find_dependence,
                    recommended_precision)
-from ffmzv.dependence import precision_warning
+from ffmzv._gfnum import GFVec
+from ffmzv.dependence import _combination_vanishes, precision_warning
 from ffmzv.indices import EMPTY
 
 
@@ -93,3 +97,89 @@ def test_precision_recommendation():
     assert precision_warning(DependenceProblem(vals, 2)) is not None
     vals = [e.eval_value("li", Index((2,)), 30), e.eval_value("li", Index((1, 1)), 30)]
     assert precision_warning(DependenceProblem(vals, 2)) is None
+
+
+def kernel_matrix_reference(problem):
+    """The dependence matrix built one cell at a time from the shifted series."""
+    D, vals = problem.deg_bound, problem.values
+    low = -(problem.prec - D)
+    high = max((v.lead if not v.is_zero_to_prec else low) for v in vals) + D
+    high = max(high, low)
+    mat = np.zeros((high - low + 1, len(vals) * (D + 1)), dtype=np.int64)
+    for j, v in enumerate(vals):
+        for t in range(D + 1):
+            for r, expo in enumerate(range(high, low - 1, -1)):
+                mat[r, j * (D + 1) + t] = v.shift(t).coeff(expo).i
+    return mat
+
+
+def test_kernel_matrix_matches_cell_by_cell(e2, monkeypatch):
+    seen = []
+    real = GFVec.kernel
+
+    def recording(self, mat):
+        seen.append(np.array(mat))
+        return real(self, mat)
+
+    monkeypatch.setattr(GFVec, "kernel", recording)
+    e4 = Evaluator(field(4))
+    F4 = field(4)
+    problems = [
+        DependenceProblem([e2.eval_value("li", Index((2,)), 30),
+                           e2.eval_value("li", Index((1, 1)), 30),
+                           LaurentSeries.zero(field(2), 30)], 2),
+        DependenceProblem([e4.eval_value("zeta", Index((5,)), 24),
+                           e4.eval_value("zeta", Index((1, 4)), 24).scale(F4.gen),
+                           e4.eval_value("li", EMPTY, 27).shift(3)], 3),
+    ]
+    for prob in problems:
+        seen.clear()
+        find_dependence(prob)
+        assert len(seen) == 1 and np.array_equal(seen[0], kernel_matrix_reference(prob))
+
+
+def test_reverification_reaches_below_the_matrix():
+    """v and v + T^-N agree on every matrix row at degree bound 1, so (1, -1)
+    is in the kernel; substituted back at precision N it fails and is dropped."""
+    F, N = field(3), 20
+    one = LaurentSeries(F, 0, [1], N)
+    bumped = LaurentSeries(F, 0, [1] + [0] * (N - 1) + [1], N)
+    assert find_dependence(DependenceProblem([one, bumped], 1)) == []
+
+
+def combination_reference(polys, vals):
+    """The series re-verification: sum_j p_j v_j from shifts and scales."""
+    acc = None
+    for p, v in zip(polys, vals):
+        term = LaurentSeries.zero(v.spec, v.prec - max(p.degree, 0))
+        for t, c in enumerate(p.c):
+            if c:
+                term = term + v.shift(t).scale(v.spec.from_index(c))
+        acc = term if acc is None else acc + term
+    return acc
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_combination_vanishes_matches_series(q):
+    """Random p_j, v_j plus a last value that cancels them, with one code
+    changed just above or below the checked precision."""
+    F, N, top = field(q), 16, 6
+    rng = random.Random(q)
+    for _ in range(30):
+        m = rng.randint(1, 3)
+        polys = [F.poly([F.from_index(rng.randrange(q)) for _ in range(rng.randint(0, 4))])
+                 for _ in range(m)] + [F.poly([1])]
+        vals = [LaurentSeries._make(F, rng.randint(-3, 2),
+                                    [rng.randrange(q) for _ in range(N + 3)], N)
+                for _ in range(m)]
+        rest = -combination_reference(polys[:-1], vals)
+        codes = [rest.coeff(x).i if x >= -rest.prec else rng.randrange(q)
+                 for x in range(top, -N - 1, -1)]
+        floor = max(max(p.degree, 0) for p in polys) - N
+        bump = rng.randint(floor - 2, floor + 2)
+        if bump >= -N:
+            codes[top - bump] = F.add_idx(codes[top - bump], 1)
+        vals.append(LaurentSeries._make(F, top, codes, N))
+        want = bump < floor
+        assert combination_reference(polys, vals).is_zero_to_prec == want
+        assert _combination_vanishes(F, polys, vals) == want

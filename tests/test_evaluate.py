@@ -2,11 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from ffmzv import (EvalBudget, Evaluator, Index, LaurentSeries,
-                   PrecisionTooExpensive, RatFunc, ValueFamily, carlitz_l,
-                   compositions, field, rat_to_laurent)
+import ffmzv._gfnum
+import ffmzv.evaluate
+from ffmzv import (EvalBudget, Evaluator, Index, IndexAlgebra, InvalidInput,
+                   LaurentSeries, PrecisionTooExpensive, RatFunc, ValueFamily,
+                   carlitz_l, compositions, field, rat_to_laurent)
+from ffmzv.algebra import carlitz_l_degree
 from ffmzv.indices import EMPTY
 
 
@@ -104,32 +108,120 @@ def test_power_sum_basics(ctx2, ctx3):
     assert ex == RatFunc(F.poly([1, 1, 1]), F.T ** 3 * (F.T + F.poly([1])) ** 3)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+EXACT_QS = [2, 3, 4, 5, 7, 8, 9]
+
+
+def _oracle_exponents(q):
+    """s = 1, q - 1, q, q + 1, 2q and p(q + 1): p | s takes the Frobenius
+    shortcut, the rest the general row powers.  For s <= q the numerator is
+    1, so only p(q + 1) checks a Frobenius of a nontrivial sum."""
+    p = field(q).p
+    return sorted({1, 2, 3, 4, q - 1, q, q + 1, 2 * q, p * (q + 1)} if q <= 3 else
+                  {1, q - 1, q, q + 1, 2 * q, p * (q + 1)})
+
+
+@pytest.mark.parametrize("q", EXACT_QS)
 def test_power_sum_exact_matches_oracle(q):
     F = field(q)
     E = Evaluator(F)
-    for d in range(3):
-        for s in range(1, 5):
-            assert E.power_sum_exact(d, s) == power_sum_oracle(F, d, s)
+    for d in range(3 if q <= 5 else 2):
+        for s in _oracle_exponents(q):
+            assert E.power_sum_exact(d, s) == power_sum_oracle(F, d, s), (d, s)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", EXACT_QS)
 def test_power_sum_coincides_with_carlitz_inverse(q):
     """S_d(s) = L_d^(-s) exactly for s <= q: exact fraction comparison."""
     F = field(q)
     E = Evaluator(F)
-    for d in range(5):
-        for s in range(1, q + 1):
-            assert E.power_sum_exact(d, s) == RatFunc(F.poly([1]), carlitz_l(F, d) ** s)
+    for d in range(5 if q <= 5 else 3):
+        for s in sorted({1, q - 1, q}):
+            assert E.power_sum_exact(d, s) == RatFunc(F.poly([1]), carlitz_l(F, d) ** s), (d, s)
 
 
 def test_power_sum_series_matches_exact(ctx2, ctx3):
-    for ctx in (ctx2, ctx3):
-        E = ctx.evaluator
+    for F in (ctx2.field, ctx3.field, field(4), field(8), field(9)):
+        E = Evaluator(F)
         for d in range(3):
             for s in range(1, 6):
                 series = E.power_sum(d, s, 30)
-                assert series == rat_to_laurent(E.power_sum_exact(d, s), 30)
+                assert series == rat_to_laurent(E.power_sum_exact(d, s), 30), (F.q, d, s)
+
+
+def rows_mul_reference(vec, A, B, M):
+    """The nested-loop row product: one step per (column, shift, digit pair)."""
+    rows = A.shape[0]
+    e = vec.e
+    acc = np.zeros((rows, M, 2 * e - 1), dtype=np.int64)
+    la, lb = A.shape[1], B.shape[1]
+    for k in range(M):
+        lo = max(0, k - lb + 1)
+        hi = min(k, la - 1)
+        for i in range(lo, hi + 1):
+            for x in range(e):
+                for y in range(e):
+                    acc[:, k, x + y] += A[:, i, x] * B[:, k - i, y]
+    return vec._reduce_uplanes(acc)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 4, 9, 8])
+def test_rows_mul_matches_nested_loops(q):
+    vec = field(q).vec
+    rng = random.Random(q)
+    for _ in range(12):
+        rows, la, lb = rng.randint(1, 5), rng.randint(1, 7), rng.randint(1, 7)
+        M = rng.randint(1, la + lb + 1)
+        A, B = (np.array([[[rng.randrange(vec.p) for _ in range(vec.e)] for _ in range(n)]
+                          for _ in range(rows)], dtype=np.int64) for n in (la, lb))
+        # zero digit planes and zero columns take the skipping branch
+        if rng.random() < 0.5:
+            A[:, rng.randrange(la), :] = 0
+        if vec.e > 1 and rng.random() < 0.5:
+            A[:, :, rng.randrange(vec.e)] = 0
+        got = vec._rows_mul(A, B, M)
+        assert got.shape == (rows, M, vec.e)
+        assert np.array_equal(got, rows_mul_reference(vec, A, B, M))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_divide_rows_matches_divmod(q):
+    """Row r of the vectorised division is num divmod the r-th monic polynomial."""
+    F = field(q)
+    rng = random.Random(q)
+    for d in range(3):
+        num = F.poly([F.from_index(rng.randrange(q)) for _ in range(8)] + [F.one])
+        quo, rem = F.vec._divide_rows(num.c, F.vec._monic_codes(d)[:, :d])
+        for row, a in enumerate(all_monic(F, d)):
+            want_q, want_r = num.divmod(a)
+            assert F.poly([F.from_index(int(c)) for c in quo[row]]) == want_q, (d, row)
+            assert F.poly([F.from_index(int(c)) for c in rem[row]]) == want_r, (d, row)
+
+
+def test_exact_numerators_in_row_blocks(monkeypatch):
+    """Blocks of a few rows give the same numerators as one block."""
+    want = {(q, d, s): Evaluator(field(q))._power_sum_numerator(d, s)
+            for q in (3, 4) for d in (2, 3) for s in (1, q - 1, q + 1)}
+    monkeypatch.setattr(ffmzv._gfnum, "_BLOCK_CELLS", 200)
+    for (q, d, s), num in want.items():
+        assert Evaluator(field(q))._power_sum_numerator(d, s) == num, (q, d, s)
+
+
+def test_monic_codes_enumerate_every_monic_once():
+    for q in (2, 3, 4, 9):
+        F = field(q)
+        for d in range(4):
+            codes = F.vec._monic_codes(d)
+            got = [F.poly([F.from_index(int(c)) for c in row]) for row in codes]
+            assert got == all_monic(F, d), (q, d)
+
+
+def test_exact_numerator_rejects_a_non_multiple(monkeypatch):
+    """Every monic a must divide the numerator polynomial; T^5 + 1 is no multiple."""
+    F = field(3)
+    E = Evaluator(F)
+    monkeypatch.setattr(E, "L", lambda d: F.T ** 5 + F.poly([1]))
+    with pytest.raises(InvalidInput):
+        E.power_sum_exact(1, 1)
 
 
 def test_power_sum_budget():
@@ -139,6 +231,43 @@ def test_power_sum_budget():
         E.power_sum(5, 3, 20)
     with pytest.raises(PrecisionTooExpensive):
         E.eval_value("zeta", Index((3,)), 200)  # needs levels past the budget
+
+
+def test_level_cutoff_builds_no_unused_carlitz_l(monkeypatch):
+    """ZETA (1,4) at q=3, N=40: the entry 4 runs the levels up to 40 // 4 = 10,
+    but 1/L_d is below the precision once deg L_d > 40, so L_d is built only
+    up to that closed-form cutoff (d = 3)."""
+    asked = []
+    real = ffmzv.evaluate.carlitz_l
+
+    def recording(spec, d):
+        asked.append(d)
+        return real(spec, d)
+
+    monkeypatch.setattr(ffmzv.evaluate, "carlitz_l", recording)
+    prec = 40
+    cutoff = max(d for d in range(prec) if carlitz_l_degree(3, d) <= prec)
+    assert cutoff == 3
+    Evaluator(field(3)).eval_value("zeta", Index((1, 4)), prec)
+    assert asked and max(asked) <= cutoff
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_products_compare_at_full_precision(q):
+    """No vacuous pass: over every ordered pair of indices of weight <= 4 at
+    N = 40, both sides of the product formula and their difference hold
+    precision 40, for both families."""
+    F = field(q)
+    E, A = Evaluator(F), IndexAlgebra(F)
+    pool = [s for w in range(1, 5) for s in compositions(w)]
+    for s in pool:
+        for n in pool:
+            for fam, kind in (("zeta", "qshuffle"), ("li", "harmonic")):
+                lhs = E.eval_value(fam, A.mono(s), 40) * E.eval_value(fam, A.mono(n), 40)
+                rhs = E.eval_value(fam, A.product(A.mono(s), A.mono(n), kind), 40)
+                diff = lhs - rhs
+                assert lhs.prec >= 40 and rhs.prec >= 40 and diff.prec == 40, (fam, s, n)
+                assert diff.is_zero_to_prec, (fam, s, n)
 
 
 def test_eval_value_basics(ctx2):
