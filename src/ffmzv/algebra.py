@@ -14,11 +14,19 @@ Four layers, all immutable values with pure-function operations:
   explicit absolute precision: all coefficients of T^j with j >= -prec
   are stored and correct.  Equality compares down to the smaller
   precision, and ``is_zero_to_prec`` is the only zero test.
+
+Every polynomial and series product goes through ``_mul_codes``.  Over a
+prime field it packs both code sequences into ints with slots wide enough
+for the largest coefficient sum of the integer product, min(len a, len b)
+* (p-1)^2, and multiplies once; since no slot overflows, reading the slots
+back and reducing mod p gives the product over F_p exactly.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from functools import lru_cache
 
 from ._gfnum import GFVec
@@ -145,6 +153,8 @@ class FieldSpec:
         self._inv = inv
         self._frob = frob
         self._upow = upow
+        # byte -> byte mod p, the unpacking step of the Kronecker product
+        self._mod_bytes = bytes(i % p for i in range(256))
 
     def _digits(self, a: int):
         out = []
@@ -384,22 +394,58 @@ def poly_lucas_binom(a: int, b: int, p: int) -> int:
     return out
 
 
+# extension fields: the table loop up to len(a) * len(b) = 96^2, GFVec.conv above
 _SCHOOLBOOK_CUTOFF = 96
+
+# array typecodes of the 16-, 32- and 64-bit Kronecker slots
+_SLOT_TYPECODES = {array(c).itemsize * 8: c for c in "HILQ"}
 
 
 def _mul_codes(spec: FieldSpec, a, b, n=None) -> list:
-    """First n coefficients (all if n is None) of the product of two code sequences."""
+    """First n coefficients (all if n is None) of the product of two code sequences.
+
+    A length-1 operand scales the other through one multiplication-table
+    row.  Over a prime field the codes are the residues 0..p-1 and the
+    product is one Kronecker substitution: both operands, cut to n
+    coefficients, are packed into ints with w-bit slots, multiplied once,
+    and the slots are read back and reduced mod p.  Slot k of the integer
+    product is sum_{i+j=k} a_i b_j, a sum of at most min(len a, len b)
+    terms each at most (p-1)^2; w is the smallest of 8, 16, 32, 64 bits
+    that holds this bound, so no slot overflows into the next, and slot k
+    mod p is the k-th coefficient of the product over F_p.  Extension
+    fields keep the table loop, and ``GFVec.conv`` on long operands.
+    """
     full = len(a) + len(b) - 1 if a and b else 0
     n = full if n is None else min(n, full)
     if n <= 0:
         return []
+    a, b = a[:n], b[:n]
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:
+        row = spec._mul[a[0]]
+        return [row[v] for v in b]
+    if spec.e == 1:
+        p = spec.p
+        m = len(a) + len(b) - 1
+        bound = len(a) * (p - 1) ** 2
+        if bound < 1 << 8:
+            x = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+            return list(x.to_bytes(m, "little")[:n].translate(spec._mod_bytes))
+        w = 16 if bound < 1 << 16 else 32 if bound < 1 << 32 else 64
+        tc, size = _SLOT_TYPECODES[w], w // 8
+        # native byte order on both sides: a big-endian host reads both
+        # operands slot-reversed, so the product comes back reversed too
+        x = (int.from_bytes(array(tc, a), sys.byteorder)
+             * int.from_bytes(array(tc, b), sys.byteorder))
+        return [v % p for v in array(tc, x.to_bytes(m * size, sys.byteorder)[:n * size])]
     if len(a) * len(b) > _SCHOOLBOOK_CUTOFF * _SCHOOLBOOK_CUTOFF:
         import numpy as np
         out = spec.vec.conv(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
         return [int(v) for v in out[:n]]
     mul, add = spec._mul, spec._add
     out = [0] * n
-    for i, ai in enumerate(a[:n]):
+    for i, ai in enumerate(a):
         if ai:
             row = mul[ai]
             for k, bj in enumerate(b[:n - i], i):

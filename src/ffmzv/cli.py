@@ -474,6 +474,11 @@ def _cmd_depend(ctx: Context) -> Report:
                           detail="(" + ", ".join(str(p) for p in tup) + ")"))
     if not kernel:
         cases.append(Case(input="kernel", status="observation", detail="empty"))
+    for sel, v in zip(sels, series):
+        if v.is_zero_to_prec:
+            cases.append(Case(input=sel, status="observation",
+                              detail=f"zero to precision {prob.prec}; "
+                                     "relations on it alone are not reported"))
     if warning:
         cases.append(Case(input="precision", status="observation", detail=warning))
     return Report("depend", {"q": ctx.q, "values": sels, "deg_bound": ctx.args.deg_bound,

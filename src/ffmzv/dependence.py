@@ -62,7 +62,10 @@ def find_dependence(problem: DependenceProblem) -> list:
     Returns a list of coefficient tuples of exact polynomials, one per
     kernel basis vector, normalized so the first nonzero polynomial is
     monic.  Candidates are certified only to the precision of the
-    inputs; each one is substituted back before being returned.
+    inputs; each one is substituted back before being returned.  A
+    candidate whose nonzero polynomials all sit on inputs that are zero
+    to the working precision says nothing about the values and is not
+    returned.
     """
     spec = problem.spec
     D = problem.deg_bound
@@ -90,10 +93,11 @@ def find_dependence(problem: DependenceProblem) -> list:
     for vec in kernel:
         polys = [Poly._make(spec, tuple(int(c) for c in vec[j * (D + 1):(j + 1) * (D + 1)]))
                  for j in range(m)]
-        # normalize: first nonzero polynomial monic
-        lead = next((p for p in polys if not p.is_zero), None)
-        if lead is None:
+        # skip candidates that rest only on inputs zero to precision
+        if all(v.is_zero_to_prec for p, v in zip(polys, vals) if not p.is_zero):
             continue
+        # normalize: first nonzero polynomial monic
+        lead = next(p for p in polys if not p.is_zero)
         inv = lead.leading().inverse()
         polys = [p.scale(inv) for p in polys]
         # re-verify against the inputs at their common precision

@@ -5,10 +5,10 @@ import random
 
 import pytest
 
-from ffmzv import (DivisionByZero, InsufficientPrecision, InvalidInput,
+from ffmzv import (DivisionByZero, FieldSpec, InsufficientPrecision, InvalidInput,
                    LaurentSeries, RatFunc, carlitz_l, field, poly_lucas_binom,
                    rat_to_laurent)
-from ffmzv.algebra import carlitz_l_degree
+from ffmzv.algebra import _mul_codes, carlitz_l_degree
 
 
 def test_gf_small_examples():
@@ -92,6 +92,93 @@ def test_poly_big_multiplication_matches_schoolbook():
         for k, c in enumerate(a.coeffs):
             small = small + (b * c).shift(k)
         assert big == small
+
+
+def _schoolbook_codes(spec, a, b, n=None):
+    """The table loop that ``_mul_codes`` ran before the Kronecker product."""
+    full = len(a) + len(b) - 1 if a and b else 0
+    n = full if n is None else min(n, full)
+    if n <= 0:
+        return []
+    mul, add = spec._mul, spec._add
+    out = [0] * n
+    for i, ai in enumerate(a[:n]):
+        if ai:
+            row = mul[ai]
+            for k, bj in enumerate(b[:n - i], i):
+                if bj:
+                    out[k] = add[out[k]][row[bj]]
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 257])
+def test_mul_codes_matches_schoolbook(q):
+    """Random operands of lengths 1..300, whole and cut to n coefficients;
+    the lengths cross the 8/16-bit slot boundary at p = 3, 5, 7 and put
+    p = 257 in 32-bit slots from length 2 on."""
+    F = field(q)
+    rng = random.Random(q)
+    lengths = [1, 2, 3, 5, 8, 16, 17, 40, 63, 64, 65, 100, 255, 256, 300]
+    for la in lengths:
+        for lb in rng.sample(lengths, 4):
+            a = tuple(rng.randrange(q) for _ in range(la))
+            b = tuple(rng.randrange(q) for _ in range(lb))
+            for n in (None, 1, la, rng.randint(1, la + lb)):
+                assert _mul_codes(F, a, b, n) == _schoolbook_codes(F, a, b, n)
+    assert _mul_codes(F, (), (1, 2), None) == [] and _mul_codes(F, (1,), (1,), 0) == []
+
+
+@pytest.mark.parametrize("p, short", [(2, 255), (2, 256), (3, 63), (3, 64), (17, 255),
+                                      (17, 256), (2, 65535), (2, 65536), (257, 65535),
+                                      (257, 65536)])
+def test_mul_codes_slot_boundaries(p, short):
+    """Operands of all p-1 fill the middle slot up to the bound
+    short·(p-1)^2 on which the slot width is chosen: just below or at
+    2^8, 2^16 and 2^32.  A slot one bit too narrow overflows there."""
+    F = field(p)
+    c = p - 1
+
+    def product(la, lb, n):
+        m = la + lb - 1
+        return [c * c * min(k + 1, la, lb, m - k) % p for k in range(n)]
+
+    a, b = (c,) * short, (c,) * (short + 7)
+    assert _mul_codes(F, a, b) == product(short, short + 7, 2 * short + 6)
+    if short <= 300:  # cut to n, then sized: the same bound
+        a = b = (c,) * (short + 50)
+        assert _mul_codes(F, a, b, short) == product(short, short, short)
+        assert _mul_codes(F, a, b, short) == _schoolbook_codes(F, a, b, short)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_poly_ring_laws(q):
+    """Lengths 0..260 reach the product paths: a scalar row, Kronecker slots
+    over F_p, and the table loop and ``conv`` over F_q, q = p^e."""
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    F = FieldSpec(p, round(math.log(q, p)))  # a fresh field, not the shared field(q)
+    rng = random.Random(q)
+    zero, one = F.poly([]), F.poly([1])
+
+    def rand():
+        return F.poly([F.from_index(rng.randrange(q))
+                       for _ in range(rng.choice([0, 1, 2, 7, 40, 70, 130, 260]))])
+
+    for _ in range(12):
+        a, b, c = rand(), rand(), rand()
+        assert a * b == b * a
+        assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+        assert (a + b) * c == a * c + b * c
+        assert a * one == a and one * a == a
+        assert a * zero == zero and (a - a) * b == zero
+        if not (a.is_zero or b.is_zero):
+            assert (a * b).degree == a.degree + b.degree
+    x, xn = rand(), one
+    while x.degree > 6:
+        x = rand()
+    for n in range(2 * q + 3):
+        assert x ** n == xn
+        xn = xn * x
 
 
 def test_poly_frobenius():

@@ -94,6 +94,17 @@ def test_depend_with_literal_value():
     assert code == 0
 
 
+def test_depend_reports_inputs_zero_to_precision():
+    code, text = run_cli(["depend", "--q", "2", "--values",
+                          "li:(1,1,1,1,1,1,1);li:(7);li:(1,6)", "--deg-bound", "3",
+                          "--prec", "60"])
+    assert code == 0
+    assert "] candidate" not in text
+    assert ("[observation] li:(1,1,1,1,1,1,1) -- zero to precision 60; "
+            "relations on it alone are not reported") in text
+    assert text.count("zero to precision") == 1
+
+
 def test_depend_extension_field_literals():
     """At q=4 the u-coefficients survive expansion: only the true relation is found."""
     code, text = run_cli(["depend", "--q", "4", "--values", "(u*T+1)/T;u;1/T",

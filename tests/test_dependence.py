@@ -64,6 +64,21 @@ def test_candidates_verify_against_inputs(e2):
         assert acc.is_zero_to_prec
 
 
+def test_inputs_zero_to_precision_carry_no_candidates(e2):
+    """li(1,1,1,1,1,1,1) has order 240 at q = 2, so at precision 60 it is
+    stored as zero and 1·v = 0 holds vacuously; such candidates are dropped,
+    while a true relation beside a zero input is still found."""
+    F = field(2)
+    vals = [e2.eval_value("li", Index(s), 60)
+            for s in ((1,) * 7, (2, 1, 1, 1, 1, 1), (7,), (1, 6))]
+    assert [v.is_zero_to_prec for v in vals] == [True, True, False, False]
+    assert find_dependence(DependenceProblem(vals, 3)) == []
+    vals = [e2.eval_value("li", Index(s), 30) for s in ((2,), (1,) * 7, (1, 1))]
+    assert vals[1].is_zero_to_prec
+    kernel = find_dependence(DependenceProblem(vals, 2))
+    assert kernel == [(F.poly([1]), F.poly([]), carlitz_l(F, 1))]
+
+
 def test_raising_precision_never_enlarges_kernel(e2):
     def kernel_at(n):
         vals = [e2.eval_value("li", Index((2,)), n),
