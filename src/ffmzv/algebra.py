@@ -500,12 +500,20 @@ class Poly:
         if self.spec is not other.spec and self.spec != other.spec:
             raise InvalidInput("mixed fields")
 
-    def __add__(self, other):
+    def _operand(self, other):
+        """other as a Poly over this field, or None if it is not an int or a Poly."""
         if isinstance(other, int):
-            other = self.spec.poly([other])
+            return self.spec.poly([other])
         if not isinstance(other, Poly):
-            return NotImplemented
+            return None
         self._check(other)
+        return other
+
+    def __add__(self, other):
+        if type(other) is not Poly or other.spec is not self.spec:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
         a, b = self.c, other.c
         if len(a) < len(b):
             a, b = b, a
@@ -523,22 +531,40 @@ class Poly:
         return Poly._make(self.spec, tuple([neg[v] for v in self.c]))
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = self.spec.poly([other])
-        return self + (-other)
+        if type(other) is not Poly or other.spec is not self.spec:
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.c, other.c
+        add, neg = self.spec._add, self.spec._neg
+        if len(a) >= len(b):
+            out = list(a)
+            for k, v in enumerate(b):
+                if v:
+                    out[k] = add[out[k]][neg[v]]
+        else:
+            out = [neg[v] for v in b]
+            for k, v in enumerate(a):
+                if v:
+                    out[k] = add[v][out[k]]
+        return Poly._make(self.spec, tuple(out))
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.spec.poly([other])
-        if isinstance(other, FieldElem):
-            return self.scale(other)
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._check(other)
-        return Poly._make(self.spec, tuple(_mul_codes(self.spec, self.c, other.c)))
+        if type(other) is not Poly or other.spec is not self.spec:
+            if isinstance(other, FieldElem):
+                return self.scale(other)
+            other = self._operand(other)
+            if other is None:
+                return NotImplemented
+        # over a field the top coefficient of a product of nonzero polynomials
+        # is nonzero, so the product needs no trailing-zero scan
+        out = object.__new__(Poly)
+        out.spec = self.spec
+        out.c = tuple(_mul_codes(self.spec, self.c, other.c))
+        return out
 
     __rmul__ = __mul__
 
@@ -724,11 +750,11 @@ class RatFunc:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_poly and o.is_poly:
-            return RatFunc._make(self.num + o.num)
+        if self.den.c == (1,) and o.den.c == (1,):
+            return RatFunc._make(self.num + o.num, self.den)
         return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
@@ -746,11 +772,11 @@ class RatFunc:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is RatFunc else self._coerce(other)
         if o is None:
             return NotImplemented
-        if self.is_poly and o.is_poly:
-            return RatFunc._make(self.num * o.num)
+        if self.den.c == (1,) and o.den.c == (1,):
+            return RatFunc._make(self.num * o.num, self.den)
         return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__

@@ -5,6 +5,11 @@ the unit.  ``IndexPoly`` is a finite F_q(T)-linear combination of
 indices.  The two products live here: the plain harmonic
 (quasi-shuffle) product, and the q-shuffle product which adds the
 carry terms D driven by the coefficients Delta.
+
+Sums of many ``IndexPoly`` terms go through one in-place accumulator,
+``_accumulate``, which adds c * v into a dict entry by entry.  It gives
+the same terms, in the same dict order, as the repeated sum
+``out = out + P.scale(c)``, without copying ``out`` per addend.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ class Index(tuple):
     """Composition of positive integers; () is the empty index."""
 
     def __new__(cls, entries=()):
-        entries = tuple(int(x) for x in entries)
+        entries = tuple(map(int, entries))
         for x in entries:
             if x < 1:
                 raise InvalidInput(f"index entries must be >= 1, got {x}")
@@ -41,13 +46,13 @@ class Index(tuple):
         """First i entries; i = 0 gives the empty index."""
         if not 0 <= i <= self.depth:
             raise InvalidInput(f"prefix length {i} out of range")
-        return Index(tuple.__getitem__(self, slice(0, i)))
+        return _index(self[:i])
 
     def suffix(self, i: int) -> "Index":
         """Entries from position i on (1-based); i = depth+1 gives the empty index."""
         if not 1 <= i <= self.depth + 1:
             raise InvalidInput(f"suffix position {i} out of range")
-        return Index(tuple.__getitem__(self, slice(i - 1, None)))
+        return _index(self[i - 1:])
 
     def drop(self, i: int) -> "Index":
         """Entries strictly after the first i."""
@@ -68,13 +73,14 @@ class Index(tuple):
         return self.suffix(2)
 
     def cat(self, *others) -> "Index":
+        """Concatenation; only the pieces that are not already an Index are checked."""
         out = tuple(self)
         for o in others:
-            out = out + tuple(o)
-        return Index(out)
+            out += o if isinstance(o, Index) else Index(o)
+        return _index(out)
 
     def reversed(self) -> "Index":
-        return Index(tuple(reversed(self)))
+        return _index(self[::-1])
 
     def is_thakur(self, q: int) -> bool:
         """All entries <= q and the last entry <= q-1 (true for the empty index)."""
@@ -103,7 +109,43 @@ class Index(tuple):
         return f"Index{str(self)}"
 
 
+def _index(entries: tuple) -> Index:
+    """An Index from entries already known to be valid (slices and
+    concatenations of indices), without the per-entry check."""
+    return tuple.__new__(Index, entries)
+
+
 EMPTY = Index()
+
+
+def _is_one(c: RatFunc) -> bool:
+    return c.num.c == (1,) and c.den.c == (1,)
+
+
+def _accumulate(out: dict, terms: dict, c: RatFunc | None = None) -> None:
+    """out[s] += c * v for every term v*s of terms, in place (c None or one:
+    no product; c is never zero); an entry that cancels to zero is deleted.
+
+    This is ``out = out + IndexPoly(terms).scale(c)`` without the copy of
+    out: new indices are appended, updated ones keep their place, so the
+    dict order is the one the repeated sum gives.  out must be a dict the
+    caller owns (never a memoised term dict); terms is only read.
+    """
+    if c is not None and _is_one(c):
+        c = None
+    get = out.get
+    for s, v in terms.items():
+        if c is not None:
+            v = v * c
+        old = get(s)
+        if old is None:
+            out[s] = v
+        else:
+            v = old + v
+            if v.num.c:
+                out[s] = v
+            else:
+                del out[s]
 
 
 def parse_index(text: str) -> Index:
@@ -198,12 +240,23 @@ class IndexPoly:
         self.terms = clean
 
     @classmethod
+    def _of(cls, field: FieldSpec, terms: dict) -> "IndexPoly":
+        """Wrap a dict of Index -> nonzero RatFunc, owned by the result, unchecked."""
+        res = cls.__new__(cls)
+        res.field = field
+        res.terms = terms
+        return res
+
+    @classmethod
     def zero(cls, field: FieldSpec) -> "IndexPoly":
         return cls(field)
 
     @classmethod
     def mono(cls, field: FieldSpec, s, coeff=1) -> "IndexPoly":
-        return cls(field, {Index(s): RatFunc.of(coeff, field)})
+        c = RatFunc.of(coeff, field)
+        if c.is_zero:
+            return cls._of(field, {})
+        return cls._of(field, {s if isinstance(s, Index) else Index(s): c})
 
     @classmethod
     def one(cls, field: FieldSpec) -> "IndexPoly":
@@ -223,7 +276,7 @@ class IndexPoly:
         return self.terms.get(Index(s), RatFunc.of(0, self.field))
 
     def _check(self, other):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise InvalidInput("mixed coefficient fields")
 
     def __add__(self, other):
@@ -240,16 +293,10 @@ class IndexPoly:
                     out[s] = v
             else:
                 out[s] = c
-        res = IndexPoly.__new__(IndexPoly)
-        res.field = self.field
-        res.terms = out
-        return res
+        return IndexPoly._of(self.field, out)
 
     def __neg__(self):
-        res = IndexPoly.__new__(IndexPoly)
-        res.field = self.field
-        res.terms = {s: -c for s, c in self.terms.items()}
-        return res
+        return IndexPoly._of(self.field, {s: -c for s, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, IndexPoly):
@@ -257,28 +304,29 @@ class IndexPoly:
         return self + (-other)
 
     def scale(self, c) -> "IndexPoly":
+        """c * self; scaling by one returns self."""
         c = RatFunc.of(c, self.field)
         if c.is_zero:
             return IndexPoly.zero(self.field)
-        res = IndexPoly.__new__(IndexPoly)
-        res.field = self.field
-        res.terms = {s: v * c for s, v in self.terms.items()}
-        return res
+        if _is_one(c):
+            return self
+        return IndexPoly._of(self.field, {s: v * c for s, v in self.terms.items()})
 
     def prepend(self, prefix) -> "IndexPoly":
         """Concatenate a fixed index in front of every term."""
-        prefix = Index(prefix)
-        res = IndexPoly.__new__(IndexPoly)
-        res.field = self.field
-        res.terms = {prefix.cat(s): c for s, c in self.terms.items()}
-        return res
+        if not isinstance(prefix, Index):
+            prefix = Index(prefix)
+        return IndexPoly._of(self.field, {_index(prefix + s): c
+                                          for s, c in self.terms.items()})
 
     def linear_map(self, fn) -> "IndexPoly":
         """Sum of coeff * fn(index) over the terms; fn returns an IndexPoly."""
-        out = IndexPoly.zero(self.field)
+        out = {}
         for s, c in self.terms.items():
-            out = out + fn(s).scale(c)
-        return out
+            image = fn(s)
+            self._check(image)
+            _accumulate(out, image.terms, c)
+        return IndexPoly._of(self.field, out)
 
     def weight(self):
         """The common weight of the support, or None if mixed/empty."""
@@ -326,6 +374,11 @@ class IndexAlgebra:
         self._prod_memo = {}
         self._d_memo = {}
 
+    def _own(self, *polys):
+        for P in polys:
+            if P.field is not self.field and P.field != self.field:
+                raise InvalidInput("mixed coefficient fields")
+
     # -- scalars -----------------------------------------------------------
 
     def const(self, n: int) -> RatFunc:
@@ -361,11 +414,12 @@ class IndexAlgebra:
 
     def product(self, P: IndexPoly, Q: IndexPoly, kind) -> IndexPoly:
         kind = ProductKind.parse(kind)
-        out = self.zero()
+        self._own(P, Q)
+        out = {}
         for s, cs in P.terms.items():
             for n, cn in Q.terms.items():
-                out = out + self._prod_indices(s, n, kind).scale(cs * cn)
-        return out
+                _accumulate(out, self._prod_indices(s, n, kind).terms, cs * cn)
+        return IndexPoly._of(self.field, out)
 
     def harmonic(self, P: IndexPoly, Q: IndexPoly) -> IndexPoly:
         return self.product(P, Q, ProductKind.HARMONIC)
@@ -383,11 +437,13 @@ class IndexAlgebra:
         if hit is not None:
             return hit
         s1, n1 = s[0], n[0]
-        out = (self._prod_indices(s.minus, n, kind).prepend((s1,))
-               + self._prod_indices(s, n.minus, kind).prepend((n1,))
-               + self._prod_indices(s.minus, n.minus, kind).prepend((s1 + n1,)))
+        # prepend builds a fresh dict, so the sum can accumulate into it
+        out = self._prod_indices(s.minus, n, kind).prepend(_index((s1,)))
+        _accumulate(out.terms, self._prod_indices(s, n.minus, kind).prepend(_index((n1,))).terms)
+        _accumulate(out.terms,
+                    self._prod_indices(s.minus, n.minus, kind).prepend(_index((s1 + n1,))).terms)
         if kind is ProductKind.QSHUFFLE:
-            out = out + self._d_indices(s, n)
+            _accumulate(out.terms, self._d_indices(s, n).terms)
         self._prod_memo[key] = out
         return out
 
@@ -398,13 +454,15 @@ class IndexAlgebra:
             return hit
         s1, n1 = s[0], n[0]
         tails = self._prod_indices(s.minus, n.minus, ProductKind.QSHUFFLE)
-        out = self.zero()
+        out = {}
         for j in range(1, s1 + n1):
             dj = self.delta(s1, n1, j)
             if dj.is_zero:
                 continue
-            term = self.qshuffle(self.mono(Index((j,))), tails)
-            out = out + term.prepend((s1 + n1 - j,)).scale(dj)
+            term = self.qshuffle(self.mono(_index((j,))), tails)
+            _accumulate(out, term.prepend(_index((s1 + n1 - j,))).terms,
+                        RatFunc.of(dj))
+        out = IndexPoly._of(self.field, out)
         self._d_memo[key] = out
         return out
 
@@ -413,27 +471,29 @@ class IndexAlgebra:
         head = Index(head)
         if head.is_empty:
             raise EmptyIndex("the carry operator needs a nonempty head")
-        out = self.zero()
+        self._own(P)
+        out = {}
         for n, c in P.terms.items():
             if n.is_empty:
                 continue
-            out = out + self._d_indices(head, n).scale(c)
-        return out
+            _accumulate(out, self._d_indices(head, n).terms, c)
+        return IndexPoly._of(self.field, out)
 
     # -- boxplus and alpha ---------------------------------------------------
 
     def boxplus(self, P: IndexPoly, Q: IndexPoly) -> IndexPoly:
         """Bilinear splice: (s+, s_r + n_1, n-); zero when either side is empty."""
-        out = self.zero()
+        self._own(P, Q)
+        out = {}
         for s, cs in P.terms.items():
             if s.is_empty:
                 continue
             for n, cn in Q.terms.items():
                 if n.is_empty:
                     continue
-                spliced = s.plus.cat((s[-1] + n[0],), n.minus)
-                out = out + self.mono(spliced, cs * cn)
-        return out
+                spliced = _index(s[:-1] + (s[-1] + n[0],) + n[1:])
+                _accumulate(out, {spliced: cs * cn})
+        return IndexPoly._of(self.field, out)
 
     def alpha(self, c: int, s, kind, P: IndexPoly, iterations: int = 1) -> IndexPoly:
         """P  |->  (c, s * P), iterated; 0 iterations is the identity."""

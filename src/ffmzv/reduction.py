@@ -24,7 +24,7 @@ from .algebra import Poly, RatFunc, carlitz_bracket
 from .errors import InvalidInput, ReductionDiverged
 from .evaluate import ValueFamily
 from .indices import (EMPTY, Index, IndexAlgebra, IndexPoly, ProductKind,
-                      compositions, repeat, thakur_indices)
+                      _accumulate, compositions, repeat, thakur_indices)
 from .reports import Case, Report
 
 _FAMILIES = ("zeta", "li")
@@ -338,13 +338,13 @@ class Reducer:
                 if len(path) > cap:
                     raise ReductionDiverged(
                         f"rewriting {path[0]} needs more than {cap} levels", trail=path)
-                out, height = IndexPoly.zero(self.field), 0
+                out, height = {}, 0
                 for b, c in self._u_image(family, a).terms.items():
                     nf, h = self._normal_form(family, b, cap, path)
-                    out = out + nf.scale(c)
+                    _accumulate(out, nf.terms, c)
                     height = max(height, h)
                 path.pop()
-                hit = (out, height + 1)
+                hit = (IndexPoly._of(self.field, out), height + 1)
             self._nf_memo[key] = hit
         if len(path) + hit[1] > cap:
             trail = path + [a]
@@ -382,10 +382,12 @@ class Reducer:
             out = A.one()
         else:
             kind = _KIND[family]
-            out = IndexPoly.zero(self.field)
+            # the sum of the products, negated once at the end
+            acc = {}
             for i in range(1, s.depth + 1):
-                out = out - A.product(A.mono(s.prefix(i)),
-                                      self.dagger_expand(family, s.drop(i)), kind)
+                _accumulate(acc, A.product(A.mono(s.prefix(i)),
+                                           self.dagger_expand(family, s.drop(i)), kind).terms)
+            out = -IndexPoly._of(self.field, acc)
         self._dagger_memo[key] = out
         return out
 

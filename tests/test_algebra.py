@@ -276,6 +276,46 @@ def test_ratfunc_mixed_fields_raise():
                 op(a, b)
 
 
+def test_poly_mixed_fields_raise():
+    F2, F3, F4 = field(2), field(3), field(4)
+    for a, b in ((F2.T + 1, F3.T), (F2.T, F4.T + 1), (F4.T, F2.poly([1]))):
+        for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+            with pytest.raises(InvalidInput):
+                op(a, b)
+
+
+def test_poly_equal_specs_that_are_distinct_objects_combine():
+    G, F = FieldSpec(3), field(3)
+    assert G is not F and G == F
+    a, b = G.poly([1, 2, 1]), F.poly([2, 0, 1, 1])
+    assert a + b == F.poly([0, 2, 2, 1])
+    assert a - b == F.poly([2, 2, 0, 2])
+    assert b - a == F.poly([1, 1, 0, 1])
+    assert a * b == F.poly([2, 1, 0, 0, 0, 1])
+    assert G.rat(a) * F.rat(b) == F.rat(a * b)
+    assert G.rat(a) + F.rat(b) == F.rat(a + b)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_poly_and_ratfunc_coercions_match_the_explicit_operands(q):
+    F = field(q)
+    rng = random.Random(q)
+    a = F.poly([rng.randrange(q) for _ in range(4)] + [1])
+    r = RatFunc(F.T + 1, F.T ** 2 + F.T + F.poly([F.gen]))
+    for n in (0, 1, 2, 5):
+        assert a * n == n * a == a * F.poly([n])
+        assert a + n == a + F.poly([n]) and a - n == a - F.poly([n])
+        assert n - a == F.poly([n]) - a
+        assert r + n == r + RatFunc.of(n, F)
+        assert r * n == r * RatFunc.of(n, F)
+    for c in F.elements():
+        assert a * c == a * F.poly([c])
+    assert r * a == a * r == r * RatFunc.of(a)
+    assert r + a == r + RatFunc.of(a)
+    assert (a * 0).c == () and (a * F.zero).c == ()
+    assert (a - a).is_zero and (a - a).c == ()
+
+
 def test_ratfunc_rtruediv_unsupported_operand():
     F = field(3)
     x = F.rat(F.T)

@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 from ffmzv.cli import parse_poly, parse_ratfunc, run
 from ffmzv import RatFunc, field
@@ -35,6 +36,16 @@ def test_verify_fundamental_exit_zero():
     code, text = run_cli(["verify", "--suite", "fundamental", "--q", "2", "--max-d", "4"])
     assert code == 0
     assert text.count("[pass") == 5
+
+
+def test_fundamental_q9_default_exits_3_quickly():
+    """At q=9 the default --max-d 4 needs L_4 divided by 9^4 monic polynomials
+    (4.8e7 cells) at d=3: refused up front instead of running for minutes."""
+    t = time.perf_counter()
+    code, text = run_cli(["verify", "--suite", "fundamental", "--q", "9"])
+    assert time.perf_counter() - t < 20
+    assert code == 3
+    assert "PrecisionTooExpensive" in text and "48420180 cells" in text
 
 
 def test_internal_error_exit_3():

@@ -325,6 +325,22 @@ def test_fundamental_identity_budget(ctx2):
         E.fundamental_identity_check(3)
 
 
+def test_exact_power_sums_bound_the_division_cells(monkeypatch):
+    """q^d * deg L_d is capped as well as q^d, before any numerator is computed."""
+    E = Evaluator(field(9))
+    with pytest.raises(PrecisionTooExpensive, match="3922566021 cells"):
+        E.power_sum_exact(5, 1)  # 9^5 * 66429 cells, though 9^5 <= 2^20
+    with pytest.raises(PrecisionTooExpensive, match="48420180 cells"):
+        E.fundamental_identity_check(3)  # level 4: 9^4 * 7380 cells
+    assert not E._numerators
+    assert E.fundamental_identity_check(2).ok
+    E3 = Evaluator(field(3))
+    monkeypatch.setattr(EvalBudget, "MAX_DIVISION_CELLS", 3 ** 3 * 39 - 1)
+    with pytest.raises(PrecisionTooExpensive):
+        E3.power_sum_exact(3, 1)
+    assert E3.power_sum_exact(2, 1) == E3.power_sum_exact(2, 1)
+
+
 def test_star_values(ctx3):
     E = ctx3.evaluator
     assert E.value_of_index("zeta-star", EMPTY, 20) == LaurentSeries.one(ctx3.field, 20)

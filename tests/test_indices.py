@@ -5,8 +5,8 @@ import random
 
 import pytest
 
-from ffmzv import (EMPTY, EmptyIndex, Index, IndexAlgebra, InvalidInput,
-                   ProductKind, classify, compositions, field, parse_index,
+from ffmzv import (EMPTY, EmptyIndex, Index, IndexAlgebra, IndexPoly, InvalidInput,
+                   ProductKind, RatFunc, classify, compositions, field, parse_index,
                    repeat, thakur_indices)
 
 
@@ -214,3 +214,164 @@ def test_index_poly_ops(ctx2):
     assert str(A.mono((1, 1), 2) + A.mono((2,))) == "(2)"
     L = P.scale(ctx2.field.rat(ctx2.field.T))
     assert L.coeff((3,)) == ctx2.field.rat(ctx2.field.T)
+
+
+def test_unchecked_slices_still_validate_raw_input():
+    s = Index((3, 1, 2))
+    for got in (s.prefix(2), s.drop(1), s.plus, s.minus, s.reversed(), s.cat(s, (4,))):
+        assert type(got) is Index
+    assert s.cat(Index((1,)), (2, 5)) == Index((3, 1, 2, 1, 2, 5))
+    assert s.reversed() == Index((2, 1, 3))
+    with pytest.raises(InvalidInput):
+        Index((1,)).cat((0,))
+    with pytest.raises(InvalidInput):
+        Index((1,)).cat(Index((2,)), (3, -1))
+    A = IndexAlgebra(field(2))
+    with pytest.raises(InvalidInput):
+        A.mono((1,)).prepend((0, 1))
+    assert A.mono((1,)).prepend((2, 3)) == A.mono((2, 3, 1))
+
+
+# -- the accumulator against the copy-and-add sums it replaced ---------------------
+
+def _sum_reference(field_, addends):
+    """The copy-and-add sum of c * P over (P, c), and whether a term cancelled."""
+    out, cancelled = IndexPoly.zero(field_), False
+    for P, c in addends:
+        X = P.scale(c)
+        cancelled = cancelled or any(
+            t in out.terms and (out.terms[t] + v).is_zero for t, v in X.terms.items())
+        out = out + X
+    return out, cancelled
+
+
+class CopyAndAdd:
+    """The index products, D, boxplus and linear maps summed with
+    out = out + P.scale(c), as before the accumulator; records cancellations."""
+
+    def __init__(self, A):
+        self.A = A
+        self.cancelled = 0
+        self._memo = {}
+
+    def sum(self, addends):
+        out, cancelled = _sum_reference(self.A.field, addends)
+        self.cancelled += cancelled
+        return out
+
+    def prod_indices(self, s, n, kind):
+        A = self.A
+        if s.is_empty:
+            return A.mono(n)
+        if n.is_empty:
+            return A.mono(s)
+        key = (kind, s, n)
+        if key not in self._memo:
+            s1, n1 = s[0], n[0]
+            parts = [(self.prod_indices(s.minus, n, kind).prepend((s1,)), 1),
+                     (self.prod_indices(s, n.minus, kind).prepend((n1,)), 1),
+                     (self.prod_indices(s.minus, n.minus, kind).prepend((s1 + n1,)), 1)]
+            if kind is ProductKind.QSHUFFLE:
+                parts.append((self.d_indices(s, n), 1))
+            self._memo[key] = self.sum(parts)
+        return self._memo[key]
+
+    def d_indices(self, s, n):
+        A = self.A
+        s1, n1 = s[0], n[0]
+        tails = self.prod_indices(s.minus, n.minus, ProductKind.QSHUFFLE)
+        parts = []
+        for j in range(1, s1 + n1):
+            dj = A.delta(s1, n1, j)
+            if not dj.is_zero:
+                term = self.product(A.mono((j,)), tails, ProductKind.QSHUFFLE)
+                parts.append((term.prepend((s1 + n1 - j,)), dj))
+        return self.sum(parts)
+
+    def product(self, P, Q, kind):
+        return self.sum([(self.prod_indices(s, n, kind), cs * cn)
+                         for s, cs in P.terms.items() for n, cn in Q.terms.items()])
+
+    def d_op(self, head, P):
+        return self.sum([(self.d_indices(head, n), c)
+                         for n, c in P.terms.items() if not n.is_empty])
+
+    def boxplus(self, P, Q):
+        A = self.A
+        return self.sum([(A.mono(s.plus.cat((s[-1] + n[0],), n.minus)), cs * cn)
+                         for s, cs in P.terms.items() if not s.is_empty
+                         for n, cn in Q.terms.items() if not n.is_empty])
+
+    def linear_map(self, P, fn):
+        return self.sum([(fn(s), c) for s, c in P.terms.items()])
+
+
+def same_terms(got, want):
+    """Equal term for term and in dict order."""
+    return list(got.terms.items()) == list(want.terms.items())
+
+
+def random_index_poly(rng, F, wmax, nterms):
+    """Coefficients +-1, +-T, T + 1 and 1/(T + 1), so that sums cancel."""
+    T, one = F.T, F.poly([1])
+    pool = [one, -one, T, -T, T + one]
+    terms = {}
+    for _ in range(nterms):
+        s = rng.choice([s for w in range(0, wmax + 1) for s in compositions(w, max_depth=3)])
+        c = RatFunc(one, T + one) if rng.random() < 0.15 else RatFunc.of(rng.choice(pool))
+        terms[s] = c
+    return IndexPoly(F, terms)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_accumulator_matches_copy_and_add(q):
+    rng = random.Random(1000 + q)
+    F = field(q)
+    A = IndexAlgebra(F)
+    ref = CopyAndAdd(A)
+    # (1)*(2) - (2)*(1) cancels in both commutative products
+    pairs = [(A.mono((1,)) - A.mono((2,)), A.mono((2,)) + A.mono((1,)))]
+    pairs += [(random_index_poly(rng, F, 3, rng.randint(1, 4)),
+               random_index_poly(rng, F, 3, rng.randint(1, 4))) for _ in range(6)]
+    for P, Q in pairs:
+        for kind in ProductKind:
+            assert same_terms(A.product(P, Q, kind), ref.product(P, Q, kind)), (P, Q, kind)
+        for head in (Index((1,)), Index((q,)), Index((2, 1))):
+            assert same_terms(A.d_op(head, Q), ref.d_op(head, Q)), (head, Q)
+        assert same_terms(A.boxplus(P, Q), ref.boxplus(P, Q))
+
+        def fn(t):
+            return A.product(A.mono(t), Q, ProductKind.HARMONIC)
+
+        assert same_terms(P.linear_map(fn), ref.linear_map(P, fn))
+    assert ref.cancelled > 0
+
+
+def test_accumulator_keeps_the_order_after_a_cancellation():
+    F = field(3)
+    A = IndexAlgebra(F)
+    a, b, c = A.mono((1,)), A.mono((2,)), A.mono((3,))
+    image = {Index((1,)): a + b, Index((2,)): c + a, Index((3,)): a}
+    P = a - b + c  # (a + b) - (c + a) + a: a cancels, then comes back last
+    got = P.linear_map(lambda t: image[t])
+    want, cancelled = _sum_reference(F, [(image[t], coeff) for t, coeff in P.terms.items()])
+    assert cancelled and same_terms(got, want)
+    assert list(got.terms) == [Index((2,)), Index((3,)), Index((1,))]
+
+
+def test_scale_by_one_returns_self():
+    F = field(3)
+    P = IndexAlgebra(F).mono((2, 1), F.T)
+    assert P.scale(1) is P
+    assert P.scale(F.rat(1)) is P
+    assert P.scale(0).is_zero
+
+
+def test_products_reject_mixed_fields():
+    A2, A3 = IndexAlgebra(field(2)), IndexAlgebra(field(3))
+    for op in (lambda: A2.product(A2.one(), A3.one(), "harmonic"),
+               lambda: A2.boxplus(A3.mono((1,)), A2.mono((1,))),
+               lambda: A2.d_op(Index((1,)), A3.mono((1,))),
+               lambda: A2.mono((1,)).linear_map(lambda t: A3.mono(t))):
+        with pytest.raises(InvalidInput):
+            op()

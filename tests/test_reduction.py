@@ -4,9 +4,11 @@ import random
 
 import pytest
 
-from ffmzv import (EMPTY, Evaluator, Index, IndexAlgebra, InvalidInput, RatFunc, Reducer,
-                   ReductionDiverged, carlitz_bracket, compositions, field, thakur_indices)
+from ffmzv import (EMPTY, Evaluator, Index, IndexAlgebra, IndexPoly, InvalidInput,
+                   ProductKind, RatFunc, Reducer, ReductionDiverged, carlitz_bracket,
+                   compositions, field, thakur_indices)
 from ffmzv.reduction import BasisVector, QuotientSpace, _echelon
+from test_indices import CopyAndAdd, same_terms
 
 
 def l1(ctx):
@@ -503,3 +505,97 @@ def test_check_theorem_weight_8_q2(ctx2):
 
 def test_iota_involution_weight_7_q3(ctx3):
     assert ctx3.reducer.iota_matrix(7).squared_is_identity()
+
+
+# -- the accumulator against the copy-and-add sums it replaced ---------------------
+
+class CopyAndAddReducer(CopyAndAdd):
+    """Normal forms and dagger expansions summed with out = out + P.scale(c),
+    over the reducer's own one-step images."""
+
+    def __init__(self, R):
+        super().__init__(R.algebra)
+        self.R = R
+        self._nf = {}
+        self._dagger = {}
+
+    def normal_form(self, fam, a):
+        if a.is_thakur(self.R.q):
+            return self.A.mono(a)
+        if (fam, a) not in self._nf:
+            self._nf[fam, a] = self.sum([(self.normal_form(fam, b), c)
+                                         for b, c in self.R._u_image(fam, a).terms.items()])
+        return self._nf[fam, a]
+
+    def reduce_to_T(self, fam, P):
+        return self.sum([(self.normal_form(fam, a), c) for a, c in P.terms.items()])
+
+    def dagger_expand(self, fam, s):
+        if s.is_empty:
+            return self.A.one()
+        if (fam, s) not in self._dagger:
+            kind = ProductKind.HARMONIC if fam == "li" else ProductKind.QSHUFFLE
+            self._dagger[fam, s] = self.sum(
+                [(self.product(self.A.mono(s.prefix(i)), self.dagger_expand(fam, s.drop(i)),
+                               kind), -1) for i in range(1, s.depth + 1)])
+        return self._dagger[fam, s]
+
+
+def _reduction_pool(q):
+    if q <= 3:
+        return [s for w in range(1, 6) for s in compositions(w, max_depth=3)]
+    return [Index(s) for s in ((1,), (2, 1), (q,), (q + 1,), (1, q), (q, 1))]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 9])
+def test_reduction_sums_match_copy_and_add(q):
+    rng = random.Random(2000 + q)
+    F = field(q)
+    R = Reducer(IndexAlgebra(F))
+    ref = CopyAndAddReducer(R)
+    one, T = F.poly([1]), F.T
+    coeffs = [RatFunc.of(one), RatFunc.of(-one), RatFunc.of(T), RatFunc(one, T + one)]
+    pool = _reduction_pool(q)
+    for fam in ("li", "zeta"):
+        for _ in range(3):
+            P = IndexPoly(F, {rng.choice(pool): rng.choice(coeffs) for _ in range(3)})
+            assert same_terms(R.reduce_to_T(fam, P), ref.reduce_to_T(fam, P)), (fam, P)
+        for s in [s for w in range(1, 5) for s in compositions(w, max_depth=3)]:
+            assert same_terms(R.dagger_expand(fam, s), ref.dagger_expand(fam, s)), (fam, s)
+    assert ref.cancelled > 0
+
+
+def _memo_snapshot(R):
+    """The terms of every memoised IndexPoly, in dict order, as strings."""
+    def terms(v):
+        P = v[0] if isinstance(v, tuple) else v
+        return [(str(s), str(c)) for s, c in P.terms.items()]
+
+    memos = {"prod": R.algebra._prod_memo, "d": R.algebra._d_memo,
+             "nf": R._nf_memo, "dagger": R._dagger_memo}
+    return {name: {k: terms(v) for k, v in memo.items()} for name, memo in memos.items()}
+
+
+def test_memoised_sums_are_never_mutated():
+    """Later checks build their sums next to the memoised ones, never in them."""
+    R2, R3 = Reducer(IndexAlgebra(field(2))), Reducer(IndexAlgebra(field(3)))
+    R2.check_theorem(6)
+    for s in range(1, 4):
+        for n in range(1, 4):
+            R3.check_prop41(s, n)
+    before = [_memo_snapshot(R) for R in (R2, R3)]
+    assert all(before[1][name] for name in ("prod", "d", "nf", "dagger"))
+    R2.check_theorem(7)
+    # prop42 cases of total weight 3 to 6, the weights of prop41's memos
+    for ws in range(4):
+        for s in compositions(ws):
+            if s.is_empty or s[-1] < 3:
+                for n in (EMPTY, Index((1,)), Index((2,))):
+                    if ws + n.weight <= 3:
+                        R3.check_prop42(s, n)
+    for R, snap in zip((R2, R3), before):
+        now = _memo_snapshot(R)
+        for name, memo in snap.items():
+            assert len(now[name]) > len(memo) or name == "d"
+            for key, terms in memo.items():
+                assert now[name][key] == terms, (name, key)
