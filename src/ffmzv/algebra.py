@@ -559,8 +559,13 @@ class Poly:
             other = self._operand(other)
             if other is None:
                 return NotImplemented
+        # a factor one (a third of the symbolic products) returns the other;
         # over a field the top coefficient of a product of nonzero polynomials
         # is nonzero, so the product needs no trailing-zero scan
+        if self.c == (1,):
+            return other
+        if other.c == (1,):
+            return self
         out = object.__new__(Poly)
         out.spec = self.spec
         out.c = tuple(_mul_codes(self.spec, self.c, other.c))

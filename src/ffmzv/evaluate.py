@@ -76,6 +76,22 @@ def default_precision(weight: int) -> int:
     return 4 * weight + 24
 
 
+def _power_cells(n: int, s: int) -> int:
+    """Multiply-adds of raising a length-n polynomial to the power s by
+    squaring, as ``GFVec._pow`` does: one full product per step."""
+    cells, acc, a = 0, None, n
+    while s:
+        if s & 1:
+            if acc is not None:
+                cells += acc * a
+            acc = a if acc is None else acc + a - 1
+        s >>= 1
+        if s:
+            cells += a * a
+            a = 2 * a - 1
+    return cells
+
+
 class EvalBudget:
     """The caps on brute-force enumerations of monic polynomials.
 
@@ -88,9 +104,18 @@ class EvalBudget:
     for the s = 1 numerators at q = 3, 4, 5, 8, 9, 2^24 cells is about
     2-3 s, so no admitted numerator runs for minutes: L_5 at q = 9 needs
     3.9e9 cells, L_4 at q = 9 4.8e7.
+
+    For s = s0 * p^k with s0 > 1 each of the q^d quotients is also raised
+    to the power s0, by squaring with one convolution per step, and over
+    GF(p^e) each convolution is e^2 convolutions of digit planes.
+    ``MAX_POWER_CELLS`` caps the multiply-adds of those powers at 2^31.
+    Measured on the same VM at about 1e-9 s per multiply-add (q = 7, 8, 9),
+    that is about 2 s: it admits (3, 6) at q = 7 (7e8) and turns away
+    (3, 7) at q = 8 (3e10) and (3, 8) at q = 9 (4e10), which ran 27-37 s.
     """
 
     MAX_DIVISION_CELLS = 1 << 24
+    MAX_POWER_CELLS = 1 << 31
 
     def __init__(self, max_bruteforce: int = 1 << 20):
         self.max_bruteforce = max_bruteforce
@@ -104,9 +129,10 @@ class EvalBudget:
                 f"{self.max_bruteforce}; lower the precision or use an index with "
                 f"all entries <= q")
 
-    def check_division(self, q: int, d: int):
-        """check_enumeration, and the cap on the cells of dividing L_d by
-        every monic polynomial of degree d."""
+    def check_division(self, q: int, d: int, s: int = 1):
+        """check_enumeration, and the caps on the cells of dividing L_d by
+        every monic polynomial of degree d and of raising each quotient to
+        the power s0, the part of s prime to the characteristic."""
         self.check_enumeration(q, d)
         deg = carlitz_l_degree(q, d)
         cells = q ** d * deg
@@ -115,6 +141,17 @@ class EvalBudget:
                 f"dividing L_{d} (degree {deg}) by the q^d = {q}^{d} monic polynomials "
                 f"takes {cells} cells, above the cap {self.MAX_DIVISION_CELLS}; "
                 f"lower d")
+        p = next(k for k in range(2, q + 1) if q % k == 0)
+        e = 1
+        while p ** e < q:
+            e += 1
+        while s % p == 0:
+            s //= p
+        cells = q ** d * _power_cells(deg - d + 1, s) * e * e
+        if cells > self.MAX_POWER_CELLS:
+            raise PrecisionTooExpensive(
+                f"raising the q^d = {q}^{d} quotients of L_{d} to the power {s} takes "
+                f"{cells} cells, above the cap {self.MAX_POWER_CELLS}; lower d or s")
 
 
 class Evaluator:
@@ -160,7 +197,7 @@ class Evaluator:
         """The same sum as an exact rational function (common denominator L_d^s)."""
         if d < 0 or s < 1:
             raise InvalidInput("need d >= 0 and s >= 1")
-        self.budget.check_division(self.q, d)
+        self.budget.check_division(self.q, d, s)
         num = self._power_sum_numerator(d, s)
         return RatFunc(num, self.L(d).power(s))
 
@@ -189,11 +226,12 @@ class Evaluator:
         Verified as an identity of rational functions with every power
         sum brute-forced; the three pieces are combined over the common
         denominator L_{d+1}^q so the test is a polynomial zero test.  The
-        budget is checked on level d + 1, the largest division, before any
-        power sum is computed.
+        budget is checked on level d + 1, the largest division, and on the
+        (q - 1)-th powers of level d before any power sum is computed.
         """
         q = self.q
         self.budget.check_division(q, d + 1)
+        self.budget.check_division(q, d, q - 1)
         lhs = self._power_sum_numerator(d, q) * (carlitz_bracket(self.field, d + 1).power(q))
         b = self._power_sum_numerator(d + 1, 1)
         acc = None

@@ -9,16 +9,49 @@ coordinates on the Thakur index set.  There, one reduced-echelon
 elimination decides ideal membership, builds the weight-graded quotients
 by the weight-(q-1) zeta value, and solves linear systems; the dagger
 involution becomes an explicit matrix.  The elimination computes the
-reduced row echelon form over F_q(T) fraction-free over F_q[T]: rows
+reduced row echelon form fraction-free over the polynomial ring: rows
 stay polynomial, each with its pivot entry as its denominator, and a
 residual is one polynomial combination over one common denominator, so
 no gcd runs per entry.  The reduced echelon form and the residual are
-unique, so the results are those of plain Gauss-Jordan over F_q(T).
+unique, so the results are those of plain Gauss-Jordan over the field
+of fractions.
+
+The Reducer computes over F_q(Y), Y = T^q - T.  The only T-dependent
+constant its arithmetic meets is L_1 = T - T^q in gen_A (the Delta carries
+and the product coefficients lie in F_p), and L_1 = -Y.  Inside the
+Reducer every coefficient is therefore a rational function of Y, kept with
+the same Poly / RatFunc types and FieldSpec, at 1/q of its T-degree: the
+memoised normal forms and dagger expansions, the quotient echelons, the
+iota matrices, and every membership and iota^2 test.  One substitution,
+phi: Y -> T^q - T, maps a result to F_q(T) where it leaves the Reducer
+through the public API (gen_A, u_step, reduce_to_T, dagger_expand,
+dagger_linear, quotient_space, iota_matrix, and the coefficients
+check_conjecture prints).  The checkers decide every case in Y and build
+no T-form value.  This is exact:
+
+* phi is an injective ring homomorphism F_q(Y) -> F_q(T), because
+  T^q - T is transcendental over F_q.
+* T^q - T has T-degree q and is monic, so deg_T phi(f) = q * deg_Y f and
+  phi maps monic to monic.  The least-degree pivot choice therefore picks
+  the same row.
+* phi preserves coprimality (apply it to a Bezout identity), so contents,
+  gcds and lcms commute with phi, and a reduced fraction with a monic
+  denominator maps to a reduced fraction with a monic denominator: the
+  boundary map needs no gcd.
+* The reduced echelon form is unique.
+
+So every step of the computation over F_q(T), down to the primitive
+echelon rows, is the phi-image of the same step over F_q(Y).  User
+coefficients in T never enter the internal ring: the linear maps scale the
+phi-images per index, and a public QuotientSpace is the phi-image of the
+internal one, so its class_vector, class_is_zero and linear_solve take
+T-form input as before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algebra import Poly, RatFunc, carlitz_bracket
 from .errors import InvalidInput, ReductionDiverged
@@ -60,21 +93,23 @@ def _clear(vec):
 
 
 def _primitive(row):
-    """The polynomial row divided by the monic gcd of its entries."""
-    g = None
-    for x in row:
-        if not x.is_zero:
-            g = x if g is None else g.gcd(x)
-            if g.degree == 0:
-                return row
-    if g is None:
+    """The polynomial row divided by the monic gcd of its entries, taken
+    lowest degree first, so a row with a constant entry costs no gcd."""
+    entries = sorted((x for x in row if x.c), key=lambda x: len(x.c))
+    if not entries or len(entries[0].c) == 1:
         return row
+    g = entries[0]
+    for x in entries[1:]:
+        g = g.gcd(x)
+        if g.degree == 0:
+            return row
     g = g.monic()
     return [x // g for x in row]
 
 
 def _echelon(rows, ncols: int):
-    """Reduced row echelon form over F_q(T), computed fraction-free over F_q[T].
+    """Reduced row echelon form over F_q(X), computed fraction-free over F_q[X]
+    (X is Y inside the Reducer, T in linear_solve).
 
     Returns (rows, pivots), pivot columns ascending.  Each returned row N is a
     primitive polynomial row with N[pc] != 0 at its own pivot column pc and 0
@@ -123,6 +158,34 @@ def _residual(vec, echelon, pivots):
         c = w[pc] * (lcm // row[pc])
         out = [x if y.is_zero else x - c * y for x, y in zip(out, row)]
     return out, den * lcm
+
+
+@lru_cache(maxsize=None)
+def _y_in_T(spec) -> Poly:
+    """Y = T^q - T as a polynomial in T."""
+    return -carlitz_bracket(spec, 1)
+
+
+def _phi_poly(f: Poly) -> Poly:
+    """f(T^q - T) for f in F_q[Y], by Horner's rule."""
+    if f.degree <= 0:
+        return f
+    spec = f.spec
+    y = _y_in_T(spec)
+    out = Poly._make(spec, (f.c[-1],))
+    for c in reversed(f.c[:-1]):
+        out = out * y
+        if c:
+            out = out + Poly._make(spec, (c,))
+    return out
+
+
+def _phi(f: RatFunc) -> RatFunc:
+    """The substitution Y -> T^q - T on a reduced fraction with a monic
+    denominator; the image is one too, so no gcd runs."""
+    if f.num.degree <= 0 and f.den.degree <= 0:
+        return f
+    return RatFunc._make(_phi_poly(f.num), _phi_poly(f.den))
 
 
 @dataclass(frozen=True)
@@ -240,7 +303,11 @@ class IotaMatrix:
 
 
 class Reducer:
-    """Rewriting, exact linear algebra, and the theorem checkers for one GF(q)."""
+    """Rewriting, exact linear algebra, and the theorem checkers for one GF(q).
+
+    Every memo holds Y-form coefficients (see the module docstring); the
+    public methods return their phi-images in F_q(T).
+    """
 
     def __init__(self, algebra: IndexAlgebra, *, cap: int = 10_000):
         self.algebra = algebra
@@ -251,16 +318,29 @@ class Reducer:
         self._dagger_memo = {}
         self._quotient_memo = {}
         self._iota_memo = {}
+        self._public_quotients = {}
+        self._public_iotas = {}
 
-    # -- scalars --------------------------------------------------------------
+    # -- scalars and the boundary map ---------------------------------------------
 
     def _L1(self) -> RatFunc:
-        return RatFunc.of(carlitz_bracket(self.field, 1), self.field)
+        """L_1 = T - T^q, which is -Y."""
+        return RatFunc._make(self.field.poly([0, -1]))
+
+    def _phi(self, f: RatFunc) -> RatFunc:
+        """Y -> T^q - T: the one way a coefficient leaves the Reducer."""
+        return _phi(f)
+
+    def _public(self, P: IndexPoly) -> IndexPoly:
+        return IndexPoly._of(self.field, {s: self._phi(c) for s, c in P.terms.items()})
 
     # -- generators -------------------------------------------------------------
 
     def gen_A(self, family, s, m: int, n) -> IndexPoly:
         """The relation generator for (s; m; n); homogeneous of weight wt(s)+mq+wt(n)."""
+        return self._public(self._gen_A(family, s, m, n))
+
+    def _gen_A(self, family, s, m: int, n) -> IndexPoly:
         family = _family(family)
         if m < 1:
             raise InvalidInput("m must be >= 1")
@@ -308,15 +388,27 @@ class Reducer:
         return P.linear_map(lambda a: self._u_image(family, a))
 
     def _u_image(self, family, a: Index) -> IndexPoly:
+        """The one-step image of a, in T."""
+        return self._public(self._rewrite(family, a))
+
+    def _step(self, family, a: Index) -> IndexPoly:
+        """The one-step image the normal forms recurse over: the Y-form rule,
+        or a rule set on the instance as _u_image, which then drives the
+        rewriting along the graph it gives."""
+        rule = vars(self).get("_u_image")
+        return self._rewrite(family, a) if rule is None else rule(family, a)
+
+    def _rewrite(self, family, a: Index) -> IndexPoly:
+        """The one-step image of a, in Y."""
         if a.is_thakur(self.q):
             return self.algebra.mono(a)
         dec = self.decompose_T(a)
         if not dec.n.is_empty:
             littler = Index((dec.n[0] - self.q,)).cat(dec.n.minus)
-            gen = self.gen_A(family, dec.s, dec.m, littler)
+            gen = self._gen_A(family, dec.s, dec.m, littler)
         else:
             # no oversized entry, so the trailing run has m >= 2
-            gen = self.gen_A(family, dec.s, dec.m - 1, EMPTY)
+            gen = self._gen_A(family, dec.s, dec.m - 1, EMPTY)
         out = self.algebra.mono(a) - gen
         if not out.coeff(a).is_zero:
             raise InvalidInput(f"rewriting failed to cancel {a}")
@@ -339,7 +431,7 @@ class Reducer:
                     raise ReductionDiverged(
                         f"rewriting {path[0]} needs more than {cap} levels", trail=path)
                 out, height = {}, 0
-                for b, c in self._u_image(family, a).terms.items():
+                for b, c in self._step(family, a).terms.items():
                     nf, h = self._normal_form(family, b, cap, path)
                     _accumulate(out, nf.terms, c)
                     height = max(height, h)
@@ -359,10 +451,19 @@ class Reducer:
         itself (trail: the cycle) or needs more than cap rewriting levels,
         or more levels than the interpreter's recursion limit allows.
         """
+        return self._reduce(family, P, cap, self._public)
+
+    def _reduce(self, family, P: IndexPoly, cap=None, image=None) -> IndexPoly:
+        """Sum of c * image(NF(a)) over the terms c*a of P; image defaults to
+        the identity, which keeps a Y-form P in Y."""
         family = _family(family)
         cap = self.cap if cap is None else cap
+
+        def nf(a):
+            out = self._normal_form(family, a, cap, [])[0]
+            return out if image is None else image(out)
         try:
-            return P.linear_map(lambda a: self._normal_form(family, a, cap, [])[0])
+            return P.linear_map(nf)
         except RecursionError:
             raise ReductionDiverged("rewriting nests deeper than the recursion limit",
                                     trail=sorted(P.terms)) from None
@@ -371,8 +472,12 @@ class Reducer:
 
     def dagger_expand(self, family, s) -> IndexPoly:
         """D with value(dagger, s) = value(plain, D(s)); D(empty) = empty."""
-        family = _family(family)
-        s = Index(s)
+        return self._public(self._dagger(_family(family), Index(s)))
+
+    def dagger_linear(self, family, P: IndexPoly) -> IndexPoly:
+        return P.linear_map(lambda s: self.dagger_expand(family, s))
+
+    def _dagger(self, family, s: Index) -> IndexPoly:
         key = (family, s)
         hit = self._dagger_memo.get(key)
         if hit is not None:
@@ -386,13 +491,13 @@ class Reducer:
             acc = {}
             for i in range(1, s.depth + 1):
                 _accumulate(acc, A.product(A.mono(s.prefix(i)),
-                                           self.dagger_expand(family, s.drop(i)), kind).terms)
+                                           self._dagger(family, s.drop(i)), kind).terms)
             out = -IndexPoly._of(self.field, acc)
         self._dagger_memo[key] = out
         return out
 
-    def dagger_linear(self, family, P: IndexPoly) -> IndexPoly:
-        return P.linear_map(lambda s: self.dagger_expand(family, s))
+    def _dagger_linear(self, family, P: IndexPoly) -> IndexPoly:
+        return P.linear_map(lambda s: self._dagger(family, s))
 
     # -- exact linear algebra ------------------------------------------------------------
 
@@ -429,6 +534,19 @@ class Reducer:
         return [RatFunc(-x, den) for x in nums[len(basis):]]
 
     def quotient_space(self, w: int) -> QuotientSpace:
+        """The phi-image of the weight-w quotient, built on first use."""
+        hit = self._public_quotients.get(w)
+        if hit is None:
+            qs = self._quotient(w)
+            phi = self._phi
+            gens = [BasisVector(w, {s: phi(c) for s, c in g.coords.items()})
+                    for g in qs.ideal_gens]
+            echelon = [[phi(RatFunc._make(x)).num for x in row] for row in qs.echelon]
+            hit = QuotientSpace(w, qs.basis, gens, echelon, qs.pivots, self.field)
+            self._public_quotients[w] = hit
+        return hit
+
+    def _quotient(self, w: int) -> QuotientSpace:
         if w < 0:
             raise InvalidInput("weight must be >= 0")
         hit = self._quotient_memo.get(w)
@@ -441,7 +559,7 @@ class Reducer:
         if lower >= 0:
             for b in thakur_indices(self.q, lower):
                 prod = A.harmonic(A.mono(Index((self.q - 1,))), A.mono(b))
-                gens.append(self.to_vector(w, self.reduce_to_T("li", prod)))
+                gens.append(self.to_vector(w, self._reduce("li", prod)))
         zero = RatFunc.of(0, self.field)
         echelon, pivots = _echelon([[g.coords.get(s, zero) for s in basis] for g in gens],
                                    len(basis))
@@ -454,13 +572,23 @@ class Reducer:
         return self.quotient_space(w).class_vector(self.to_vector(w, P))
 
     def iota_matrix(self, w: int) -> IotaMatrix:
+        """The phi-image of the weight-w involution matrix."""
+        hit = self._public_iotas.get(w)
+        if hit is None:
+            m = self._iota(w)
+            hit = IotaMatrix(w, m.basis, [[self._phi(x) for x in row] for row in m.rows],
+                             self.field)
+            self._public_iotas[w] = hit
+        return hit
+
+    def _iota(self, w: int) -> IotaMatrix:
         hit = self._iota_memo.get(w)
         if hit is not None:
             return hit
-        qs = self.quotient_space(w)
+        qs = self._quotient(w)
         cols = []
         for a in qs.quotient_basis:
-            img = self.reduce_to_T("li", self.dagger_expand("li", a))
+            img = self._reduce("li", self._dagger("li", a))
             cols.append(qs.class_vector(self.to_vector(w, img)))
         rows = [list(row) for row in zip(*cols)]
         out = IotaMatrix(w, qs.quotient_basis, rows, self.field)
@@ -481,21 +609,23 @@ class Reducer:
         out.sort(key=lambda t: (t[0].weight, t[0], t[1], t[2]))
         return out
 
+    def _in_ideal(self, w: int, P: IndexPoly) -> bool:
+        """Whether a reduced Y-form combination has class zero at weight w."""
+        return self._quotient(w).class_is_zero(self.to_vector(w, P))
+
     def check_theorem(self, w: int) -> Report:
         """Dagger images of all weight-w li-side generators land in the ideal,
         and the involution squares to the identity there."""
-        qs = self.quotient_space(w)
+        qs = self._quotient(w)
         cases = []
         for s, m, n in self._ideal_cases(w):
-            gen = self.gen_A("li", s, m, n)
-            img = self.reduce_to_T("li", self.dagger_linear("li", gen))
-            ok = qs.class_is_zero(self.to_vector(w, img))
+            gen = self._gen_A("li", s, m, n)
+            ok = self._in_ideal(w, self._reduce("li", self._dagger_linear("li", gen)))
             cases.append(Case(
                 input=f"A(li; s={s}; m={m}; n={n})",
                 status="pass" if ok else "fail",
                 detail="dagger image in ideal" if ok else "dagger image escapes the ideal"))
-        iota = self.iota_matrix(w)
-        inv_ok = iota.squared_is_identity()
+        inv_ok = self._iota(w).squared_is_identity()
         cases.append(Case(
             input=f"iota^2 @ w={w}",
             status="pass" if inv_ok else "fail",
@@ -518,26 +648,26 @@ class Reducer:
             return out
 
         full = chain(cs, A.mono(n)).linear_map(lambda t: A.mono(s.cat(t)))
-        expr = self.dagger_linear("li", full)
+        expr = self._dagger_linear("li", full)
         for i in range(1, s.depth + 1):
             left = A.mono(s.prefix(i))
-            right = self.dagger_linear(
+            right = self._dagger_linear(
                 "li", chain(cs, A.mono(n)).linear_map(lambda t: A.mono(s.drop(i).cat(t))))
             expr = expr + A.harmonic(left, right)
         for i in range(1, m + 1):
             left = chain(cs[:i], A.one()).linear_map(lambda t: A.mono(s.cat(t)))
-            right = self.dagger_linear("li", chain(cs[i:], A.mono(n)))
+            right = self._dagger_linear("li", chain(cs[i:], A.mono(n)))
             expr = expr + A.harmonic(left, right)
         for i in range(1, n.depth + 1):
             left = chain(cs, A.mono(n.prefix(i))).linear_map(lambda t: A.mono(s.cat(t)))
-            right = self.dagger_expand("li", n.drop(i))
+            right = self._dagger("li", n.drop(i))
             expr = expr + A.harmonic(left, right)
-        reduced = self.reduce_to_T("li", expr)
+        reduced = self._reduce("li", expr)
         w = s.weight + n.weight + sum(cs) + m * (self.q - 1)
         if reduced.is_zero:
             status, detail = "pass", "exact zero before taking the quotient"
         else:
-            ok = self.quotient_space(w).class_is_zero(self.to_vector(w, reduced))
+            ok = self._in_ideal(w, reduced)
             status = "pass" if ok else "fail"
             detail = "zero in the quotient" if ok else "nonzero class"
         return Report(check="keylemma",
@@ -548,24 +678,23 @@ class Reducer:
         """Single dagger q-shuffle: exact identity with its carry correction,
         plus the congruence form in the quotient."""
         A = self.algebra
-        ds = self.dagger_expand("zeta", Index((s,)))
-        dn = self.dagger_expand("zeta", Index((n,)))
+        ds = self._dagger("zeta", Index((s,)))
+        dn = self._dagger("zeta", Index((n,)))
         expr = A.qshuffle(ds, dn)
         prod = A.qshuffle(A.mono(Index((s,))), A.mono(Index((n,))))
-        expr = expr - self.dagger_linear("zeta", prod)
+        expr = expr - self._dagger_linear("zeta", prod)
         for j in range(1, s + n):
             dj = A.delta(s, n, j)
             if dj.is_zero:
                 continue
             term = A.qshuffle(A.mono(Index((s + n - j,))),
-                              self.dagger_expand("zeta", Index((j,))))
+                              self._dagger("zeta", Index((j,))))
             expr = expr - term.scale(dj)
-        reduced = self.reduce_to_T("zeta", expr)
+        reduced = self._reduce("zeta", expr)
         exact_ok = reduced.is_zero
         w = s + n
-        cong = A.qshuffle(ds, dn) - self.dagger_linear("zeta", prod)
-        cong_red = self.reduce_to_T("zeta", cong)
-        cong_ok = self.quotient_space(w).class_is_zero(self.to_vector(w, cong_red))
+        cong = A.qshuffle(ds, dn) - self._dagger_linear("zeta", prod)
+        cong_ok = self._in_ideal(w, self._reduce("zeta", cong))
         cases = [
             Case(input=f"exact s={s} n={n}", status="pass" if exact_ok else "fail",
                  detail="identity with carry correction holds exactly" if exact_ok
@@ -580,10 +709,9 @@ class Reducer:
         """Dagger image of a zeta-side generator with m = 1 in the quotient."""
         s, n = Index(s), Index(n)
         hyp = (s.is_empty or s[-1] < self.q) and n.depth <= 1
-        gen = self.gen_A("zeta", s, 1, n)
-        img = self.reduce_to_T("zeta", self.dagger_linear("zeta", gen))
-        w = s.weight + self.q + n.weight
-        ok = self.quotient_space(w).class_is_zero(self.to_vector(w, img))
+        gen = self._gen_A("zeta", s, 1, n)
+        img = self._reduce("zeta", self._dagger_linear("zeta", gen))
+        ok = self._in_ideal(s.weight + self.q + n.weight, img)
         if hyp:
             status = "pass" if ok else "fail"
             detail = "in ideal" if ok else "escapes the ideal under the stated hypotheses"
@@ -602,16 +730,16 @@ class Reducer:
         """
         s = Index(s)
         w = s.weight
-        qs = self.quotient_space(w)
-        iota = self.iota_matrix(w)
-        lhs = iota.apply(qs.class_vector(
-            self.to_vector(w, self.reduce_to_T("zeta", self.algebra.mono(s)))))
+        qs = self._quotient(w)
+        lhs = self._iota(w).apply(qs.class_vector(
+            self.to_vector(w, self._reduce("zeta", self.algebra.mono(s)))))
         rhs = qs.class_vector(self.to_vector(
-            w, self.reduce_to_T("zeta", self.dagger_expand("zeta", s))))
+            w, self._reduce("zeta", self._dagger("zeta", s))))
         diff = [a - b for a, b in zip(lhs, rhs)]
         equal = all(v.is_zero for v in diff)
         detail = "classes equal" if equal else (
             "classes differ by " + " | ".join(
-                f"{qs.quotient_basis[i]}: {v}" for i, v in enumerate(diff) if not v.is_zero))
+                f"{qs.quotient_basis[i]}: {self._phi(v)}"
+                for i, v in enumerate(diff) if not v.is_zero))
         return Report(check="conjecture", params={"q": self.q, "index": str(s)},
                       cases=[Case(input=str(s), status="observation", detail=detail)])

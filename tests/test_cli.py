@@ -181,3 +181,23 @@ def test_poly_literal_parser():
     r = parse_ratfunc(F3, "(T+1)/(T^2)")
     assert r == RatFunc(F3.poly([1, 1]), F3.poly([0, 0, 1]))
     assert parse_ratfunc(F3, "2") == RatFunc.of(F3.poly([2]), F3)
+
+
+def test_numeric_suites_fail_below_the_requested_precision(monkeypatch):
+    """Truncated values used to pass vacuously, since == compares series at
+    the smaller precision; now a case needs the requested N on both sides."""
+    from ffmzv import Evaluator
+    orig = Evaluator.eval_value
+    monkeypatch.setattr(Evaluator, "eval_value",
+                        lambda self, fam, v, prec: orig(self, fam, v, prec).with_prec(5))
+    for suite, extra in (("products", ["--pairs", "3"]), ("prodsum", [])):
+        code, text = run_cli(["verify", "--suite", suite, "--q", "2", "--max-weight", "2",
+                              "--prec", "30"] + extra)
+        cases = [line for line in text.splitlines() if line.startswith("  [")]
+        assert code == 1 and cases, suite
+        assert all(line.startswith("  [fail") and line.endswith("N=30, delivered 5")
+                   for line in cases), suite
+    monkeypatch.undo()
+    code, text = run_cli(["verify", "--suite", "products", "--q", "2", "--max-weight", "2",
+                          "--prec", "30", "--pairs", "3"])
+    assert code == 0 and text.count("-- N=30\n") == 6

@@ -403,3 +403,21 @@ def test_dagger_harmonic_product(ctx2, ctx3):
             lhs = E.eval_value("li-dagger", s, 40) * E.eval_value("li-dagger", n, 40)
             rhs = E.eval_value("li-dagger", A.harmonic(A.mono(s), A.mono(n)), 40)
             assert lhs == rhs
+
+
+def test_exact_power_sums_bound_the_row_powers():
+    """For s0 > 1 the budget counts the powers of the q^d quotients as well."""
+    import time
+    for q, d, s in ((8, 3, 7), (9, 3, 8), (8, 3, 14)):
+        E = Evaluator(field(q))
+        t0 = time.perf_counter()
+        with pytest.raises(PrecisionTooExpensive, match="quotients of L_3 to the power"):
+            E.power_sum_exact(d, s)
+        assert time.perf_counter() - t0 < 0.5 and not E._numerators
+    # the fundamental identity uses s0 = q - 1 = 2 at level d and s0 = 1 at d + 1
+    budget = EvalBudget()
+    for d in range(6):
+        budget.check_division(3, d, 2)
+        budget.check_division(3, d + 1)
+    budget.check_division(7, 3, 6)
+    assert Evaluator(field(9)).power_sum_exact(2, 8) == power_sum_oracle(field(9), 2, 8)

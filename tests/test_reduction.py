@@ -7,7 +7,7 @@ import pytest
 from ffmzv import (EMPTY, Evaluator, Index, IndexAlgebra, IndexPoly, InvalidInput,
                    ProductKind, RatFunc, Reducer, ReductionDiverged, carlitz_bracket,
                    compositions, field, thakur_indices)
-from ffmzv.reduction import BasisVector, QuotientSpace, _echelon
+from ffmzv.reduction import BasisVector, QuotientSpace, _echelon, _phi, _phi_poly
 from test_indices import CopyAndAdd, same_terms
 
 
@@ -599,3 +599,170 @@ def test_memoised_sums_are_never_mutated():
             assert len(now[name]) > len(memo) or name == "d"
             for key, terms in memo.items():
                 assert now[name][key] == terms, (name, key)
+
+
+# -- the F_q(Y) computation against the F_q(T) one --------------------------------
+
+class TFormReducer(Reducer):
+    """The computation over F_q(T): L_1 = T - T^q inside the Reducer and no
+    substitution where a result leaves it."""
+
+    def _L1(self):
+        return RatFunc.of(carlitz_bracket(self.field, 1), self.field)
+
+    def _phi(self, f):
+        return f
+
+
+class LeakingReducer(Reducer):
+    """A mutant that hands its Y-form coefficients to the public API as they are."""
+
+    def _phi(self, f):
+        return f
+
+
+def _terms(P):
+    return list(P.terms.items())
+
+
+def _quotient_data(qs):
+    return (qs.basis, [g.coords for g in qs.ideal_gens], qs.echelon, qs.pivots,
+            qs.quotient_basis)
+
+
+def _reports(R, wmax):
+    """Every checker's report up to weight wmax, as dicts."""
+    q = R.q
+    reps = [R.check_theorem(w) for w in range(wmax + 1)]
+    reps += [R.check_prop41(s, n) for s in range(1, 3) for n in range(1, 3) if s + n <= wmax]
+    reps += [R.check_prop42(s, n) for ws in range(wmax - q + 1) for s in compositions(ws)
+             for n in (EMPTY, Index((1,))) if ws + q + n.weight <= wmax]
+    reps += [R.check_keylemma(s, n, cs) for s in (EMPTY, Index((1,)))
+             for n in (EMPTY, Index((1,))) for cs in ([], [1])
+             if s.depth + n.depth + len(cs) >= 1
+             and s.weight + n.weight + sum(cs) + len(cs) * (q - 1) <= wmax]
+    reps += [R.check_conjecture(s) for w in range(wmax + 1) for s in compositions(w)]
+    return [r.to_dict() for r in reps]
+
+
+def _public_outputs(cls, q, wmax):
+    """Every public Reducer output up to weight wmax, including inputs with
+    T-coefficients, from a fresh reducer of the given class."""
+    F = field(q)
+    R = cls(IndexAlgebra(F))
+    A, T = R.algebra, RatFunc.of(F.T)
+    mixed = A.mono((q + 1,), T) + A.mono((1, q))
+    frac = A.mono((2, q), RatFunc(F.poly([1]), F.T + F.poly([1]))) + A.mono((q, 1), T)
+    out = {"gen_A": [_terms(R.gen_A(fam, s, m, n)) for fam in ("li", "zeta")
+                     for w in range(wmax + 1) for s, m, n in R._ideal_cases(w)]}
+    pool = [mixed, frac] + [A.mono(s) for w in range(1, wmax + 1) for s in compositions(w)]
+    for fam in ("li", "zeta"):
+        out["u_step", fam] = [_terms(R.u_step(fam, P)) for P in pool]
+        out["reduce", fam] = [_terms(R.reduce_to_T(fam, P)) for P in pool]
+        out["dagger", fam] = [_terms(R.dagger_expand(fam, s))
+                              for w in range(wmax + 1) for s in compositions(w)]
+        out["dagger_linear", fam] = [_terms(R.dagger_linear(fam, P)) for P in (mixed, frac)]
+    for w in range(wmax + 1):
+        qs = R.quotient_space(w)
+        out["quotient", w] = _quotient_data(qs)
+        out["iota", w] = R.iota_matrix(w).rows
+        vecs = [R.to_vector(w, R.reduce_to_T("li", P)) for P in pool if P.weight() == w]
+        vecs += [R.to_vector(w, R.reduce_to_T("li", A.mono((w,), T))),
+                 R.to_vector(w, R.reduce_to_T("zeta", A.mono((w,), T)))] if w else []
+        out["class", w] = [(qs.class_vector(v), qs.class_is_zero(v)) for v in vecs]
+        out["class_of", w] = [R.class_of(w, R.reduce_to_T("li", P))
+                              for P in pool if P.weight() == w]
+        if vecs:
+            out["solve", w] = [R.linear_solve(qs.ideal_gens, v) for v in vecs]
+            out["solve_gens", w] = R.linear_solve(vecs[1:], vecs[0])
+    out["reports"] = _reports(R, wmax)
+    return out
+
+
+# (7, 7) reaches the first weight with an ideal at q = 7
+_REFERENCE_CASES = [(2, 6), (3, 6), (4, 6), (5, 6), (7, 4), (7, 7), (8, 4), (9, 4)]
+
+
+@pytest.mark.parametrize("q,wmax", _REFERENCE_CASES)
+def test_public_outputs_match_the_T_form_reference(q, wmax):
+    got = _public_outputs(Reducer, q, wmax)
+    want = _public_outputs(TFormReducer, q, wmax)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert got[key] == want[key], key
+
+
+def test_a_leaked_Y_form_coefficient_fails_the_reference():
+    got = _public_outputs(LeakingReducer, 3, 4)
+    want = _public_outputs(TFormReducer, 3, 4)
+    differ = {key[0] if isinstance(key, tuple) else key
+              for key in want if got[key] != want[key]}
+    # only the verdicts, computed inside, survive the leak
+    assert differ >= {"gen_A", "u_step", "reduce", "quotient", "iota", "class", "class_of"}
+    assert got["reports"] == want["reports"]
+
+
+def _no_phi(f):
+    raise AssertionError(f"phi called on {f}")
+
+
+@pytest.mark.parametrize("q,wmax", [(2, 7), (3, 6), (4, 6)])
+def test_checkers_never_leave_Y(q, wmax, monkeypatch):
+    """The checkers build no T-form value, and every memo holds Y-form coefficients."""
+    R = Reducer(IndexAlgebra(field(q)))
+    monkeypatch.setattr(R, "_phi", _no_phi)
+    got = _reports(R, wmax)
+    monkeypatch.undo()
+    ref = TFormReducer(IndexAlgebra(field(q)))
+    assert got == _reports(ref, wmax)
+    assert R._nf_memo.keys() == ref._nf_memo.keys()
+    lower = 0
+    for key, (nf, height) in R._nf_memo.items():
+        ref_nf, ref_height = ref._nf_memo[key]
+        assert height == ref_height and _terms(R._public(nf)) == _terms(ref_nf), key
+        for s, c in nf.terms.items():
+            t = ref_nf.terms[s]
+            assert (c.num.degree * q, c.den.degree * q) == (t.num.degree, t.den.degree)
+            lower += c.num.degree < t.num.degree
+    assert lower > 0
+    assert R._dagger_memo.keys() == ref._dagger_memo.keys()
+    for w, qs in R._quotient_memo.items():
+        ref_qs = ref._quotient_memo[w]
+        assert [[_phi_poly(x) for x in row] for row in qs.echelon] == ref_qs.echelon
+        assert [[max(x.degree * q, -1) for x in row] for row in qs.echelon] == \
+            [[x.degree for x in row] for row in ref_qs.echelon]
+    for w, m in R._iota_memo.items():
+        assert [[_phi(x) for x in row] for row in m.rows] == ref._iota_memo[w].rows
+
+
+def _random_poly(rng, F, dmax):
+    return F.poly([F.from_index(rng.randrange(F.q)) for _ in range(rng.randint(0, dmax + 1))])
+
+
+def _random_ratfunc(rng, F, dmax):
+    den = _random_poly(rng, F, dmax)
+    while den.is_zero:
+        den = _random_poly(rng, F, dmax)
+    return RatFunc(_random_poly(rng, F, dmax), den)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_phi_is_a_degree_scaling_ring_map(q):
+    rng = random.Random(4200 + q)
+    F = field(q)
+    for _ in range(40):
+        f, g = _random_ratfunc(rng, F, 4), _random_ratfunc(rng, F, 4)
+        assert _phi(f + g) == _phi(f) + _phi(g)
+        assert _phi(f * g) == _phi(f) * _phi(g)
+        a = _random_poly(rng, F, 5)
+        assert _phi_poly(a).degree == (q * a.degree if not a.is_zero else -1)
+        c = F.poly([F.from_index(rng.randrange(F.q))])
+        assert _phi_poly(c) == c and _phi(RatFunc.of(c)) == RatFunc.of(c)
+        # reduced with a monic denominator: the full constructor changes nothing
+        img = _phi(f)
+        assert img.den.is_zero is False and img.den.leading() == F.one
+        assert img.num.gcd(img.den).degree == 0 or img.num.is_zero
+        again = RatFunc(img.num, img.den)
+        assert (again.num, again.den) == (img.num, img.den)
+    y = F.poly([0, 1])
+    assert _phi_poly(y) == F.T ** q - F.T
