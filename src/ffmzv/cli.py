@@ -426,7 +426,9 @@ def _cmd_iota(ctx: Context) -> Report:
     R = ctx.reducer
     cases = []
     if "involution" in checks:
-        m = R.iota_matrix(w)
+        # squared in the Reducer's Y-form: phi is an injective ring
+        # homomorphism, so the verdict is that of the T-form iota_matrix(w)
+        m = R._iota(w)
         ok = m.squared_is_identity()
         cases.append(Case(input=f"iota^2 @ w={w}", status="pass" if ok else "fail",
                           detail=f"quotient dimension {m.dim}"))

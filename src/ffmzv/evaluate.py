@@ -13,9 +13,14 @@ p-power part of s.  Level cutoffs read deg L_d from its closed form
 q(q^d - 1)/(q - 1); L_d itself is built only where a series or an exact
 numerator uses it.
 
-Truncation is conservative: a level tuple is dropped only when its
-order provably exceeds the requested precision (sum of s_i * d_i for
-the power-sum families, deg L_d growth for the polylogarithm families).
+Truncation is conservative: a level factor is dropped only when its
+order provably exceeds the requested precision.  Both sides use one
+bound, max(f(s) deg L_d, s d) with f(s) = s on the li side and
+f(s) = 1 + sigma_q(s - 1) on the zeta side (sigma_q the base-q digit
+sum), proved from Carlitz's F_q-linear e_d in ``Evaluator._level_cutoff``.
+For a zeta entry s > q, f(s) >= 2, so the brute force runs at no level
+with 2 deg L_d > prec; the trivial bound s d alone would keep every
+level with s d <= prec.
 
 The polylogarithm families are evaluated at the all-ones point only;
 that point lies inside the convergence domain of the underlying
@@ -26,7 +31,6 @@ always make sense.  Other evaluation points are out of scope.
 from __future__ import annotations
 
 import enum
-import math
 
 from .algebra import (FieldSpec, LaurentSeries, Poly, RatFunc, carlitz_bracket,
                       carlitz_l, carlitz_l_degree, rat_to_laurent)
@@ -74,6 +78,15 @@ class ValueFamily(enum.Enum):
 def default_precision(weight: int) -> int:
     """Suite default: comfortably beyond every coefficient consumed at desk weights."""
     return 4 * weight + 24
+
+
+def _digit_sum(n: int, q: int) -> int:
+    """sigma_q(n), the sum of the base-q digits of n >= 0."""
+    total = 0
+    while n:
+        n, r = divmod(n, q)
+        total += r
+    return total
 
 
 def _power_cells(n: int, s: int) -> int:
@@ -254,46 +267,72 @@ class Evaluator:
     # -- per-level series ------------------------------------------------------
 
     def _level_series(self, side: str, s: int, d: int, prec: int) -> LaurentSeries:
-        """The level-d factor: 1/L_d^s on the li side, S_d(s) on the zeta side."""
+        """The level-d factor: 1/L_d^s on the li side, S_d(s) on the zeta side.
+
+        Past the order bound of ``_level_cutoff`` the factor is zero to
+        precision, returned before L_d is built or any monic polynomial is
+        enumerated.
+        """
         key = (side, s, d, prec)
         hit = self._level.get(key)
         if hit is not None:
             return hit
-        if side == "li" or s <= self.q:
-            # order is s * deg(L_d); below precision, skip the expansion
-            if s * carlitz_l_degree(self.q, d) > prec:
-                out = LaurentSeries.zero(self.field, prec)
-            else:
-                out = rat_to_laurent(RatFunc(self.field.poly([1]), self.L(d).power(s)), prec)
+        if self._order_bound(side, s, d) > prec:
+            out = LaurentSeries.zero(self.field, prec)
+        elif side == "li" or s <= self.q:
+            out = rat_to_laurent(RatFunc(self.field.poly([1]), self.L(d).power(s)), prec)
         else:
-            if s * d > prec:
-                out = LaurentSeries.zero(self.field, prec)
-            else:
-                out = self.power_sum(d, s, prec)
+            out = self.power_sum(d, s, prec)
         self._level[key] = out
         return out
 
+    def _order_bound(self, side: str, s: int, d: int) -> int:
+        """A lower bound on the order of the level-d factor; see ``_level_cutoff``."""
+        f = s if side == "li" else 1 + _digit_sum(s - 1, self.q)
+        return max(f * carlitz_l_degree(self.q, d), s * d)
+
     def _level_cutoff(self, family: ValueFamily, s: Index, prec: int) -> int:
-        if family.side == "li":
-            return max(1, math.ceil(math.log(max(prec, 1), self.q))) + 1
+        """The last level d at which some entry's level-d factor can reach
+        precision ``prec``: every factor past it has order > prec.
+
+        Orders are at infinity, v(T^-k) = k.  The factor of the entry s at
+        level d has order at least max(f(s) deg L_d, s d), with f(s) = s on
+        the li side and f(s) = 1 + sigma_q(s - 1) on the zeta side, sigma_q
+        the base-q digit sum.  On the li side the factor is 1/L_d^s, of
+        order exactly s deg L_d >= s d.  On the zeta side S_d(s) is a sum of
+        1/a^s of order s d each; the other bound comes from Carlitz's
+        F_q-linear e_d(x) = prod over deg b < d of (x - b) (Goss, *Basic
+        Structures of Function Field Arithmetic*, ch. 3; Thakur, *Function
+        Field Arithmetic*, ch. 5):
+
+            e_d(x) = sum_{i<=d} D_d / (D_i L_{d-i}^(q^i)) x^(q^i),
+
+        so e_d'(x) = D_d / L_d, and e_d(T^d) = D_d.  The monic a of degree
+        d are T^d + b, so sum_b 1/(x - b) = e_d'(x)/e_d(x) at x = T^d - y
+        gives
+
+            sum_a 1/(a - y) = (1/L_d) / (1 - e_d(y)/D_d),
+            e_d(y)/D_d = sum_i c_i y^(q^i),  c_i = 1/(D_i L_{d-i}^(q^i)).
+
+        S_d(s) is the coefficient of y^(s-1).  Expanding the geometric
+        series, it is 1/L_d times a sum of products c_{i_1} ... c_{i_m} with
+        q^{i_1} + ... + q^{i_m} = s - 1, and any such sum of powers of q has
+        m >= sigma_q(s - 1) terms.  With deg D_i = i q^i,
+        v(c_i) = i q^i + q^(i+1) + ... + q^d, which exceeds
+        deg L_d = q + ... + q^d by the sum over 1 <= j <= i of
+        q^i - q^j >= 0 (equality at i = 0, 1).  So every product has order
+        >= (1 + m) deg L_d >= (1 + sigma_q(s - 1)) deg L_d.  For s <= q this
+        is s deg L_d, the order of the closed form 1/L_d^s.
+
+        Both bounds grow with d, so the cutoff is one scan per entry.  The
+        value DP multiplies factors of order >= 0, so dropping a factor of
+        order > prec changes no coefficient up to T^-prec.
+        """
         cut = 0
         for entry in s:
-            if entry <= self.q:
-                # closed form; levels die once s*deg(L_d) > prec
-                d = 0
-                while entry * carlitz_l_degree(self.q, d + 1) <= prec:
-                    d += 1
-                cut = max(cut, d)
-            else:
-                cut = max(cut, prec // entry)
+            while self._order_bound(family.side, entry, cut + 1) <= prec:
+                cut += 1
         return cut
-
-    def _assert_affordable(self, family: ValueFamily, s: Index, prec: int):
-        if family.side != "zeta":
-            return
-        for entry in s:
-            if entry > self.q:
-                self.budget.check_enumeration(self.q, prec // entry)
 
     def value_of_index(self, family: ValueFamily, s: Index, prec: int) -> LaurentSeries:
         """Value of one index; a star value is (-1)^depth times the dagger value
@@ -315,7 +354,6 @@ class Evaluator:
         spec = self.field
         if s.is_empty:
             return LaurentSeries.one(spec, prec)
-        self._assert_affordable(family, s, prec)
         r = s.depth
         dmax = self._level_cutoff(family, s, prec)
         side = family.side

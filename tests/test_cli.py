@@ -49,8 +49,10 @@ def test_fundamental_q9_default_exits_3_quickly():
 
 
 def test_internal_error_exit_3():
+    """zeta (3) at q=2, N=200 needs the levels d <= 5, so 2^5 = 32 > 16 monic
+    polynomials at the last one."""
     code, text = run_cli(["eval", "--q", "2", "--family", "zeta", "--index", "(3)",
-                          "--prec", "200", "--budget", "64"])
+                          "--prec", "200", "--budget", "16"])
     assert code == 3
     assert "PrecisionTooExpensive" in text
 
@@ -63,7 +65,7 @@ def test_reduction_cap_exit_3():
 
 
 def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("FFMZV_BUDGET", "64")
+    monkeypatch.setenv("FFMZV_BUDGET", "16")
     code, _ = run_cli(["eval", "--q", "2", "--family", "zeta", "--index", "(3)",
                        "--prec", "200", "--budget", str(1 << 30)])
     assert code == 3

@@ -234,9 +234,10 @@ def test_power_sum_budget():
 
 
 def test_level_cutoff_builds_no_unused_carlitz_l(monkeypatch):
-    """ZETA (1,4) at q=3, N=40: the entry 4 runs the levels up to 40 // 4 = 10,
-    but 1/L_d is below the precision once deg L_d > 40, so L_d is built only
-    up to that closed-form cutoff (d = 3)."""
+    """ZETA (1,4) at q=3, N=40: the entry 1 runs the levels while
+    deg L_d <= 40 (d <= 3, deg L_3 = 39) and the entry 4 while
+    (1 + sigma_3(3)) deg L_d = 2 deg L_d <= 40 (d <= 2); S_d(4) is a brute
+    force, so L_d is built only up to the closed-form cutoff d = 3."""
     asked = []
     real = ffmzv.evaluate.carlitz_l
 
@@ -250,6 +251,135 @@ def test_level_cutoff_builds_no_unused_carlitz_l(monkeypatch):
     assert cutoff == 3
     Evaluator(field(3)).eval_value("zeta", Index((1, 4)), prec)
     assert asked and max(asked) <= cutoff
+
+
+def digit_sum(n, q):
+    """sigma_q(n), read off numpy's base-q spelling of n."""
+    return sum(int(c, q) for c in np.base_repr(n, q))
+
+
+# the largest level d brute-forced per q by the order-bound tests, and the
+# largest order checked: it keeps the digit-plane brute force at q = 8, 9
+# (0.5-8 s per S_2(s) past it) to a few seconds
+BOUND_LEVELS = {2: 6, 3: 4, 4: 2, 5: 2, 7: 2, 8: 2, 9: 2}
+MAX_CHECKED_ORDER = 300
+
+
+@pytest.mark.parametrize("q", sorted(BOUND_LEVELS))
+def test_power_sum_order_bound(q):
+    """The brute-force S_d(s) has order >= (1 + sigma_q(s - 1)) deg L_d for
+    s <= 3q + 1, with equality for s <= q + 1: the bound behind the zeta
+    side's level cutoff, and sharp where the cutoff uses it most."""
+    E = Evaluator(field(q))
+    for d in range(1, BOUND_LEVELS[q] + 1):
+        deg = carlitz_l_degree(q, d)
+        for s in range(1, 3 * q + 2):
+            bound = (1 + digit_sum(s - 1, q)) * deg
+            if bound > MAX_CHECKED_ORDER:
+                continue
+            S = E.power_sum(d, s, bound)
+            # precision `bound` keeps T^-bound: order >= bound leaves at most it
+            assert S.lead is None or S.lead == -bound, (d, s, S.lead, bound)
+            if s <= q + 1:
+                assert S.lead == -bound, (d, s)
+
+
+@pytest.mark.parametrize("q", sorted(BOUND_LEVELS))
+def test_power_sum_past_the_level_cutoff_is_zero(q):
+    """One level past ``_level_cutoff`` the brute-force S_d(s) is zero to
+    precision, for every zeta entry q < s <= 3q + 1."""
+    E = Evaluator(field(q))
+    for prec in (20, 40, 60):
+        for s in range(q + 1, 3 * q + 2):
+            d = E._level_cutoff(ValueFamily.ZETA, Index((s,)), prec) + 1
+            assert E.power_sum(d, s, prec).is_zero_to_prec, (prec, s, d)
+
+
+def test_level_cutoff_keeps_the_trivial_order_bound():
+    """S_d(s) also has order >= s d, each 1/a^s having it.  zeta (33) at
+    q=2, N=130: sigma_2(32) = 1 admits d = 5 (2 deg L_5 = 124), but
+    33 d <= 130 stops at d = 3, so 8 monic polynomials fit a budget of 16."""
+    E = Evaluator(field(2), EvalBudget(max_bruteforce=16))
+    assert E._level_cutoff(ValueFamily.ZETA, Index((33,)), 130) == 3
+    assert E.value_of_index("zeta", Index((33,)), 130).prec == 130
+
+
+def power_sums_from_carlitz_e(F, d, K):
+    """S_d(k) for 1 <= k <= K from Carlitz's F_q-linear e_d.
+
+    The sum over monic a of degree d of 1/(a - y) is (1/L_d) / (1 - g(y)),
+    g(y) = sum_i y^(q^i) / (D_i L_{d-i}^(q^i)), so S_d(k) = b_{k-1} / L_d with
+    b_0 = 1 and b_n = sum over q^i <= n of b_{n - q^i} / (D_i L_{d-i}^(q^i)).
+    D_i and L_j are built here from their products, not by the library.
+    """
+    q, T, one = F.q, F.T, F.poly([1])
+
+    def D(i):
+        out = one
+        for j in range(i):
+            out = out * (T ** (q ** i) - T ** (q ** j))
+        return out
+
+    def L(j):
+        out = one
+        for i in range(1, j + 1):
+            out = out * (T - T ** (q ** i))
+        return out
+
+    c = [RatFunc(one, D(i) * L(d - i) ** (q ** i)) for i in range(d + 1)]
+    b = [RatFunc.of(1, F)]
+    for n in range(1, K):
+        acc = RatFunc.of(0, F)
+        for i in range(d + 1):
+            if q ** i <= n:
+                acc = acc + c[i] * b[n - q ** i]
+        b.append(acc)
+    Ld = RatFunc.of(L(d), F)
+    return [b[k - 1] / Ld for k in range(1, K + 1)]
+
+
+@pytest.mark.parametrize("q,d,K", [(2, 3, 12), (3, 2, 14), (4, 2, 12)])
+def test_carlitz_e_power_sums_match_exact(q, d, K):
+    """A second power-sum oracle, independent of the enumeration."""
+    F = field(q)
+    E = Evaluator(F)
+    for k, want in enumerate(power_sums_from_carlitz_e(F, d, K), start=1):
+        assert E.power_sum_exact(d, k) == want, (d, k)
+
+
+class SdCutoffEvaluator(Evaluator):
+    """The truncation before the e_d order bound: a zeta entry s > q keeps
+    every level with s d <= prec and brute-forces each of them."""
+
+    def _order_bound(self, side, s, d):
+        if side == "zeta" and s > self.q:
+            return s * d
+        return super()._order_bound(side, s, d)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_order_bound_cutoff_matches_the_sd_cutoff(q):
+    """Every zeta, zeta-dagger and zeta-star value of weight <= 7 at N=40 is
+    the same series under both truncations."""
+    F = field(q)
+    E, ref = Evaluator(F), SdCutoffEvaluator(F)
+    for family in ("zeta", "zeta-dagger", "zeta-star"):
+        for w in range(1, 8):
+            for s in compositions(w):
+                got = E.value_of_index(family, s, 40)
+                want = ref.value_of_index(family, s, 40)
+                assert (got.lead, got.c, got.prec) == (want.lead, want.c, want.prec), (family, s)
+
+
+def test_zeta_side_reaches_weight_8_at_q3():
+    """Every zeta and zeta-dagger index of weight <= 8 at q=3, N=60 evaluates
+    within the default budget (the s d cutoff needed up to 3^15 monic
+    polynomials here)."""
+    E = Evaluator(field(3))
+    for family in ("zeta", "zeta-dagger"):
+        for w in range(1, 9):
+            for s in compositions(w):
+                assert E.value_of_index(family, s, 60).prec == 60
 
 
 @pytest.mark.parametrize("q", [3, 4])
