@@ -6,10 +6,13 @@ weakly ascending levels with the sign (-1)^depth for the dagger
 families.  Power sums S_d(s) are brute-forced over the q^d monic
 polynomials of degree d (budgeted); for s <= q the closed form 1/L_d^s
 is used, which the test suite cross-checks against the brute force.
-One vectorised enumerator (``GFVec._monic_codes``) serves both the
-series and the exact power sums: the exact numerators divide L_d by all
-monic a at once and sum the quotients' powers, with a Frobenius for the
-p-power part of s.  Level cutoffs read deg L_d from its closed form
+One brute-force kernel (``GFVec.monic_quotient_sum``) serves both the
+series and the exact power sums: it divides a numerator num by a^s for
+every monic a of degree d at once and sums the quotients.  The series
+takes num = T^(M + s d - 1), whose quotients hold the first M
+coefficients of T^(s d) a^(-s); the exact numerator takes num = L_d^s0,
+whose quotients are (L_d / a)^s0, with a Frobenius for the p-power part
+of s = s0 p^k.  Level cutoffs read deg L_d from its closed form
 q(q^d - 1)/(q - 1); L_d itself is built only where a series or an exact
 numerator uses it.
 
@@ -89,46 +92,38 @@ def _digit_sum(n: int, q: int) -> int:
     return total
 
 
-def _power_cells(n: int, s: int) -> int:
-    """Multiply-adds of raising a length-n polynomial to the power s by
-    squaring, as ``GFVec._pow`` does: one full product per step."""
-    cells, acc, a = 0, None, n
-    while s:
-        if s & 1:
-            if acc is not None:
-                cells += acc * a
-            acc = a if acc is None else acc + a - 1
-        s >>= 1
-        if s:
-            cells += a * a
-            a = 2 * a - 1
-    return cells
-
-
 class EvalBudget:
     """The caps on brute-force enumerations of monic polynomials.
 
     ``max_bruteforce`` caps q^d, the number of monic polynomials of degree
-    d.  An exact power sum also divides L_d by each of them, q^d divisions
-    of a polynomial of degree deg L_d = q(q^d - 1)/(q - 1), so its cost
-    grows with the q^d * deg L_d cells of that division rather than with
-    q^d alone.  ``MAX_DIVISION_CELLS`` caps those cells at 2^24.  Measured
-    on a 2-vCPU Xeon VM (Python 3.11, numpy 2.4) at 0.9-2.0e-7 s per cell
-    for the s = 1 numerators at q = 3, 4, 5, 8, 9, 2^24 cells is about
-    2-3 s, so no admitted numerator runs for minutes: L_5 at q = 9 needs
-    3.9e9 cells, L_4 at q = 9 4.8e7.
+    d.  An exact power sum with s = s0 * p^k also divides L_d^s0, of degree
+    s0 deg L_d with deg L_d = q(q^d - 1)/(q - 1), by a^s0 for each of them,
+    so its cost grows with the q^d * s0 * deg L_d cells of that division (one
+    cell a row and a quotient digit) rather than with q^d alone.
+    ``MAX_DIVISION_CELLS`` caps those cells at 2^24.  Measured on a 2-vCPU
+    Xeon VM (Python 3.11, numpy 2.4), a cell takes 0.8-2.1e-7 s for s0 = 1
+    at q = 2, 3, 4, 5, 8, 9, so an s0 = 1 numerator at the cap runs 1-4 s;
+    L_5 at q = 9 needs 3.9e9 cells, L_4 at q = 9 4.8e7.
 
-    For s = s0 * p^k with s0 > 1 each of the q^d quotients is also raised
-    to the power s0, by squaring with one convolution per step, and over
-    GF(p^e) each convolution is e^2 convolutions of digit planes.
-    ``MAX_POWER_CELLS`` caps the multiply-adds of those powers at 2^31.
-    Measured on the same VM at about 1e-9 s per multiply-add (q = 7, 8, 9),
-    that is about 2 s: it admits (3, 6) at q = 7 (7e8) and turns away
-    (3, 7) at q = 8 (3e10) and (3, 8) at q = 9 (4e10), which ran 27-37 s.
+    Each cell also updates the s0 d coefficients of a^s0 below its lead, so
+    for a wide divisor the time follows the cells * s0 d coefficient
+    updates instead: 1.1-1.7e-8 s each at (q, d, s0) = (3, 6, 20),
+    (9, 3, 28) and (2, 1, 16001), which take 22, 24 and 9 s.
+    ``MAX_DIVISION_UPDATES`` caps them at 2^27: (2, 1, 5791), (8, 1, 1447)
+    and (9, 2, 95) at the cap take 2.1, 2.4 and 1.9 s, (9, 3, 8) (1.1e8)
+    1.7 s.  It never binds at s0 = 1: there cells <= 2^24 leaves d <= 7,
+    or d <= 11 and cells <= 2^23 at q = 2, so cells * d stays within 2^27.
+
+    The series power sums are capped by q^d alone.  Their division runs
+    one row per monic a for M = prec - s d + 1 quotient digits over at
+    most min(M, s d) coefficients of a^s; through the level cutoff
+    q^d <= deg L_d <= prec / 2 for the entries s > q that take it, so that
+    is at most prec^3 / 8 coefficient updates.  A direct ``power_sum`` call
+    with a large prec is not bounded.
     """
 
     MAX_DIVISION_CELLS = 1 << 24
-    MAX_POWER_CELLS = 1 << 31
+    MAX_DIVISION_UPDATES = 1 << 27
 
     def __init__(self, max_bruteforce: int = 1 << 20):
         self.max_bruteforce = max_bruteforce
@@ -143,28 +138,26 @@ class EvalBudget:
                 f"all entries <= q")
 
     def check_division(self, q: int, d: int, s: int = 1):
-        """check_enumeration, and the caps on the cells of dividing L_d by
-        every monic polynomial of degree d and of raising each quotient to
-        the power s0, the part of s prime to the characteristic."""
+        """check_enumeration, and the caps on the cells and the coefficient
+        updates of dividing L_d^s0 by a^s0 for every monic a of degree d,
+        s0 the part of s prime to the characteristic."""
         self.check_enumeration(q, d)
-        deg = carlitz_l_degree(q, d)
-        cells = q ** d * deg
-        if cells > self.MAX_DIVISION_CELLS:
-            raise PrecisionTooExpensive(
-                f"dividing L_{d} (degree {deg}) by the q^d = {q}^{d} monic polynomials "
-                f"takes {cells} cells, above the cap {self.MAX_DIVISION_CELLS}; "
-                f"lower d")
         p = next(k for k in range(2, q + 1) if q % k == 0)
-        e = 1
-        while p ** e < q:
-            e += 1
         while s % p == 0:
             s //= p
-        cells = q ** d * _power_cells(deg - d + 1, s) * e * e
-        if cells > self.MAX_POWER_CELLS:
+        deg = carlitz_l_degree(q, d)
+        cells = q ** d * s * deg
+        what = (f"L_{d} (degree {deg}) by the" if s == 1 else
+                f"L_{d}^{s} (degree {s * deg}) by the power {s} of the")
+        if cells > self.MAX_DIVISION_CELLS:
             raise PrecisionTooExpensive(
-                f"raising the q^d = {q}^{d} quotients of L_{d} to the power {s} takes "
-                f"{cells} cells, above the cap {self.MAX_POWER_CELLS}; lower d or s")
+                f"dividing {what} q^d = {q}^{d} monic polynomials takes {cells} cells, "
+                f"above the cap {self.MAX_DIVISION_CELLS}; lower d{'' if s == 1 else ' or s'}")
+        if cells * s * d > self.MAX_DIVISION_UPDATES:
+            raise PrecisionTooExpensive(
+                f"dividing {what} q^d = {q}^{d} monic polynomials takes {cells} cells "
+                f"of width {s * d}, {cells * s * d} coefficient updates, above the cap "
+                f"{self.MAX_DIVISION_UPDATES}; lower d or s")
 
 
 class Evaluator:
@@ -201,8 +194,10 @@ class Evaluator:
         if m <= 0:
             out = LaurentSeries.zero(self.field, prec)
         else:
-            coeffs = self.field.vec.brute_power_sum(d, s, m)
-            out = LaurentSeries._make(self.field, -s * d, coeffs, prec)
+            # T^(m + sd - 1) // a^s holds the first m coefficients of
+            # T^(sd) a^(-s), highest first
+            codes, _ = self.field.vec.monic_quotient_sum([0] * (m + s * d - 1) + [1], d, s)
+            out = LaurentSeries._make(self.field, -s * d, codes[::-1], prec)
         self._power_sums[key] = out
         return out
 
@@ -226,8 +221,8 @@ class Evaluator:
             k += 1
         num = self._numerators.get((d, s0))
         if num is None:
-            codes = self.field.vec.monic_quotient_power_sum(self.L(d).c, d, s0)
-            if codes is None:
+            codes, rem = self.field.vec.monic_quotient_sum(self.L(d).power(s0).c, d, s0)
+            if rem:
                 raise InvalidInput("internal: L_d must be divisible by every monic a")
             num = Poly._make(self.field, tuple(codes))
             self._numerators[(d, s0)] = num
@@ -239,12 +234,12 @@ class Evaluator:
         Verified as an identity of rational functions with every power
         sum brute-forced; the three pieces are combined over the common
         denominator L_{d+1}^q so the test is a polynomial zero test.  The
-        budget is checked on level d + 1, the largest division, and on the
-        (q - 1)-th powers of level d before any power sum is computed.
+        budget is checked on level d + 1 before any power sum is computed:
+        where its q^(d+1) deg L_(d+1) cells fit, so do the (q - 1) q^d deg L_d
+        cells of width (q - 1) d of the largest division at level d.
         """
         q = self.q
         self.budget.check_division(q, d + 1)
-        self.budget.check_division(q, d, q - 1)
         lhs = self._power_sum_numerator(d, q) * (carlitz_bracket(self.field, d + 1).power(q))
         b = self._power_sum_numerator(d + 1, 1)
         acc = None

@@ -391,13 +391,6 @@ class Reducer:
         """The one-step image of a, in T."""
         return self._public(self._rewrite(family, a))
 
-    def _step(self, family, a: Index) -> IndexPoly:
-        """The one-step image the normal forms recurse over: the Y-form rule,
-        or a rule set on the instance as _u_image, which then drives the
-        rewriting along the graph it gives."""
-        rule = vars(self).get("_u_image")
-        return self._rewrite(family, a) if rule is None else rule(family, a)
-
     def _rewrite(self, family, a: Index) -> IndexPoly:
         """The one-step image of a, in Y."""
         if a.is_thakur(self.q):
@@ -431,7 +424,7 @@ class Reducer:
                     raise ReductionDiverged(
                         f"rewriting {path[0]} needs more than {cap} levels", trail=path)
                 out, height = {}, 0
-                for b, c in self._step(family, a).terms.items():
+                for b, c in self._rewrite(family, a).terms.items():
                     nf, h = self._normal_form(family, b, cap, path)
                     _accumulate(out, nf.terms, c)
                     height = max(height, h)

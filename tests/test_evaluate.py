@@ -140,47 +140,30 @@ def test_power_sum_coincides_with_carlitz_inverse(q):
 
 
 def test_power_sum_series_matches_exact(ctx2, ctx3):
+    """Both sides run one kernel, so each is also held to the fraction-sum oracle."""
     for F in (ctx2.field, ctx3.field, field(4), field(8), field(9)):
         E = Evaluator(F)
         for d in range(3):
             for s in range(1, 6):
+                exact = E.power_sum_exact(d, s)
+                assert exact == power_sum_oracle(F, d, s), (F.q, d, s)
                 series = E.power_sum(d, s, 30)
-                assert series == rat_to_laurent(E.power_sum_exact(d, s), 30), (F.q, d, s)
+                assert series == rat_to_laurent(exact, 30), (F.q, d, s)
 
 
-def rows_mul_reference(vec, A, B, M):
-    """The nested-loop row product: one step per (column, shift, digit pair)."""
-    rows = A.shape[0]
-    e = vec.e
-    acc = np.zeros((rows, M, 2 * e - 1), dtype=np.int64)
-    la, lb = A.shape[1], B.shape[1]
-    for k in range(M):
-        lo = max(0, k - lb + 1)
-        hi = min(k, la - 1)
-        for i in range(lo, hi + 1):
-            for x in range(e):
-                for y in range(e):
-                    acc[:, k, x + y] += A[:, i, x] * B[:, k - i, y]
-    return vec._reduce_uplanes(acc)
-
-
-@pytest.mark.parametrize("q", [2, 3, 5, 4, 9, 8])
-def test_rows_mul_matches_nested_loops(q):
-    vec = field(q).vec
-    rng = random.Random(q)
-    for _ in range(12):
-        rows, la, lb = rng.randint(1, 5), rng.randint(1, 7), rng.randint(1, 7)
-        M = rng.randint(1, la + lb + 1)
-        A, B = (np.array([[[rng.randrange(vec.p) for _ in range(vec.e)] for _ in range(n)]
-                          for _ in range(rows)], dtype=np.int64) for n in (la, lb))
-        # zero digit planes and zero columns take the skipping branch
-        if rng.random() < 0.5:
-            A[:, rng.randrange(la), :] = 0
-        if vec.e > 1 and rng.random() < 0.5:
-            A[:, :, rng.randrange(vec.e)] = 0
-        got = vec._rows_mul(A, B, M)
-        assert got.shape == (rows, M, vec.e)
-        assert np.array_equal(got, rows_mul_reference(vec, A, B, M))
+@pytest.mark.parametrize("q, s", [(9, 28), (8, 16)])
+def test_level_series_at_high_precision_match_exact(q, s):
+    """zeta (s) at N = 1000 keeps levels 1 and 2, where the order bound
+    (1 + sigma_q(s - 1)) deg L_d is 360 (q=9) and 648 (q=8); their series
+    are the exact power sums expanded to N."""
+    N = 1000
+    E = Evaluator(field(q))
+    cut = E._level_cutoff(ValueFamily.ZETA, Index((s,)), N)
+    assert cut == 2
+    for d in range(1, cut + 1):
+        got = E._level_series("zeta", s, d, N)
+        assert got == rat_to_laurent(E.power_sum_exact(d, s), N), d
+        assert got.prec == N and (d > 1 or not got.is_zero_to_prec), d
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -195,6 +178,39 @@ def test_divide_rows_matches_divmod(q):
             want_q, want_r = num.divmod(a)
             assert F.poly([F.from_index(int(c)) for c in quo[row]]) == want_q, (d, row)
             assert F.poly([F.from_index(int(c)) for c in rem[row]]) == want_r, (d, row)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_monic_quotient_sum_matches_divmod(q):
+    """The kernel is the sum of num // a^s over the monic a, by Poly.divmod;
+    its remainder flag is exact when num is longer than 2 s d, and a shorter
+    num (the series' case, where a^s is cut) still gives every quotient."""
+    F = field(q)
+    rng = random.Random(q)
+    for d in range(4 if q <= 3 else 3):
+        for s in range(1, 4):
+            for n in sorted({s * d + 1, s * d + 3, 2 * s * d + 2, 2 * s * d + 5}):
+                num = F.poly([F.from_index(rng.randrange(q)) for _ in range(n - 1)] + [F.one])
+                want, rem = F.poly([]), False
+                for a in all_monic(F, d):
+                    quo, r = num.divmod(a ** s)
+                    want, rem = want + quo, rem or not r.is_zero
+                codes, got_rem = F.vec.monic_quotient_sum(list(num.c), d, s)
+                assert F.poly([F.from_index(c) for c in codes]) == want, (d, s, n)
+                if n > 2 * s * d:
+                    assert got_rem == rem, (d, s, n)
+
+
+def test_series_below_twice_the_divisor_degree_match_exact():
+    """M = prec - s d + 1 <= s d cuts a^s to its top M coefficients."""
+    for q in (2, 3, 4):
+        E = Evaluator(field(q))
+        for d in (1, 2):
+            for s in range(q + 1, 2 * q + 2):
+                exact = E.power_sum_exact(d, s)
+                for prec in (s * d, s * d + 1, 2 * s * d - 1):
+                    got = E.power_sum(d, s, prec)
+                    assert got == rat_to_laurent(exact, prec), (q, d, s, prec)
 
 
 def test_exact_numerators_in_row_blocks(monkeypatch):
@@ -259,8 +275,8 @@ def digit_sum(n, q):
 
 
 # the largest level d brute-forced per q by the order-bound tests, and the
-# largest order checked: it keeps the digit-plane brute force at q = 8, 9
-# (0.5-8 s per S_2(s) past it) to a few seconds
+# largest order checked: past these levels only (q, d) = (2, 7), (4, 3) and
+# (5, 3) have an order bound <= 300
 BOUND_LEVELS = {2: 6, 3: 4, 4: 2, 5: 2, 7: 2, 8: 2, 9: 2}
 MAX_CHECKED_ORDER = 300
 
@@ -536,18 +552,43 @@ def test_dagger_harmonic_product(ctx2, ctx3):
 
 
 def test_exact_power_sums_bound_the_row_powers():
-    """For s0 > 1 the budget counts the powers of the q^d quotients as well."""
+    """For s0 > 1 the cells count the s0 deg L_d digits of each quotient and
+    the updates the s0 d coefficients of a^s0 under each cell:
+    (q, d, s) = (8, 3, 7), (9, 3, 8) and (8, 3, 14) fit both caps and
+    compute, and triples whose s0 = 1 sum fits are refused at their s0
+    before any numerator is built."""
     import time
     for q, d, s in ((8, 3, 7), (9, 3, 8), (8, 3, 14)):
-        E = Evaluator(field(q))
-        t0 = time.perf_counter()
-        with pytest.raises(PrecisionTooExpensive, match="quotients of L_3 to the power"):
-            E.power_sum_exact(d, s)
-        assert time.perf_counter() - t0 < 0.5 and not E._numerators
-    # the fundamental identity uses s0 = q - 1 = 2 at level d and s0 = 1 at d + 1
+        F = field(q)
+        # s <= q has numerator 1; 14 = 2 * 7 at q = 8 is its Frobenius
+        assert Evaluator(F).power_sum_exact(d, s) == RatFunc(F.poly([1]), carlitz_l(F, d) ** s)
+    E = Evaluator(field(7))
+    E.budget.check_division(7, 4)  # 7^4 * 2800 cells
+    t0 = time.perf_counter()
+    with pytest.raises(PrecisionTooExpensive, match="20168400 cells"):
+        E.power_sum_exact(4, 3)
+    assert time.perf_counter() - t0 < 0.5 and not E._numerators
+    # a wide divisor at few rows: 4 * 100001^2 updates, though 400 004 cells
+    E = Evaluator(field(2))
+    t0 = time.perf_counter()
+    with pytest.raises(PrecisionTooExpensive, match="40000800004 coefficient updates"):
+        E.power_sum_exact(1, 100001)
+    assert time.perf_counter() - t0 < 0.5 and not E._numerators
     budget = EvalBudget()
-    for d in range(6):
-        budget.check_division(3, d, 2)
-        budget.check_division(3, d + 1)
+    budget.check_division(2, 1, 5791)
+    with pytest.raises(PrecisionTooExpensive, match="coefficient updates"):
+        budget.check_division(2, 1, 5793)
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32):
+        d = 0
+        while q ** (d + 1) <= budget.max_bruteforce:
+            try:
+                budget.check_division(q, d + 1)
+            except PrecisionTooExpensive as exc:
+                # s0 = 1 is refused by its cells alone, as before the updates cap
+                assert "cells, above" in str(exc), (q, d)
+                break
+            # the fundamental identity: s0 = q - 1 at level d fits where d + 1 does
+            budget.check_division(q, d, q - 1)
+            d += 1
     budget.check_division(7, 3, 6)
     assert Evaluator(field(9)).power_sum_exact(2, 8) == power_sum_oracle(field(9), 2, 8)

@@ -143,7 +143,7 @@ def test_rewriting_cycle_raises_with_the_cycle(monkeypatch):
     A = R.algebra
     a, b, c = Index((3,)), Index((1, 2)), Index((4,))
     rule = {c: A.mono(a), a: A.mono(b) + A.mono((1, 1)), b: A.mono(a)}
-    monkeypatch.setattr(R, "_u_image", lambda family, x: rule[x])
+    monkeypatch.setattr(R, "_rewrite", lambda family, x: rule[x])
     with pytest.raises(ReductionDiverged) as err:
         R.reduce_to_T("li", A.mono(c))
     assert err.value.trail == (a, b)
@@ -153,7 +153,7 @@ def test_unbounded_rewriting_raises(monkeypatch):
     """A chain deeper than the recursion limit is a ReductionDiverged, not a crash."""
     R = Reducer(IndexAlgebra(field(2)))
     A = R.algebra
-    monkeypatch.setattr(R, "_u_image", lambda family, x: A.mono((x[0] + 1,)))
+    monkeypatch.setattr(R, "_rewrite", lambda family, x: A.mono((x[0] + 1,)))
     with pytest.raises(ReductionDiverged) as err:
         R.reduce_to_T("li", A.mono((3,)))
     assert err.value.trail == (Index((3,)),)
