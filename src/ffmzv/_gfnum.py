@@ -2,11 +2,10 @@
 
 Internal module.  Field elements are encoded as integers 0..q-1 (base-p
 digit encoding of the residue class modulo the field modulus); arrays of
-such codes are manipulated with numpy.  For prime fields the code equals
-the residue and convolutions reduce mod p directly; for extension fields
-arrays are split into base-p digit planes, convolved plane by plane, and
-re-reduced with a precomputed reduction matrix for powers of the
-generator u.
+such codes are manipulated with numpy through the q x q addition and
+multiplication tables.  For prime fields the code equals the residue, so
+sums and products reduce mod p directly.  Polynomial products are not
+here: they go through ``algebra._mul_codes``.
 
 Every brute-force power sum over the monic polynomials of degree d goes
 through one kernel, ``monic_quotient_sum``: a synthetic division of one
@@ -46,59 +45,6 @@ class GFVec:
                 v //= p
         self.dig_t = dig
         self.pow_p = np.array([p ** i for i in range(e)], dtype=np.int64)
-        # red[t] = digit vector of u^t reduced mod the field modulus, t < 2e-1
-        red = np.zeros((2 * e - 1, e), dtype=np.int64)
-        for t in range(2 * e - 1):
-            red[t] = dig[spec.upower_idx(t)]
-        self.red_t = red
-
-    # -- encoding ---------------------------------------------------------
-
-    def decode(self, arr):
-        """Code array -> digit planes, shape arr.shape + (e,)."""
-        return self.dig_t[arr]
-
-    def encode(self, planes):
-        """Digit planes (mod p already) -> code array."""
-        return planes @ self.pow_p
-
-    # -- elementwise ------------------------------------------------------
-
-    def add(self, a, b):
-        return self.add_t[a, b]
-
-    def scale(self, c, arr):
-        return self.mul_t[c, arr]
-
-    # -- convolution ------------------------------------------------------
-
-    def _reduce_uplanes(self, planes):
-        """Fold digit planes of u^t for t >= e back into the first e planes."""
-        e = self.e
-        if planes.shape[-1] <= e:
-            return planes % self.p
-        out = planes[..., :e].astype(np.int64)
-        for t in range(e, planes.shape[-1]):
-            out += planes[..., t:t + 1] * self.red_t[t]
-        return out % self.p
-
-    def conv(self, a, b):
-        """Full 1-D convolution of two code arrays (polynomial product)."""
-        if len(a) == 0 or len(b) == 0:
-            return np.zeros(0, dtype=np.int64)
-        if self.e == 1:
-            return np.convolve(a, b) % self.p
-        pa, pb = self.decode(a), self.decode(b)
-        n = len(a) + len(b) - 1
-        acc = np.zeros((n, 2 * self.e - 1), dtype=np.int64)
-        for i in range(self.e):
-            if not pa[:, i].any():
-                continue
-            for j in range(self.e):
-                if not pb[:, j].any():
-                    continue
-                acc[:, i + j] += np.convolve(pa[:, i], pb[:, j])
-        return self.encode(self._reduce_uplanes(acc))
 
     # -- power sums over the monic polynomials ----------------------------
 
@@ -149,7 +95,7 @@ class GFVec:
                 total = total + counts @ self.dig_t[1:]
         total %= self.p
         if self.e > 1:
-            total = self.encode(total)
+            total = total @ self.pow_p
         return [int(c) for c in total], rem
 
     def _rows_power(self, rows, s, keep):

@@ -123,5 +123,5 @@ def _combination_vanishes(spec, polys, vals) -> bool:
                 top = high - v.lead - t
                 n = min(len(vc), len(acc) - top)
                 if n > 0:
-                    acc[top:top + n] = vec.add(acc[top:top + n], vec.scale(c, vc[:n]))
+                    acc[top:top + n] = vec.add_t[acc[top:top + n], vec.mul_t[c, vc[:n]]]
     return not acc.any()

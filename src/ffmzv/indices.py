@@ -284,15 +284,7 @@ class IndexPoly:
             return NotImplemented
         self._check(other)
         out = dict(self.terms)
-        for s, c in other.terms.items():
-            if s in out:
-                v = out[s] + c
-                if v.is_zero:
-                    del out[s]
-                else:
-                    out[s] = v
-            else:
-                out[s] = c
+        _accumulate(out, other.terms)
         return IndexPoly._of(self.field, out)
 
     def __neg__(self):

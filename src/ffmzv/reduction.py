@@ -294,10 +294,24 @@ class IotaMatrix:
         return out
 
     def squared_is_identity(self) -> bool:
-        zero, one = RatFunc.of(0, self.field), RatFunc.of(1, self.field)
-        for j in range(self.dim):
-            unit = [one if i == j else zero for i in range(self.dim)]
-            if self.apply([row[j] for row in self.rows]) != unit:
+        """Whether iota^2 is the identity, as one polynomial identity: with D
+        the monic lcm of the entries' denominators and N = D iota over the
+        polynomials, whether N N = D^2 I.  No fraction is formed."""
+        D = self.field.poly([1])
+        dens = {c.den for row in self.rows for c in row}
+        for den in dens:
+            D = _lcm(D, den)
+        cofactor = {den: D // den for den in dens}
+        N = [[c.num * cofactor[c.den] for c in row] for row in self.rows]
+        zero, D2 = self.field.poly([]), D * D
+        for i, row in enumerate(N):
+            acc = [zero] * self.dim
+            for k, nik in enumerate(row):
+                if nik.c:
+                    for j, nkj in enumerate(N[k]):
+                        if nkj.c:
+                            acc[j] = acc[j] + nik * nkj
+            if any(v != (D2 if j == i else zero) for j, v in enumerate(acc)):
                 return False
         return True
 

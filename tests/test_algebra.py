@@ -87,7 +87,7 @@ def test_poly_big_multiplication_matches_schoolbook():
         F = field(q)
         a = F.poly([F.from_index(rng.randrange(q)) for _ in range(150)])
         b = F.poly([F.from_index(rng.randrange(q)) for _ in range(130)])
-        big = a * b  # routed through the convolution kernel
+        big = a * b
         small = F.poly([0])
         for k, c in enumerate(a.coeffs):
             small = small + (b * c).shift(k)
@@ -111,31 +111,54 @@ def _schoolbook_codes(spec, a, b, n=None):
     return out
 
 
-@pytest.mark.parametrize("q", [2, 3, 5, 7, 257])
+def _prime_of(q):
+    return next(d for d in range(2, q + 1) if q % d == 0)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 257, 4, 8, 9])
 def test_mul_codes_matches_schoolbook(q):
     """Random operands of lengths 1..300, whole and cut to n coefficients;
     the lengths cross the 8/16-bit slot boundary at p = 3, 5, 7 and put
-    p = 257 in 32-bit slots from length 2 on."""
-    F = field(q)
+    p = 257 in 32-bit slots from length 2 on.  At q = 4, 8, 9, on a fresh
+    field, the operands are F_p-coded (codes below p), genuine F_q-coded,
+    or F_p-coded with one genuine code, in either order; the lengths cross
+    the short length of the table loop and the 8/16-bit slot boundary."""
+    p = _prime_of(q)
+    F = field(q) if p == q else FieldSpec(p, round(math.log(q, p)))
     rng = random.Random(q)
-    lengths = [1, 2, 3, 5, 8, 16, 17, 40, 63, 64, 65, 100, 255, 256, 300]
+    if p == q:
+        lengths = [1, 2, 3, 5, 8, 16, 17, 40, 63, 64, 65, 100, 255, 256, 300]
+        kinds = [(q, q)]
+    else:
+        lengths = [1, 2, 3, 4, 5, 6, 9, 17, 63, 64, 65, 100, 255, 256, 300]
+        kinds = [(p, p), (q, q), (p, q), (q, p), ("mixed", p), (p, "mixed")]
+
+    def operand(kind, length):
+        if kind != "mixed":
+            return tuple(rng.randrange(kind) for _ in range(length))
+        out = [rng.randrange(p) for _ in range(length)]
+        out[rng.randrange(length)] = rng.randrange(p, q)
+        return tuple(out)
+
     for la in lengths:
         for lb in rng.sample(lengths, 4):
-            a = tuple(rng.randrange(q) for _ in range(la))
-            b = tuple(rng.randrange(q) for _ in range(lb))
-            for n in (None, 1, la, rng.randint(1, la + lb)):
-                assert _mul_codes(F, a, b, n) == _schoolbook_codes(F, a, b, n)
+            for ka, kb in kinds:
+                a, b = operand(ka, la), operand(kb, lb)
+                for n in (None, 1, la, rng.randint(1, la + lb)):
+                    assert _mul_codes(F, a, b, n) == _schoolbook_codes(F, a, b, n)
     assert _mul_codes(F, (), (1, 2), None) == [] and _mul_codes(F, (1,), (1,), 0) == []
 
 
-@pytest.mark.parametrize("p, short", [(2, 255), (2, 256), (3, 63), (3, 64), (17, 255),
+@pytest.mark.parametrize("q, short", [(2, 255), (2, 256), (3, 63), (3, 64), (17, 255),
                                       (17, 256), (2, 65535), (2, 65536), (257, 65535),
-                                      (257, 65536)])
-def test_mul_codes_slot_boundaries(p, short):
+                                      (257, 65536), (4, 255), (4, 256), (9, 63), (9, 64)])
+def test_mul_codes_slot_boundaries(q, short):
     """Operands of all p-1 fill the middle slot up to the bound
     short·(p-1)^2 on which the slot width is chosen: just below or at
-    2^8, 2^16 and 2^32.  A slot one bit too narrow overflows there."""
-    F = field(p)
+    2^8, 2^16 and 2^32.  A slot one bit too narrow overflows there.  At
+    q = 4 and 9 the codes p-1 are F_p-coded, so they take the same slots."""
+    p = _prime_of(q)
+    F = field(q)
     c = p - 1
 
     def product(la, lb, n):
@@ -153,8 +176,8 @@ def test_mul_codes_slot_boundaries(p, short):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_poly_ring_laws(q):
     """Lengths 0..260 reach the product paths: a scalar row, Kronecker slots
-    over F_p, and the table loop and ``conv`` over F_q, q = p^e."""
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    over F_p, and the table loop over F_q, q = p^e."""
+    p = _prime_of(q)
     F = FieldSpec(p, round(math.log(q, p)))  # a fresh field, not the shared field(q)
     rng = random.Random(q)
     zero, one = F.poly([]), F.poly([1])

@@ -7,7 +7,9 @@ import pytest
 from ffmzv import (EMPTY, Evaluator, Index, IndexAlgebra, IndexPoly, InvalidInput,
                    ProductKind, RatFunc, Reducer, ReductionDiverged, carlitz_bracket,
                    compositions, field, thakur_indices)
-from ffmzv.reduction import BasisVector, QuotientSpace, _echelon, _phi, _phi_poly
+from ffmzv.evaluate import ValueFamily
+from ffmzv.reduction import (BasisVector, IotaMatrix, QuotientSpace, _echelon, _phi,
+                             _phi_poly)
 from test_indices import CopyAndAdd, same_terms
 
 
@@ -159,6 +161,17 @@ def test_unbounded_rewriting_raises(monkeypatch):
     assert err.value.trail == (Index((3,)),)
 
 
+def order_floor(E, fam, s):
+    """The order bound at the lowest levels, sum_i max(f(s_i) deg L_{r-i},
+    s_i (r - i)): a lower bound on the order of the value of s, since the
+    levels of a plain family strictly descend to 0 and each level's bound
+    grows with the level.  A comparison at this bound plus a precision
+    reaches that many coefficients past the lowest order the value can
+    have."""
+    side, r = ValueFamily.parse(fam).side, len(s)
+    return sum(E._order_bound(side, si, r - i) for i, si in enumerate(s, 1))
+
+
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
 def test_rewriting_other_fields(q):
     """Generators reduce to zero and normal forms keep values, beyond q in {2, 3}."""
@@ -171,8 +184,11 @@ def test_rewriting_other_fields(q):
         for s in ((q,), (q + 1,), (1, q), (q, 1)):
             red = R.reduce_to_T(fam, A.mono(s))
             assert all(a.is_thakur(q) for a in red.terms)
-            diff = E.eval_value(fam, red, 30) - E.eval_value(fam, Index(s), 30)
-            assert diff.is_zero_to_prec and diff.prec == 30, (fam, s, diff.prec)
+            prec = order_floor(E, fam, s) + 30
+            value = E.eval_value(fam, Index(s), prec)
+            assert not value.is_zero_to_prec, (fam, s, prec)
+            diff = E.eval_value(fam, red, prec) - value
+            assert diff.is_zero_to_prec and diff.prec == prec, (fam, s, diff.prec)
 
 
 def test_value_preservation(ctx2, ctx3):
@@ -184,7 +200,10 @@ def test_value_preservation(ctx2, ctx3):
             s = rng.choice(pool)
             for fam in ("li", "zeta"):
                 red = R.reduce_to_T(fam, A.mono(s))
-                assert E.eval_value(fam, red, 40) == E.eval_value(fam, s, 40), (fam, s)
+                prec = order_floor(E, fam, s) + 40
+                value = E.eval_value(fam, s, prec)
+                assert not value.is_zero_to_prec, (fam, s, prec)
+                assert E.eval_value(fam, red, prec) == value, (fam, s)
 
 
 def test_reduce_li_3_at_q2_numeric_oracle(ctx2):
@@ -505,6 +524,39 @@ def test_check_theorem_weight_8_q2(ctx2):
 
 def test_iota_involution_weight_7_q3(ctx3):
     assert ctx3.reducer.iota_matrix(7).squared_is_identity()
+
+
+def _squared_is_identity_by_apply(m):
+    """The reference check: iota applied to each column of iota is that
+    column's unit vector, in RatFunc arithmetic."""
+    zero, one = RatFunc.of(0, m.field), RatFunc.of(1, m.field)
+    return all(m.apply([row[j] for row in m.rows])
+               == [one if i == j else zero for i in range(m.dim)] for j in range(m.dim))
+
+
+@pytest.mark.parametrize("q, wmax", [(2, 7), (3, 6), (4, 6), (9, 4)])
+def test_iota_square_matches_the_apply_reference(q, wmax):
+    """The identity N N = D^2 I gives the reference's verdict on the Y-form
+    and the public matrices, and on each of them with one entry changed
+    by c, T or 1/(T+1).  A changed diagonal entry must fail: entry (i, i)
+    of the square becomes 1 + 2 c iota_ii + c^2, which is 1 only if
+    iota_ii = -c/2.  An off-diagonal one can keep an involution, and
+    where iota_ji = 0 it leaves the diagonal of the square unchanged."""
+    F = field(q)
+    R = Reducer(IndexAlgebra(F))
+    changes = (RatFunc.of(F.T), RatFunc(F.poly([1]), F.poly([1, 1])))
+    for w in range(wmax + 1):
+        for m in (R._iota(w), R.iota_matrix(w)):
+            assert m.squared_is_identity() and _squared_is_identity_by_apply(m), w
+            ends = {0, m.dim - 1} if m.dim else set()
+            for i, j in ((i, j) for i in ends for j in ends):
+                for c in changes:
+                    rows = [list(row) for row in m.rows]
+                    rows[i][j] = rows[i][j] + c
+                    bad = IotaMatrix(m.weight, m.basis, rows, m.field)
+                    verdict = bad.squared_is_identity()
+                    assert verdict == _squared_is_identity_by_apply(bad), (w, i, j, c)
+                    assert not (verdict and i == j), (w, i, c)
 
 
 # -- the accumulator against the copy-and-add sums it replaced ---------------------
