@@ -1,0 +1,255 @@
+"""Vectors over F_p[Y] on a Thakur basis, each packed into one Python int.
+
+Every coefficient the Reducer's checkers sum lies in F_p[Y]: gen_A, the
+products and the dagger expansions have F_p coefficients apart from the
+powers of -Y, and F_p[Y] is closed under the rewriting's sums.  So a vector
+on the Thakur indices of one weight, a normal form or a reduction sum, is
+one int: coordinate t is a run of ``slots`` slots of ``width`` bits holding
+its F_p codes lowest degree first.  This is the Kronecker substitution of
+``algebra._mul_codes`` lifted from one polynomial to a vector: c * v is
+one big-int product and a sum of terms is a sum of ints.
+
+Slot k of coordinate t of c * v is sum_{i+j=k} c_i v_tj, at most
+min(len c, deg v + 1) products of codes below p.  The slot width, the
+narrowest of 8, 16, 32 or 64 bits, holds the sum of (p-1)^2
+min(len c, deg v + 1) over the terms, and the slot count exceeds
+deg c + deg v for every term, so no slot carries into the next and no
+coordinate runs into the next: one ``to_bytes``, one numpy ``% p`` and one
+``from_bytes`` per finished vector give the exact sum over F_p.  Packing a
+coefficient with a denominator or a code >= p raises; it never wraps.
+Each weight has one layout, which grows (the slot count at least doubling)
+when a sum needs more; a memoised vector is repacked to it when next used.
+
+A ``Projection`` packs the class map of a quotient the same way, one row
+per Thakur coordinate, so a class is one sum of big-int products.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ._linalg import _lcm
+from .algebra import Poly, RatFunc
+from .errors import InvalidInput
+from .indices import IndexPoly, thakur_indices
+
+# little-endian dtypes of the 8-, 16-, 32- and 64-bit slots
+_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
+
+
+def slot_width(bound: int) -> int:
+    """The narrowest slot, of 8, 16, 32 or 64 bits, that holds bound."""
+    for width in _DTYPES:
+        if bound < 1 << width:
+            return width
+    raise InvalidInput(f"packed slot sums up to {bound} need more than 64 bits")
+
+
+def _slot_array(x: int, rows: int, slots: int, width: int):
+    """The slots of a packed int as a read-only (rows, slots) array."""
+    return np.frombuffer(x.to_bytes(rows * slots * width // 8, "little"),
+                         _DTYPES[width]).reshape(rows, slots)
+
+
+def _array_int(arr) -> int:
+    """The packed int of a slot array."""
+    return int.from_bytes(arr.tobytes(), "little")
+
+
+def fp_codes(c: RatFunc, p: int) -> tuple:
+    """The codes of a nonzero coefficient in F_p[Y], lowest degree first; a
+    denominator or a code >= p (outside the prime subfield) raises."""
+    codes = c.num.c
+    if c.den.c != (1,) or max(codes) >= p:
+        raise InvalidInput(f"coefficient {c} lies outside F_p[Y]")
+    return codes
+
+
+class Packed:
+    """A vector over F_p[Y] on the Thakur indices of one weight, as one int.
+
+    Coordinate t, the t-th index of thakur_indices(q, weight), is the run of
+    slots t*slots .. (t+1)*slots - 1, each width bits, holding its codes
+    lowest degree first, every one below p.  degree is the largest degree of
+    a coordinate, -1 for the zero vector (whose weight may be None).
+    """
+
+    __slots__ = ("weight", "x", "slots", "width", "degree")
+
+    def __init__(self, weight, x: int, slots: int, width: int, degree: int):
+        self.weight = weight
+        self.x = x
+        self.slots = slots
+        self.width = width
+        self.degree = degree
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.x
+
+
+class Layouts:
+    """The packed layout of every weight over one GF(q), and the sums in it."""
+
+    def __init__(self, field, q: int):
+        self.field = field
+        self.p = field.p
+        self.q = q
+        self._bases = {}
+        self._layouts = {}
+        self._scalars = {}
+
+    def basis(self, w: int):
+        """(Thakur indices of weight w, their positions)."""
+        hit = self._bases.get(w)
+        if hit is None:
+            basis = thakur_indices(self.q, w)
+            hit = self._bases[w] = (basis, {s: t for t, s in enumerate(basis)})
+        return hit
+
+    def layout(self, w: int, slots: int = 1, width: int = 8):
+        """The (slots, width) of weight w, grown to hold at least the given
+        ones.  A growing slot count at least doubles, so a memoised vector is
+        repacked O(log degree) times."""
+        old = self._layouts.get(w)
+        if old is not None:
+            slots = old[0] if slots <= old[0] else max(slots, 2 * old[0])
+            width = max(width, old[1])
+        self._layouts[w] = (slots, width)
+        return slots, width
+
+    def unit(self, s) -> Packed:
+        """The basis vector of a Thakur index."""
+        slots, width = self.layout(s.weight)
+        pos = self.basis(s.weight)[1][s]
+        return Packed(s.weight, 1 << width * slots * pos, slots, width, 0)
+
+    def _fitted(self, memo: dict, key) -> Packed:
+        """memo[key][0] in the current layout of its weight; a repacked
+        vector is stored back in place of the old one."""
+        v, *rest = memo[key]
+        slots, width = self._layouts[v.weight]
+        if v.slots != slots or v.width != width:
+            out = np.zeros((len(self.basis(v.weight)[0]), slots), _DTYPES[width])
+            out[:, :v.slots] = _slot_array(v.x, len(out), v.slots, v.width)
+            v = Packed(v.weight, _array_int(out), slots, width, v.degree)
+            memo[key] = (v, *rest)
+        return v
+
+    def _scalar(self, codes: tuple, width: int) -> int:
+        """A coefficient's codes packed into width-bit slots, memoised."""
+        key = (codes, width)
+        x = self._scalars.get(key)
+        if x is None:
+            x = self._scalars[key] = _array_int(np.array(codes, _DTYPES[width]))
+        return x
+
+    def combine(self, w, terms, memo: dict) -> Packed:
+        """The reduced sum of c * memo[key][0] over the (codes of c, key)
+        pairs, all of weight w, in a layout sized as the module docstring
+        says: slots > deg c + deg v, and a width that holds the sum over the
+        terms of (p-1)^2 min(len c, deg v + 1)."""
+        live = [(c, key, memo[key][0].degree) for c, key in terms]
+        live = [t for t in live if t[2] >= 0]
+        if not live:
+            return Packed(w, 0, 1, 8, -1)
+        p = self.p
+        bound = (p - 1) ** 2 * sum(min(len(c), d + 1) for c, _, d in live)
+        slots, width = self.layout(w, max(len(c) + d for c, _, d in live), slot_width(bound))
+        scalar, fitted = self._scalar, self._fitted
+        x = 0
+        for c, key, _ in live:
+            x += scalar(c, width) * fitted(memo, key).x
+        arr = _slot_array(x, len(self.basis(w)[0]), slots, width) % p
+        cols = np.flatnonzero(arr.any(axis=0))
+        return Packed(w, _array_int(arr), slots, width, int(cols[-1]) if len(cols) else -1)
+
+    def unpack(self, v: Packed) -> IndexPoly:
+        """The IndexPoly of a packed vector, in Thakur-basis order."""
+        spec = self.field
+        if v.is_zero:
+            return IndexPoly._of(spec, {})
+        basis = self.basis(v.weight)[0]
+        arr = _slot_array(v.x, len(basis), v.slots, v.width)
+        return IndexPoly._of(spec, {
+            basis[t]: RatFunc._make(Poly._make(spec, tuple(arr[t].tolist())))
+            for t in np.flatnonzero(arr.any(axis=1))})
+
+
+class Projection:
+    """Lambda times the class map of one weight's quotient, as one packed
+    row per Thakur coordinate t over the quotient columns Q.
+
+    With N_i the echelon rows and d_i = N_i[pc_i] their pivot entries, and
+    Lambda the monic lcm of the d_i, row t is Lambda e_t when t is not a
+    pivot column and -(Lambda / d_i) N_i[Q] when it is row i's.  Then
+    sum_t v_t row_t is Lambda times the residual of v on Q: the class of v
+    is zero exactly when that sum is, and is the sum over Lambda.  The rows
+    share one width, which holds every query's slot sums (n coordinates,
+    each entry at most span codes), and are repacked with more slots when a
+    query's degree needs them.
+    """
+
+    def __init__(self, qs):
+        p = qs.field.p
+        lam = qs.field.poly([1])
+        for row, pc in zip(qs.echelon, qs.pivots):
+            lam = _lcm(lam, row[pc].monic())
+        pivots = set(qs.pivots)
+        quotient = [t for t in range(len(qs.basis)) if t not in pivots]
+        rows = [None] * len(qs.basis)
+        for j, t in enumerate(quotient):
+            rows[t] = [lam.c if k == j else () for k in range(len(quotient))]
+        for row, pc in zip(qs.echelon, qs.pivots):
+            f = lam // row[pc]
+            rows[pc] = [(-(f * row[t])).c for t in quotient]
+        if any(max(c) >= p for row in rows for c in row if c):
+            raise InvalidInput("an echelon entry lies outside F_p[Y]")
+        self.weight = qs.weight
+        self.field = qs.field
+        self.lam = lam
+        self.entries = rows
+        self.dim = len(quotient)
+        self.span = max((len(c) for row in rows for c in row), default=1)
+        self.width = slot_width(len(rows) * (p - 1) ** 2 * self.span)
+        self.slots = 0
+        self.rows = []
+
+    def _numerators(self, v: Packed):
+        """The (dim, slots) code array of Lambda * class(v), reduced mod p, or
+        None when v or the quotient is zero."""
+        if v.weight != self.weight and not v.is_zero:
+            raise InvalidInput("weight mismatch")
+        if v.is_zero or not self.dim:
+            return None
+        need = v.degree + self.span
+        if need > self.slots:
+            self.slots = max(need, 2 * self.slots)
+            dtype = _DTYPES[self.width]
+            self.rows = []
+            for entry in self.entries:
+                arr = np.zeros((self.dim, self.slots), dtype)
+                for j, c in enumerate(entry):
+                    arr[j, :len(c)] = c
+                self.rows.append(_array_int(arr))
+        arr = _slot_array(v.x, len(self.entries), v.slots, v.width)[:, :v.degree + 1]
+        if v.width != self.width:
+            arr = arr.astype(_DTYPES[self.width])
+        rows = self.rows
+        y = 0
+        for t in np.flatnonzero(arr.any(axis=1)):
+            y += _array_int(arr[t]) * rows[t]
+        return _slot_array(y, self.dim, self.slots, self.width) % self.field.p
+
+    def kills(self, v: Packed) -> bool:
+        """Whether the class of v is zero."""
+        arr = self._numerators(v)
+        return arr is None or not arr.any()
+
+    def classes(self, v: Packed):
+        """The class of v on the quotient basis, as RatFuncs."""
+        arr = self._numerators(v)
+        if arr is None:
+            return [RatFunc.of(0, self.field)] * self.dim
+        spec, lam = self.field, self.lam
+        return [RatFunc(Poly._make(spec, tuple(row.tolist())), lam) for row in arr]

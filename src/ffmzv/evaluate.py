@@ -114,12 +114,15 @@ class EvalBudget:
     1.7 s.  It never binds at s0 = 1: there cells <= 2^24 leaves d <= 7,
     or d <= 11 and cells <= 2^23 at q = 2, so cells * d stays within 2^27.
 
-    The series power sums are capped by q^d alone.  Their division runs
-    one row per monic a for M = prec - s d + 1 quotient digits over at
-    most min(M, s d) coefficients of a^s; through the level cutoff
-    q^d <= deg L_d <= prec / 2 for the entries s > q that take it, so that
-    is at most prec^3 / 8 coefficient updates.  A direct ``power_sum`` call
-    with a large prec is not bounded.
+    The series power sums divide one row per monic a for M = prec - s d + 1
+    quotient digits over at most min(M, s d) coefficients of a^s, so
+    ``check_series`` caps their q^d M min(M, s d) coefficient updates at the
+    same ``MAX_DIVISION_UPDATES``: ``power_sum(6, 40, 3000)`` at q = 3, 4.8e8
+    updates, ran 8.6 s uncapped.  Through the level cutoff
+    q^d <= deg L_d <= prec / 2 for the entries s > q that take the series, so
+    a value asks for at most prec^3 / 8 updates; at large prec the cap
+    refuses that too: zeta(40) at q = 3 and prec 3000 needs 1.4e8 at d = 5
+    (it ran 3.0 s uncapped).
     """
 
     MAX_DIVISION_CELLS = 1 << 24
@@ -136,6 +139,18 @@ class EvalBudget:
                 f"enumerating q^d = {q}^{d} monic polynomials exceeds the budget "
                 f"{self.max_bruteforce}; lower the precision or use an index with "
                 f"all entries <= q")
+
+    def check_series(self, q: int, d: int, s: int, m: int):
+        """check_enumeration, and the cap on the coefficient updates of the
+        series division: q^d rows of m quotient digits, each over at most
+        min(m, s d) coefficients of a^s."""
+        self.check_enumeration(q, d)
+        updates = q ** d * max(m, 0) * min(m, s * d)
+        if updates > self.MAX_DIVISION_UPDATES:
+            raise PrecisionTooExpensive(
+                f"the series sum of a^-{s} over q^d = {q}^{d} monic polynomials takes "
+                f"{updates} coefficient updates ({m} quotient digits), above the cap "
+                f"{self.MAX_DIVISION_UPDATES}; lower the precision, d or s")
 
     def check_division(self, q: int, d: int, s: int = 1):
         """check_enumeration, and the caps on the cells and the coefficient
@@ -189,8 +204,8 @@ class Evaluator:
         hit = self._power_sums.get(key)
         if hit is not None:
             return hit
-        self.budget.check_enumeration(self.q, d)
         m = prec - s * d + 1
+        self.budget.check_series(self.q, d, s, m)
         if m <= 0:
             out = LaurentSeries.zero(self.field, prec)
         else:

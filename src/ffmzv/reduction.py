@@ -1,20 +1,19 @@
 """Relation generators, rewriting to the Thakur basis, and the involution checks.
 
-For each side ("zeta" with the q-shuffle product, "li" with the
-harmonic product) the generator family gen_A spans all linear
-relations among the values.  The rewriting rule subtracts the
-generator in which a non-Thakur index occurs with unit coefficient;
-its memoised normal form NF(a) expresses any combination in
-coordinates on the Thakur index set.  There, one reduced-echelon
-elimination decides ideal membership, builds the weight-graded quotients
-by the weight-(q-1) zeta value, and solves linear systems; the dagger
-involution becomes an explicit matrix.  The elimination computes the
-reduced row echelon form fraction-free over the polynomial ring: rows
-stay polynomial, each with its pivot entry as its denominator, and a
-residual is one polynomial combination over one common denominator, so
-no gcd runs per entry.  The reduced echelon form and the residual are
-unique, so the results are those of plain Gauss-Jordan over the field
-of fractions.
+For each side ("zeta" with the q-shuffle product, "li" with the harmonic
+product) the generator family gen_A spans all linear relations among the
+values. The rewriting rule subtracts the generator in which a non-Thakur
+index occurs with unit coefficient; its memoised normal form NF(a)
+expresses any combination in coordinates on the Thakur index set. There,
+one reduced-echelon elimination decides ideal membership, builds the
+weight-graded quotients by the weight-(q-1) zeta value, and solves
+linear systems; the dagger involution becomes an explicit matrix. The
+elimination (``_linalg``) computes the reduced row echelon form
+fraction-free over the polynomial ring: rows stay polynomial, each with
+its pivot entry as its denominator, and a residual is one polynomial
+combination over one common denominator, so no gcd runs per entry. The
+reduced echelon form and the residual are unique, so the results are
+those of plain Gauss-Jordan over the field of fractions.
 
 The Reducer computes over F_q(Y), Y = T^q - T.  The only T-dependent
 constant its arithmetic meets is L_1 = T - T^q in gen_A (the Delta carries
@@ -46,6 +45,15 @@ coefficients in T never enter the internal ring: the linear maps scale the
 phi-images per index, and a public QuotientSpace is the phi-image of the
 internal one, so its class_vector, class_is_zero and linear_solve take
 T-form input as before.
+
+Inside the Reducer every vector the checkers sum, a normal form or a
+reduction sum of c * NF(a), has coefficients in F_p[Y] and is one packed
+int, and membership and classes apply one packed class map per weight
+(``_packed``).  Vectors are unpacked only where a result leaves the
+checkers: reduce_to_T applies phi to the unpacked normal forms, and the
+ideal generators enter the Poly elimination unpacked.  The public T-form
+QuotientSpace and linear_solve take any F_q(T) input, fractions and genuine
+F_q codes included, so they keep the residual over the echelon.
 """
 
 from __future__ import annotations
@@ -53,6 +61,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ._linalg import _echelon, _lcm, _residual
+from ._packed import Layouts, Packed, Projection, fp_codes
 from .algebra import Poly, RatFunc, carlitz_bracket
 from .errors import InvalidInput, ReductionDiverged
 from .evaluate import ValueFamily
@@ -70,94 +80,6 @@ def _family(name) -> str:
     if name not in _FAMILIES:
         raise InvalidInput(f"family must be one of {_FAMILIES}, got {name!r}")
     return name
-
-
-def _lcm(a: Poly, b: Poly) -> Poly:
-    """The monic lcm of two monic polynomials."""
-    if a.degree == 0:
-        return b
-    if b.degree == 0:
-        return a
-    g = a.gcd(b)
-    return a * (b // g) if g.degree > 0 else a * b
-
-
-def _clear(vec):
-    """(polynomial numerators, monic common denominator) of a nonempty RatFunc vector."""
-    den = vec[0].den
-    for v in vec[1:]:
-        den = _lcm(den, v.den)
-    if den.degree == 0:
-        return [v.num for v in vec], den
-    return [v.num * (den // v.den) for v in vec], den
-
-
-def _primitive(row):
-    """The polynomial row divided by the monic gcd of its entries, taken
-    lowest degree first, so a row with a constant entry costs no gcd."""
-    entries = sorted((x for x in row if x.c), key=lambda x: len(x.c))
-    if not entries or len(entries[0].c) == 1:
-        return row
-    g = entries[0]
-    for x in entries[1:]:
-        g = g.gcd(x)
-        if g.degree == 0:
-            return row
-    g = g.monic()
-    return [x // g for x in row]
-
-
-def _echelon(rows, ncols: int):
-    """Reduced row echelon form over F_q(X), computed fraction-free over F_q[X]
-    (X is Y inside the Reducer, T in linear_solve).
-
-    Returns (rows, pivots), pivot columns ascending.  Each returned row N is a
-    primitive polynomial row with N[pc] != 0 at its own pivot column pc and 0
-    at every other pivot column, so N / N[pc] is the reduced row.  A column's
-    pivot is its lowest-degree entry, and eliminating f against the pivot d
-    replaces the row R by (d/g)*R - (f/g)*P with g = gcd(d, f), so entries
-    stay polynomials; dividing out the content keeps their degrees down.
-    """
-    rows = [_primitive(_clear(r)[0]) for r in rows]
-    pivots = []
-    for ci in range(ncols):
-        rank = len(pivots)
-        live = [r for r in range(rank, len(rows)) if not rows[r][ci].is_zero]
-        if not live:
-            continue
-        sel = min(live, key=lambda r: rows[r][ci].degree)
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        pivot_row = rows[rank]
-        d = pivot_row[ci]
-        for r in range(len(rows)):
-            f = rows[r][ci]
-            if r == rank or f.is_zero:
-                continue
-            g = d.gcd(f)
-            a, b = (d // g, f // g) if g.degree > 0 else (d, f)
-            rows[r] = _primitive([a * x if y.is_zero else a * x - b * y
-                                  for x, y in zip(rows[r], pivot_row)])
-        pivots.append(ci)
-    return rows[:len(pivots)], pivots
-
-
-def _residual(vec, echelon, pivots):
-    """The residual of a dense RatFunc vector after clearing every pivot column
-    of the echelon, as (polynomial numerators, one common denominator).
-
-    With W = D*vec polynomial and L the lcm of the pivot entries d_i = N_i[pc_i]
-    that W meets, the residual is (L*W - sum W[pc_i] * (L/d_i) * N_i) / (D*L).
-    """
-    w, den = _clear(vec)
-    used = [(row, pc) for row, pc in zip(echelon, pivots) if not w[pc].is_zero]
-    lcm = den.spec.poly([1])
-    for row, pc in used:
-        lcm = _lcm(lcm, row[pc].monic())
-    out = w if lcm.degree == 0 else [lcm * x for x in w]
-    for row, pc in used:
-        c = w[pc] * (lcm // row[pc])
-        out = [x if y.is_zero else x - c * y for x, y in zip(out, row)]
-    return out, den * lcm
 
 
 @lru_cache(maxsize=None)
@@ -334,6 +256,8 @@ class Reducer:
         self._iota_memo = {}
         self._public_quotients = {}
         self._public_iotas = {}
+        self._packed = Layouts(self.field, self.q)
+        self._projections = {}
 
     # -- scalars and the boundary map ---------------------------------------------
 
@@ -422,13 +346,13 @@ class Reducer:
         return out
 
     def _normal_form(self, family, a: Index, cap: int, path: list):
-        """(NF(a), rewriting height of a), memoised; path lists the indices
-        being rewritten above a, outermost first."""
+        """(NF(a) packed, rewriting height of a), memoised; path lists the
+        indices being rewritten above a, outermost first."""
         key = (family, a)
         hit = self._nf_memo.get(key)
         if hit is None:
             if a.is_thakur(self.q):
-                hit = (self.algebra.mono(a), 0)
+                hit = (self._packed.unit(a), 0)
             else:
                 if a in path:
                     raise ReductionDiverged(f"rewriting {a} re-entered {a}",
@@ -437,13 +361,12 @@ class Reducer:
                 if len(path) > cap:
                     raise ReductionDiverged(
                         f"rewriting {path[0]} needs more than {cap} levels", trail=path)
-                out, height = {}, 0
+                p, terms, height = self.field.p, [], 0
                 for b, c in self._rewrite(family, a).terms.items():
-                    nf, h = self._normal_form(family, b, cap, path)
-                    _accumulate(out, nf.terms, c)
-                    height = max(height, h)
+                    height = max(height, self._normal_form(family, b, cap, path)[1])
+                    terms.append((fp_codes(c, p), (family, b)))
                 path.pop()
-                hit = (IndexPoly._of(self.field, out), height + 1)
+                hit = (self._packed.combine(a.weight, terms, self._nf_memo), height + 1)
             self._nf_memo[key] = hit
         if len(path) + hit[1] > cap:
             trail = path + [a]
@@ -460,20 +383,30 @@ class Reducer:
         """
         return self._reduce(family, P, cap, self._public)
 
-    def _reduce(self, family, P: IndexPoly, cap=None, image=None) -> IndexPoly:
-        """Sum of c * image(NF(a)) over the terms c*a of P; image defaults to
-        the identity, which keeps a Y-form P in Y."""
+    def _reduce(self, family, P: IndexPoly, cap=None, image=None):
+        """Sum of c * NF(a) over the terms c*a of P.
+
+        With image None, P is a homogeneous Y-form combination with
+        coefficients in F_p[Y] and the sum is one Packed vector; otherwise it
+        is the IndexPoly sum of c * image(NF(a)), NF(a) unpacked.
+        """
         family = _family(family)
         cap = self.cap if cap is None else cap
-
-        def nf(a):
-            out = self._normal_form(family, a, cap, [])[0]
-            return out if image is None else image(out)
         try:
-            return P.linear_map(nf)
+            if image is not None:
+                return P.linear_map(
+                    lambda a: image(self._packed.unpack(self._normal_form(family, a, cap, [])[0])))
+            for a in P.terms:
+                self._normal_form(family, a, cap, [])
         except RecursionError:
             raise ReductionDiverged("rewriting nests deeper than the recursion limit",
                                     trail=sorted(P.terms)) from None
+        w = P.weight()
+        if w is None and P.terms:
+            raise InvalidInput("a packed reduction needs a homogeneous combination")
+        p = self.field.p
+        return self._packed.combine(w, [(fp_codes(c, p), (family, a)) for a, c in P.terms.items()],
+                                    self._nf_memo)
 
     # -- dagger expansion ------------------------------------------------------------
 
@@ -566,7 +499,7 @@ class Reducer:
         if lower >= 0:
             for b in thakur_indices(self.q, lower):
                 prod = A.harmonic(A.mono(Index((self.q - 1,))), A.mono(b))
-                gens.append(self.to_vector(w, self._reduce("li", prod)))
+                gens.append(BasisVector(w, self._packed.unpack(self._reduce("li", prod)).terms))
         zero = RatFunc.of(0, self.field)
         echelon, pivots = _echelon([[g.coords.get(s, zero) for s in basis] for g in gens],
                                    len(basis))
@@ -593,10 +526,9 @@ class Reducer:
         if hit is not None:
             return hit
         qs = self._quotient(w)
-        cols = []
-        for a in qs.quotient_basis:
-            img = self._reduce("li", self._dagger("li", a))
-            cols.append(qs.class_vector(self.to_vector(w, img)))
+        proj = self._projection(w)
+        cols = [proj.classes(self._reduce("li", self._dagger("li", a)))
+                for a in qs.quotient_basis]
         rows = [list(row) for row in zip(*cols)]
         out = IotaMatrix(w, qs.quotient_basis, rows, self.field)
         self._iota_memo[w] = out
@@ -616,9 +548,16 @@ class Reducer:
         out.sort(key=lambda t: (t[0].weight, t[0], t[1], t[2]))
         return out
 
-    def _in_ideal(self, w: int, P: IndexPoly) -> bool:
-        """Whether a reduced Y-form combination has class zero at weight w."""
-        return self._quotient(w).class_is_zero(self.to_vector(w, P))
+    def _projection(self, w: int) -> Projection:
+        """Lambda times the class map of weight w, built on first use."""
+        hit = self._projections.get(w)
+        if hit is None:
+            hit = self._projections[w] = Projection(self._quotient(w))
+        return hit
+
+    def _in_ideal(self, w: int, v: Packed) -> bool:
+        """Whether a packed vector has class zero at weight w."""
+        return self._projection(w).kills(v)
 
     def check_theorem(self, w: int) -> Report:
         """Dagger images of all weight-w li-side generators land in the ideal,
@@ -738,10 +677,9 @@ class Reducer:
         s = Index(s)
         w = s.weight
         qs = self._quotient(w)
-        lhs = self._iota(w).apply(qs.class_vector(
-            self.to_vector(w, self._reduce("zeta", self.algebra.mono(s)))))
-        rhs = qs.class_vector(self.to_vector(
-            w, self._reduce("zeta", self._dagger("zeta", s))))
+        proj = self._projection(w)
+        lhs = self._iota(w).apply(proj.classes(self._reduce("zeta", self.algebra.mono(s))))
+        rhs = proj.classes(self._reduce("zeta", self._dagger("zeta", s)))
         diff = [a - b for a, b in zip(lhs, rhs)]
         equal = all(v.is_zero for v in diff)
         detail = "classes equal" if equal else (

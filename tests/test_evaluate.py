@@ -249,6 +249,27 @@ def test_power_sum_budget():
         E.eval_value("zeta", Index((3,)), 200)  # needs levels past the budget
 
 
+def test_power_sum_series_updates_cap():
+    """A direct series power sum is refused at once when its q^d rows of
+    M = prec - s d + 1 quotient digits over min(M, s d) coefficients of a^s
+    exceed MAX_DIVISION_UPDATES; 4.8e8 updates here ran 8.6 s uncapped."""
+    import time
+    E = Evaluator(field(3))
+    t0 = time.perf_counter()
+    with pytest.raises(PrecisionTooExpensive, match="483064560 coefficient updates"):
+        E.power_sum(6, 40, 3000)
+    assert time.perf_counter() - t0 < 0.5 and not E._power_sums
+    budget = EvalBudget()
+    cap = budget.MAX_DIVISION_UPDATES
+    budget.check_series(2, 1, 1, cap // 2)  # two rows over one coefficient of a
+    with pytest.raises(PrecisionTooExpensive):
+        budget.check_series(2, 1, 1, cap // 2 + 1)
+    budget.check_series(3, 6, 40, 0)  # no quotient digit, no update
+    # the largest series the benchmark's numeric workload asks for, 4 960 updates
+    budget.check_series(4, 2, 5, 31)
+    assert E.power_sum(6, 40, 240).is_zero_to_prec  # M = 1: 729 * 1 * 1 updates
+
+
 def test_level_cutoff_builds_no_unused_carlitz_l(monkeypatch):
     """ZETA (1,4) at q=3, N=40: the entry 1 runs the levels while
     deg L_d <= 40 (d <= 3, deg L_3 = 39) and the entry 4 while

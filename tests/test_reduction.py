@@ -7,7 +7,9 @@ import pytest
 from ffmzv import (EMPTY, Evaluator, Index, IndexAlgebra, IndexPoly, InvalidInput,
                    ProductKind, RatFunc, Reducer, ReductionDiverged, carlitz_bracket,
                    compositions, field, thakur_indices)
+from ffmzv._packed import Projection
 from ffmzv.evaluate import ValueFamily
+from ffmzv.indices import _accumulate
 from ffmzv.reduction import (BasisVector, IotaMatrix, QuotientSpace, _echelon, _phi,
                              _phi_poly)
 from test_indices import CopyAndAdd, same_terms
@@ -575,8 +577,12 @@ class CopyAndAddReducer(CopyAndAdd):
         if a.is_thakur(self.R.q):
             return self.A.mono(a)
         if (fam, a) not in self._nf:
-            self._nf[fam, a] = self.sum([(self.normal_form(fam, b), c)
-                                         for b, c in self.R._u_image(fam, a).terms.items()])
+            nf = self.sum([(self.normal_form(fam, b), c)
+                           for b, c in self.R._u_image(fam, a).terms.items()])
+            # a packed normal form keeps no insertion order: it unpacks in
+            # Thakur-basis order, and reduce_to_T's sums start from that
+            self._nf[fam, a] = IndexPoly._of(nf.field, {
+                s: nf.terms[s] for s in thakur_indices(self.R.q, a.weight) if s in nf.terms})
         return self._nf[fam, a]
 
     def reduce_to_T(self, fam, P):
@@ -618,9 +624,12 @@ def test_reduction_sums_match_copy_and_add(q):
 
 
 def _memo_snapshot(R):
-    """The terms of every memoised IndexPoly, in dict order, as strings."""
+    """The terms of every memoised IndexPoly, in dict order, as strings; a
+    packed normal form is read through its unpacked IndexPoly."""
     def terms(v):
         P = v[0] if isinstance(v, tuple) else v
+        if not isinstance(P, IndexPoly):
+            P = R._packed.unpack(P)
         return [(str(s), str(c)) for s, c in P.terms.items()]
 
     memos = {"prod": R.algebra._prod_memo, "d": R.algebra._d_memo,
@@ -771,6 +780,7 @@ def test_checkers_never_leave_Y(q, wmax, monkeypatch):
     lower = 0
     for key, (nf, height) in R._nf_memo.items():
         ref_nf, ref_height = ref._nf_memo[key]
+        nf, ref_nf = R._packed.unpack(nf), ref._packed.unpack(ref_nf)
         assert height == ref_height and _terms(R._public(nf)) == _terms(ref_nf), key
         for s, c in nf.terms.items():
             t = ref_nf.terms[s]
@@ -818,3 +828,168 @@ def test_phi_is_a_degree_scaling_ring_map(q):
         assert (again.num, again.den) == (img.num, img.den)
     y = F.poly([0, 1])
     assert _phi_poly(y) == F.T ** q - F.T
+
+
+# -- the packed F_p[Y] kernel --------------------------------------------------------
+
+def _packed_all_top(R, w, degree):
+    """A packed vector of weight w with every coordinate the all-(p-1)
+    polynomial of the given degree, memoised under a key of its own."""
+    F = R.field
+    top = F.poly([F.p - 1] * (degree + 1))
+    v = R._reduce("li", IndexPoly(F, {t: RatFunc.of(top) for t in thakur_indices(R.q, w)}))
+    key = ("li", Index((w + 1000,)))
+    R._nf_memo[key] = (v, 0)
+    return top, key
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 4, 9])
+def test_packed_sum_slot_boundaries(q):
+    """Sums of all-(p-1) coefficients times all-(p-1) vectors at the largest
+    term count the proved bound admits for a slot width, and one term more,
+    come back exactly; at q = 4 and 9 the codes p - 1 are prime-subfield
+    elements."""
+    F = field(q)
+    p, w, degree = F.p, 3, 3
+    for length in (1, 2, degree + 1):
+        c = (p - 1,) * length
+        per_term = (p - 1) ** 2 * min(length, degree + 1)
+        for width in (8, 16):
+            most = ((1 << width) - 1) // per_term
+            if most == 0:
+                continue
+            for n in (most, most + 1):
+                R = Reducer(IndexAlgebra(F))
+                top, key = _packed_all_top(R, w, degree)
+                got = R._packed.combine(w, [(c, key)] * n, R._nf_memo)
+                assert got.width == (width if n == most else 2 * width), (length, n)
+                want = F.poly(c) * top * n
+                assert got.degree == want.degree
+                assert R._packed.unpack(got).terms == ({} if want.is_zero else {
+                    t: RatFunc.of(want) for t in thakur_indices(q, w)}), (length, n)
+
+
+@pytest.mark.parametrize("q", [4, 8, 9])
+def test_packing_a_genuine_F_q_code_raises(q):
+    F = field(q)
+    R = Reducer(IndexAlgebra(F))
+    u = F.poly([F.from_index(F.p)])  # the code p is u, outside F_p
+    t = thakur_indices(q, 2)[0]
+    for c in (u, F.poly([1, 1]) * u):
+        with pytest.raises(InvalidInput):
+            R._reduce("li", IndexPoly(F, {t: RatFunc.of(c)}))
+    with pytest.raises(InvalidInput):
+        R._reduce("li", IndexPoly(F, {t: RatFunc(F.poly([1]), F.poly([1, 1]))}))
+    basis = thakur_indices(q, 2)
+    one = F.poly([1])
+    qs = QuotientSpace(2, basis, [], [[one] + [u] * (len(basis) - 1)], [0], F)
+    with pytest.raises(InvalidInput):
+        Projection(qs)
+
+
+class PolyReference:
+    """The normal forms summed over RatFunc coefficients with _accumulate, and
+    membership and classes through the echelon residual (_residual)."""
+
+    def __init__(self, R):
+        self.R = R
+        self.one = RatFunc.of(1, R.field)
+        self.nf = {}
+
+    def normal_form(self, fam, a):
+        if a.is_thakur(self.R.q):
+            return {a: self.one}
+        hit = self.nf.get((fam, a))
+        if hit is None:
+            hit = {}
+            for b, c in self.R._rewrite(fam, a).terms.items():
+                _accumulate(hit, self.normal_form(fam, b), c)
+            self.nf[fam, a] = hit
+        return hit
+
+    def reduce(self, fam, P):
+        out = {}
+        for a, c in P.terms.items():
+            _accumulate(out, self.normal_form(fam, a), c)
+        return out
+
+    def class_vector(self, w, terms):
+        return self.R._quotient(w).class_vector(BasisVector(w, terms))
+
+    def in_ideal(self, w, terms):
+        return self.R._quotient(w).class_is_zero(BasisVector(w, terms))
+
+
+@pytest.mark.parametrize("q,wmax", [(2, 8), (3, 6), (4, 6), (5, 5), (9, 4)])
+def test_packed_kernel_matches_the_Poly_reference(q, wmax, monkeypatch):
+    """Every packed reduction sum, memoised normal form, membership verdict
+    and iota column the checkers compute equals the RatFunc sums and the
+    residual over the echelon; each verdict is also checked on the vector
+    plus a quotient basis element, which leaves the ideal."""
+    F = field(q)
+    R = Reducer(IndexAlgebra(F))
+    ref = PolyReference(R)
+    sums, verdicts = [], []
+    reduce, in_ideal = R._reduce, R._in_ideal
+
+    def recording_reduce(fam, P, cap=None, image=None):
+        out = reduce(fam, P, cap, image)
+        if image is None:
+            sums.append((fam, P, out))
+        return out
+
+    def recording_in_ideal(w, v):
+        out = in_ideal(w, v)
+        verdicts.append((w, v, out))
+        return out
+
+    monkeypatch.setattr(R, "_reduce", recording_reduce)
+    monkeypatch.setattr(R, "_in_ideal", recording_in_ideal)
+    if q == 2:
+        for w in range(wmax + 1):
+            R.check_theorem(w)
+    else:
+        _reports(R, wmax)
+    monkeypatch.undo()
+    assert sums and verdicts and R._iota_memo
+    for fam, P, v in sums:
+        assert R._packed.unpack(v).terms == ref.reduce(fam, P), (fam, P)
+    for (fam, a), (v, _) in R._nf_memo.items():
+        assert v.weight == a.weight and R._packed.unpack(v).terms == ref.normal_form(fam, a), a
+    outside = 0
+    for w, v, verdict in verdicts:
+        terms = R._packed.unpack(v).terms
+        assert verdict == ref.in_ideal(w, terms), (w, terms)
+        qs = R._quotient(w)
+        if qs.quotient_basis:
+            bumped = R._packed.unpack(v) + R.algebra.mono(qs.quotient_basis[-1])
+            packed = R._reduce("li", bumped)
+            assert R._in_ideal(w, packed) == ref.in_ideal(w, bumped.terms)
+            outside += not R._in_ideal(w, packed)
+    assert outside > 0
+    for w, m in R._iota_memo.items():
+        for j, a in enumerate(m.basis):
+            image = ref.reduce("li", R._dagger("li", a))
+            assert [row[j] for row in m.rows] == ref.class_vector(w, image), (w, a)
+
+
+def test_packed_layout_grows_and_repacks_memoised_forms():
+    """A sum that needs more slots than a weight's layout has grows it; a
+    normal form memoised in the old layout is repacked when next used and
+    reads back unchanged."""
+    F = field(3)
+    R = Reducer(IndexAlgebra(F))
+    w, a = 4, Index((1, 3))
+    before = R._packed.unpack(R._normal_form("li", a, R.cap, [])[0])
+    slots = R._packed.layout(w)[0]
+    assert R._nf_memo["li", a][0].slots == slots
+    t = thakur_indices(3, w)[0]
+    Y = RatFunc.of(F.poly([0] * (2 * slots) + [1]))
+    v = R._reduce("li", IndexPoly(F, {t: Y}))
+    assert R._packed.layout(w)[0] > 2 * slots and R._nf_memo["li", a][0].slots == slots
+    assert R._packed.unpack(v).terms == {t: Y}
+    fitted = R._packed._fitted(R._nf_memo, ("li", a))
+    assert fitted.slots > 2 * slots and R._nf_memo["li", a][0] is fitted
+    assert R._packed.unpack(fitted).terms == before.terms
+    got = R._packed.unpack(R._reduce("li", IndexPoly(F, {a: Y})))
+    assert got.terms == {s: c * Y for s, c in before.terms.items()}
