@@ -837,15 +837,24 @@ class RatFunc:
 
 
 def _recip_codes(spec: FieldSpec, codes, m: int):
-    """First m coefficients of 1 / (c0 + c1 t + ...); c0 must be invertible."""
-    inv0 = spec.inv_idx(codes[0])
-    mul, add, neg = spec._mul, spec._add, spec._neg
-    out = [inv0]
-    for k in range(1, m):
-        acc = 0
-        for j in range(1, min(k, len(codes) - 1) + 1):
-            acc = add[acc][mul[codes[j]][out[k - j]]]
-        out.append(mul[inv0][neg[acc]])
+    """First m coefficients of 1 / c, c = c0 + c1 t + ...; c0 must be invertible.
+
+    Newton's iteration: when g holds the first k coefficients, c g = 1 +
+    t^k e, and g - t^k g e holds the first 2k.  Each step is two
+    ``_mul_codes`` products cut to the coefficients it needs, so over F_p
+    the reciprocal costs a few Kronecker products of length m rather than
+    m len(c) table lookups.
+    """
+    out = [spec.inv_idx(codes[0])]
+    neg = spec._neg
+    while len(out) < m:
+        k = len(out)
+        n = min(2 * k, m)
+        # a product cut to n comes back shorter when its top coefficients
+        # lie past its degree: they are zero
+        e = _mul_codes(spec, codes, out, n)[k:]
+        step = _mul_codes(spec, out, e, n - k)
+        out += [neg[v] for v in step] + [0] * (n - k - len(step))
     return out
 
 
@@ -919,7 +928,7 @@ class LaurentSeries:
         return LaurentSeries._make(self.spec, self.lead or 0, self.c, prec)
 
     def _check(self, other):
-        if self.spec != other.spec:
+        if self.spec is not other.spec and self.spec != other.spec:
             raise InvalidInput("mixed fields")
 
     def __add__(self, other):

@@ -25,6 +25,18 @@ For a zeta entry s > q, f(s) >= 2, so the brute force runs at no level
 with 2 deg L_d > prec; the trivial bound s d alone would keep every
 level with s d <= prec.
 
+The level DP runs on packed series (``SeriesPacking``).  Every level
+factor and every value lies in F_p((1/T)): 1/L_d^s has F_p coefficients,
+and S_d(s) is fixed by Frobenius.  Each has order >= 0, so at precision N
+it is one Python int whose slot j holds the F_p code of T^(j - N), and
+any two are aligned.  A DP update H_i + u H_(i-1) is one big-int product
+of the slots that reach T^-N, a shift and an add, reduced mod p once; a
+value sum over an IndexPoly adds k times each packed value for its F_p
+constant coefficient k and reduces once.  Only terms with a genuine F_q
+constant or a coefficient of positive degree take ``LaurentSeries``
+products, and a value becomes a ``LaurentSeries`` only when it is
+returned.
+
 The polylogarithm families are evaluated at the all-ones point only;
 that point lies inside the convergence domain of the underlying
 multivariable series (|z_i| up to q^(s_i q/(q-1))), so the sums here
@@ -35,6 +47,9 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
+from ._packed import _DTYPES, slot_width
 from .algebra import (FieldSpec, LaurentSeries, Poly, RatFunc, carlitz_bracket,
                       carlitz_l, carlitz_l_degree, rat_to_laurent)
 from .errors import InvalidInput, PrecisionTooExpensive
@@ -175,9 +190,86 @@ class EvalBudget:
                 f"{self.MAX_DIVISION_UPDATES}; lower d or s")
 
 
+class SeriesPacking:
+    """Series of order >= 0 over F_p at one absolute precision N, each packed
+    into one Python int.
+
+    Slot j, of ``width`` bits, holds the F_p code of T^(j - N), so slots
+    0..N cover T^-N..T^0 and any two packed series are aligned.  Slot m of
+    a product u * h is sum_{i+j=m} u_i h_j, at most N + 1 products of codes
+    below p, and its slots N..2N hold T^-N..T^0, so x + (u * h >> width N)
+    keeps every slot within (N + 1)(p - 1)^2 + (p - 1), the bound the
+    narrowest sufficient width holds: no slot carries into the next, and
+    one ``reduce`` gives the exact result over F_p.  Packing a code >= p, a
+    series of positive lead or one known below precision N raises; it
+    never wraps.
+    """
+
+    __slots__ = ("spec", "prec", "width", "nbytes", "cap", "one")
+
+    def __init__(self, spec: FieldSpec, prec: int):
+        p = spec.p
+        self.spec = spec
+        self.prec = prec
+        self.width = slot_width((prec + 1) * (p - 1) ** 2 + (p - 1))
+        self.nbytes = (prec + 1) * self.width // 8
+        self.cap = (1 << self.width) - 1  # the largest slot sum
+        self.one = 1 << self.width * prec
+
+    def pack(self, v: LaurentSeries) -> int:
+        """The packed int of a series of order >= 0 with F_p codes, known to
+        precision >= N."""
+        if v.prec < self.prec:
+            raise InvalidInput(f"cannot pack a series of precision {v.prec} < {self.prec}")
+        if v.is_zero_to_prec:
+            return 0
+        if v.lead > 0:
+            raise InvalidInput(f"cannot pack a series of positive lead {v.lead}")
+        codes = v.c[:v.lead + self.prec + 1][::-1]
+        if max(codes) >= self.spec.p:
+            raise InvalidInput("cannot pack a series with codes outside F_p")
+        if self.width == 8:
+            return int.from_bytes(bytes(codes), "little")
+        return int.from_bytes(np.array(codes, _DTYPES[self.width]).tobytes(), "little")
+
+    def mul_add(self, x: int, u: int, h: int) -> int:
+        """x + u h, reduced, for reduced x, u and h.
+
+        With a and b the orders of u and h, only the slots >= b of u and
+        >= a of h reach T^-N in u h, so the product is a short one, and
+        zero to precision when a + b > N (always when u or h is zero).
+        """
+        w, n = self.width, self.prec
+        a = n - (u.bit_length() - 1) // w
+        b = n - (h.bit_length() - 1) // w
+        if a + b > n:
+            return x
+        return self.reduce(x + ((u >> w * b) * (h >> w * a) >> w * (n - a - b)))
+
+    def reduce(self, x: int) -> int:
+        """x with every slot reduced mod p."""
+        data = x.to_bytes(self.nbytes, "little")
+        if self.width == 8:
+            data = data.translate(self.spec._mod_bytes)
+        else:
+            data = (np.frombuffer(data, _DTYPES[self.width]) % self.spec.p).tobytes()
+        return int.from_bytes(data, "little")
+
+    def unpack(self, x: int, sign: int = 1) -> LaurentSeries:
+        """The LaurentSeries of sign times a reduced packed int."""
+        data = x.to_bytes(self.nbytes, "little")
+        codes = list(data) if self.width == 8 else np.frombuffer(
+            data, _DTYPES[self.width]).tolist()
+        codes.reverse()
+        if sign < 0:
+            neg = self.spec._neg
+            codes = [neg[v] for v in codes]
+        return LaurentSeries._make(self.spec, 0, codes, self.prec)
+
+
 class Evaluator:
-    """Value computations over one GF(q), memoising power sums, level series
-    and values."""
+    """Value computations over one GF(q), memoising power sums, packed level
+    factors and packed values."""
 
     def __init__(self, field: FieldSpec, budget: EvalBudget | None = None):
         self.field = field
@@ -185,6 +277,7 @@ class Evaluator:
         self.budget = budget if budget is not None else EvalBudget()
         self._power_sums = {}
         self._numerators = {}
+        self._packings = {}
         self._level = {}
         self._values = {}
 
@@ -205,10 +298,11 @@ class Evaluator:
         if hit is not None:
             return hit
         m = prec - s * d + 1
-        self.budget.check_series(self.q, d, s, m)
         if m <= 0:
+            # every a^(-s) has order s d > prec
             out = LaurentSeries.zero(self.field, prec)
         else:
+            self.budget.check_series(self.q, d, s, m)
             # T^(m + sd - 1) // a^s holds the first m coefficients of
             # T^(sd) a^(-s), highest first
             codes, _ = self.field.vec.monic_quotient_sum([0] * (m + s * d - 1) + [1], d, s)
@@ -274,10 +368,17 @@ class Evaluator:
             cases=[Case(input=f"d={d}", status="pass" if ok else "fail", detail=detail)],
         )
 
-    # -- per-level series ------------------------------------------------------
+    # -- per-level factors ---------------------------------------------------
 
-    def _level_series(self, side: str, s: int, d: int, prec: int) -> LaurentSeries:
-        """The level-d factor: 1/L_d^s on the li side, S_d(s) on the zeta side.
+    def _packing(self, prec: int) -> "SeriesPacking":
+        hit = self._packings.get(prec)
+        if hit is None:
+            hit = self._packings[prec] = SeriesPacking(self.field, prec)
+        return hit
+
+    def _level_factor(self, side: str, s: int, d: int, prec: int) -> int:
+        """The packed level-d factor: 1/L_d^s on the li side, S_d(s) on the
+        zeta side.
 
         Past the order bound of ``_level_cutoff`` the factor is zero to
         precision, returned before L_d is built or any monic polynomial is
@@ -288,11 +389,12 @@ class Evaluator:
         if hit is not None:
             return hit
         if self._order_bound(side, s, d) > prec:
-            out = LaurentSeries.zero(self.field, prec)
+            out = 0
         elif side == "li" or s <= self.q:
-            out = rat_to_laurent(RatFunc(self.field.poly([1]), self.L(d).power(s)), prec)
+            inv = RatFunc(self.field.poly([1]), self.L(d).power(s))
+            out = self._packing(prec).pack(rat_to_laurent(inv, prec))
         else:
-            out = self.power_sum(d, s, prec)
+            out = self._packing(prec).pack(self.power_sum(d, s, prec))
         self._level[key] = out
         return out
 
@@ -347,23 +449,26 @@ class Evaluator:
     def value_of_index(self, family: ValueFamily, s: Index, prec: int) -> LaurentSeries:
         """Value of one index; a star value is (-1)^depth times the dagger value
         of the reversed index."""
-        family = ValueFamily.parse(family)
-        if family.is_star:
-            sign = -1 if s.depth % 2 else 1
-            inner = self.value_of_index(family.dagger, s.reversed(), prec)
-            return inner.scale(sign)
-        key = (family, s, prec)
-        hit = self._values.get(key)
-        if hit is not None:
-            return hit
-        out = self._dp_value(family, s, prec)
-        self._values[key] = out
-        return out
+        sign, x = self._value(ValueFamily.parse(family), s, prec)
+        return self._packing(prec).unpack(x, sign)
 
-    def _dp_value(self, family: ValueFamily, s: Index, prec: int) -> LaurentSeries:
-        spec = self.field
+    def _value(self, family: ValueFamily, s: Index, prec: int):
+        """(sign, x): the value of s is sign times the packed series x, the
+        memoised level DP.  A star value's sign (-1)^depth cancels the sign
+        (-1)^depth of the dagger value of the reversed index."""
+        if family.is_star:
+            return 1, self._value(family.dagger, s.reversed(), prec)[1]
+        key = (family, s, prec)
+        x = self._values.get(key)
+        if x is None:
+            x = self._values[key] = self._dp_value(family, s, prec)
+        return (-1 if family.is_dagger and s.depth % 2 else 1), x
+
+    def _dp_value(self, family: ValueFamily, s: Index, prec: int) -> int:
+        """The level DP on packed series, without the dagger sign."""
+        packing = self._packing(prec)
         if s.is_empty:
-            return LaurentSeries.one(spec, prec)
+            return packing.one
         r = s.depth
         dmax = self._level_cutoff(family, s, prec)
         side = family.side
@@ -373,33 +478,45 @@ class Evaluator:
         # ascending i lets H_i take H_{i-1} of the same level (weak, daggers);
         # descending i takes it from earlier levels only (strict, plain)
         order = range(1, r + 1) if family.is_dagger else range(r, 0, -1)
-        H = [LaurentSeries.one(spec, prec)] + [LaurentSeries.zero(spec, prec)] * r
+        H = [packing.one] + [0] * r
+        mul_add = packing.mul_add
         for d in range(0, dmax + 1):
             for i in order:
-                u = self._level_series(side, entries[i - 1], d, prec)
-                if u.is_zero_to_prec:
-                    continue
-                H[i] = (H[i] + u * H[i - 1]).with_prec(prec)
-        out = H[r].with_prec(prec)
-        if family.is_dagger and r % 2:
-            out = out.scale(-1)
-        return out
+                H[i] = mul_add(H[i], self._level_factor(side, entries[i - 1], d, prec), H[i - 1])
+        return H[r]
 
     def eval_value(self, family, P, prec: int) -> LaurentSeries:
-        """F_q(T)-linear extension of the chosen family over an IndexPoly."""
+        """F_q(T)-linear extension of the chosen family over an IndexPoly.
+
+        A term with an F_p constant coefficient k adds k times its packed
+        value to one packed sum, reduced mod p only when the next term could
+        overflow a slot.  A term with a genuine F_q constant or a
+        coefficient of positive degree is a series product, added to that
+        sum as a series."""
         family = ValueFamily.parse(family)
         if isinstance(P, Index):
             return self.value_of_index(family, P, prec)
         if not isinstance(P, IndexPoly):
             return self.value_of_index(family, Index(P), prec)
-        out = LaurentSeries.zero(self.field, prec)
+        spec = self.field
+        p, packing = spec.p, self._packing(prec)
+        acc, bound, rest = 0, 0, None
         for s, c in P.terms.items():
-            if not (c.num.degree == 0 and c.den.degree == 0):
-                # a coefficient of degree k > 0 costs k coefficients of the value
+            if len(c.num.c) == 1 and c.den.c == (1,):  # denominators are monic
+                k = c.num.c[0]
+                if k < p:
+                    sign, x = self._value(family, s, prec)
+                    k = k if sign > 0 else p - k
+                    if bound + k * (p - 1) > packing.cap:
+                        acc, bound = packing.reduce(acc), p - 1
+                    acc += k * x
+                    bound += k * (p - 1)
+                    continue
+                v = self.value_of_index(family, s, prec).scale(spec.from_index(k))
+            else:
+                # a coefficient of degree g > 0 costs g coefficients of the value
                 ext = prec + max(c.num.degree - c.den.degree, 0)
                 v = self.value_of_index(family, s, ext) * rat_to_laurent(c, ext)
-            else:
-                v = self.value_of_index(family, s, prec).scale(
-                    c.num.leading() * c.den.leading().inverse())
-            out = out + v
-        return out
+            rest = v if rest is None else rest + v
+        out = packing.unpack(packing.reduce(acc))
+        return out if rest is None else out + rest

@@ -7,11 +7,12 @@ import pytest
 
 import ffmzv._gfnum
 import ffmzv.evaluate
-from ffmzv import (EvalBudget, Evaluator, Index, IndexAlgebra, InvalidInput,
-                   LaurentSeries, PrecisionTooExpensive, RatFunc, ValueFamily,
+from ffmzv import (EvalBudget, Evaluator, FieldSpec, Index, IndexAlgebra, InvalidInput,
+                   LaurentSeries, PrecisionTooExpensive, RatFunc, Reducer, ValueFamily,
                    carlitz_l, compositions, field, rat_to_laurent)
-from ffmzv.algebra import carlitz_l_degree
-from ffmzv.indices import EMPTY
+from ffmzv.algebra import _recip_codes, carlitz_l_degree
+from ffmzv.evaluate import SeriesPacking
+from ffmzv.indices import EMPTY, IndexPoly
 
 
 def all_monic(F, d):
@@ -161,7 +162,7 @@ def test_level_series_at_high_precision_match_exact(q, s):
     cut = E._level_cutoff(ValueFamily.ZETA, Index((s,)), N)
     assert cut == 2
     for d in range(1, cut + 1):
-        got = E._level_series("zeta", s, d, N)
+        got = E._packing(N).unpack(E._level_factor("zeta", s, d, N))
         assert got == rat_to_laurent(E.power_sum_exact(d, s), N), d
         assert got.prec == N and (d > 1 or not got.is_zero_to_prec), d
 
@@ -613,3 +614,235 @@ def test_exact_power_sums_bound_the_row_powers():
             d += 1
     budget.check_division(7, 3, 6)
     assert Evaluator(field(9)).power_sum_exact(2, 8) == power_sum_oracle(field(9), 2, 8)
+
+
+# -- the packed value DP against the LaurentSeries reference -------------------
+
+def reference_value(E, family, s, prec, levels):
+    """The value DP on LaurentSeries products and sums, each level factor a
+    series from ``rat_to_laurent`` or ``power_sum``; ``levels`` memoises the
+    factors.  This is the loop the evaluator ran before it packed its series."""
+    family = ValueFamily.parse(family)
+    F = E.field
+    if family.is_star:
+        inner = reference_value(E, family.dagger, s.reversed(), prec, levels)
+        return inner.scale(-1 if s.depth % 2 else 1)
+    if s.is_empty:
+        return LaurentSeries.one(F, prec)
+    side, r = family.side, s.depth
+
+    def level(entry, d):
+        key = (side, entry, d, prec)
+        if key not in levels:
+            if E._order_bound(side, entry, d) > prec:
+                levels[key] = LaurentSeries.zero(F, prec)
+            elif side == "li" or entry <= F.q:
+                levels[key] = rat_to_laurent(RatFunc(F.poly([1]), E.L(d) ** entry), prec)
+            else:
+                levels[key] = E.power_sum(d, entry, prec)
+        return levels[key]
+
+    entries = tuple(reversed(s)) if not family.is_dagger else tuple(s)
+    order = range(1, r + 1) if family.is_dagger else range(r, 0, -1)
+    H = [LaurentSeries.one(F, prec)] + [LaurentSeries.zero(F, prec)] * r
+    for d in range(E._level_cutoff(family, s, prec) + 1):
+        for i in order:
+            u = level(entries[i - 1], d)
+            if not u.is_zero_to_prec:
+                H[i] = (H[i] + u * H[i - 1]).with_prec(prec)
+    out = H[r].with_prec(prec)
+    return out.scale(-1) if family.is_dagger and r % 2 else out
+
+
+def reference_eval_value(E, family, P, prec, levels):
+    """The value of an IndexPoly as a term-by-term LaurentSeries sum."""
+    out = LaurentSeries.zero(E.field, prec)
+    for s, c in P.terms.items():
+        if c.num.degree == 0 and c.den.degree == 0:
+            v = reference_value(E, family, s, prec, levels).scale(
+                c.num.leading() * c.den.leading().inverse())
+        else:
+            ext = prec + max(c.num.degree - c.den.degree, 0)
+            v = reference_value(E, family, s, ext, levels) * rat_to_laurent(c, ext)
+        out = out + v
+    return out
+
+
+def same_series(a, b):
+    return (a.lead, a.c, a.prec) == (b.lead, b.c, b.prec)
+
+
+FAMILIES = [f.value for f in ValueFamily]
+REFERENCE_PRECS = (0, 1, 40, 63, 64, 254, 255, 264)
+
+
+def width_switches(p, top):
+    """The precisions N <= top whose packed slots are wider than at N - 1."""
+    width = [SeriesPacking(field(p), n).width for n in range(top + 1)]
+    return [n for n in range(1, top + 1) if width[n] != width[n - 1]]
+
+
+@pytest.mark.parametrize("q", EXACT_QS)
+def test_packed_values_match_the_series_reference(q):
+    """Every family, depth <= 4, entries above q included, at N across the
+    8/16-bit slot switch of every p: the packed DP returns the lead, codes
+    and precision of the LaurentSeries DP."""
+    F = field(q)
+    E = Evaluator(F)
+    levels = {}
+    p = F.p
+    switch = width_switches(p, 264)[0]
+    indices = [Index(t) for t in ((1,), (2, 1), (q + 1,), (1, q + 1), (1, 2, 1), (2, 1, 1, 3))]
+    for prec in sorted(set(REFERENCE_PRECS) | {switch - 1, switch}):
+        for family in FAMILIES:
+            for s in indices:
+                got = E.value_of_index(family, s, prec)
+                want = reference_value(E, family, s, prec, levels)
+                assert same_series(got, want), (family, s, prec)
+
+
+@pytest.mark.parametrize("q", EXACT_QS)
+def test_packed_sums_match_the_term_by_term_sum(q):
+    """An IndexPoly with F_p constants, a genuine F_q constant (q = 4, 8, 9),
+    a polynomial and a fractional coefficient: eval_value is the
+    term-by-term series sum, for every family."""
+    F = field(q)
+    E, A = Evaluator(F), IndexAlgebra(F)
+    levels = {}
+    rng = random.Random(q)
+    pool = [s for w in range(1, 6) for s in compositions(w, max_depth=4)] + [Index((q + 1, 1))]
+    T, one = F.T, F.poly([1])
+    for prec in (0, 1, 40, 264):
+        for family in FAMILIES:
+            P = A.product(A.mono(rng.choice(pool)), A.mono(rng.choice(pool)), "harmonic")
+            P = P + A.mono(rng.choice(pool), F.rat(T + one)) + A.mono(
+                rng.choice(pool), F.rat(one, T ** 2 + one))
+            if F.e > 1:
+                P = P + A.mono(rng.choice(pool), F.rat(F.poly([F.gen])))
+            assert any(c.num.c[0] >= F.p for c in P.terms.values()) == (F.e > 1)
+            got = E.eval_value(family, P, prec)
+            want = reference_eval_value(E, family, P, prec, levels)
+            assert same_series(got, want), (family, prec)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 9])
+def test_packed_sums_that_cancel_to_zero(q):
+    """zeta (1, b) = zeta (1) - 1 and li (1, b) = li (1) - 1 to precision N
+    for b > N, each nonzero.  A multiple of p of such terms at p - 1 each is
+    zero to precision; on the li side there are enough of them to overflow
+    a slot unless the sum is reduced on the way (on the zeta side S_0(b)
+    costs b products, so it takes p terms).  So is value(s) minus its
+    normal form, whose terms take both the packed sum and series products."""
+    F = field(q)
+    E, A, R = Evaluator(F), IndexAlgebra(F), Reducer(IndexAlgebra(F))
+    p, N = F.p, 40
+    cap = SeriesPacking(F, N).cap
+    for family, count in (("zeta", p), ("li", p * (cap // (p - 1) ** 2 // p + 1))):
+        assert family == "zeta" or count * (p - 1) ** 2 > cap
+        v = E.eval_value(family, A.mono((1, N + 1)), N)
+        assert not v.is_zero_to_prec and v == E.eval_value(family, A.mono((1,)) - A.mono(()), N)
+        P = IndexPoly(F, {(1, b): p - 1 for b in range(N + 1, N + 1 + count)})
+        got = E.eval_value(family, P, N)
+        assert got.is_zero_to_prec and got.prec == N, family
+        mixed = 0
+        for s in [s for w in range(2, 5) for s in compositions(w)] + [Index((q + 1,))]:
+            P = A.mono(s) - R.reduce_to_T(family, A.mono(s))
+            mixed += any(c.num.degree > 0 for c in P.terms.values())
+            got = E.eval_value(family, P, N)
+            assert got.is_zero_to_prec and got.prec == N, (family, s)
+            assert same_series(got, reference_eval_value(E, family, P, N, {}))
+        assert mixed, family
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
+def test_packed_update_at_every_width_switch(p):
+    """x + u h with every code p - 1 fills slot N of the product with
+    N + 1 products: the slot sum (N + 1)(p - 1)^2 + (p - 1) is the bound
+    the width holds, and at each switch it no longer fits the narrower
+    width.  The reduced slot k is (N - k + 1)(p - 1)^2 + (p - 1) mod p."""
+    F = field(p)
+    switches = width_switches(p, 70000) if p <= 7 else [65535]
+    assert switches
+    for switch in switches:
+        for n in (switch - 1, switch):
+            packing = SeriesPacking(F, n)
+            bound = (n + 1) * (p - 1) ** 2 + (p - 1)
+            assert bound <= packing.cap and (n < switch or bound >= 1 << packing.width // 2)
+            dtype = f"<u{packing.width // 8}"
+            full = int.from_bytes(np.full(n + 1, p - 1, dtype).tobytes(), "little")
+            got = np.frombuffer(packing.mul_add(full, full, full).to_bytes(
+                packing.nbytes, "little"), dtype)
+            k = np.arange(n + 1, dtype=np.int64)
+            want = ((n - k + 1) * (p - 1) ** 2 + (p - 1)) % p
+            assert np.array_equal(got, want), (p, n)
+
+
+def test_packing_checks_its_input():
+    """A code >= p, a positive lead or a precision below N raises; the zero
+    series packs to 0 and unpacks at the packing's precision."""
+    F4 = field(4)
+    packing = SeriesPacking(F4, 10)
+    with pytest.raises(InvalidInput, match="outside F_p"):
+        packing.pack(LaurentSeries._make(F4, 0, [1, 0, F4.gen.i], 10))
+    with pytest.raises(InvalidInput, match="positive lead"):
+        packing.pack(LaurentSeries._make(F4, 1, [1], 10))
+    with pytest.raises(InvalidInput, match="precision 9"):
+        packing.pack(LaurentSeries._make(F4, 0, [1], 9))
+    assert packing.pack(LaurentSeries.zero(F4, 12)) == 0
+    assert same_series(packing.unpack(0), LaurentSeries.zero(F4, 10))
+    v = LaurentSeries._make(F4, -2, [1, 1, 0, 1], 12)
+    assert same_series(packing.unpack(packing.pack(v)), v.with_prec(10))
+    E = Evaluator(F4)
+    with pytest.raises(InvalidInput, match="positive lead"):
+        E._packing(10).pack(rat_to_laurent(F4.rat(F4.T), 10))
+
+
+def test_power_sum_past_the_precision_is_zero_within_budget():
+    """S_30(5) at q = 2 is O(T^-150): zero at N = 10, though 2^30 monic
+    polynomials exceed the brute-force budget."""
+    E = Evaluator(field(2))
+    got = E.power_sum(30, 5, 10)
+    assert got.is_zero_to_prec and got.prec == 10
+    with pytest.raises(PrecisionTooExpensive):
+        E.power_sum(30, 5, 150)
+
+
+def recip_loop(F, codes, m):
+    """First m coefficients of 1/c by the coefficient recurrence."""
+    inv0 = F.inv_idx(codes[0])
+    out = [inv0]
+    for k in range(1, m):
+        acc = 0
+        for j in range(1, min(k, len(codes) - 1) + 1):
+            acc = F.add_idx(acc, F.mul_idx(codes[j], out[k - j]))
+        out.append(F.mul_idx(inv0, F.neg_idx(acc)))
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_newton_reciprocal_matches_the_recurrence(q):
+    """Lengths on both sides of the 8/16-bit Kronecker slot switch
+    (len (p-1)^2 < 256), F_p codes and, at q = 4, 9, genuine F_q codes."""
+    F = field(q)
+    p = F.p
+    rng = random.Random(q)
+    edge = 256 // (p - 1) ** 2
+    for top in (p, q):
+        for length in (1, 2, 5, edge - 1, edge, edge + 1, 300):
+            for m in (1, 2, 3, edge - 1, edge, edge + 1, 2 * edge + 3, 600):
+                codes = [rng.randrange(1, top)] + [rng.randrange(top) for _ in range(length - 1)]
+                assert _recip_codes(F, codes, m) == recip_loop(F, codes, m), (top, length, m)
+
+
+def test_series_field_check():
+    """Series over GF(3) and GF(9) do not mix; a FieldSpec equal to field(3)
+    but not the same object does."""
+    a = LaurentSeries.one(field(3), 5)
+    with pytest.raises(InvalidInput, match="mixed fields"):
+        a + LaurentSeries.one(field(9), 5)
+    with pytest.raises(InvalidInput, match="mixed fields"):
+        a * LaurentSeries.one(field(9), 5)
+    b = LaurentSeries.one(FieldSpec(3), 5)
+    assert b.spec is not a.spec
+    assert same_series(a + b, LaurentSeries._make(field(3), 0, [2], 5))
+    assert a * b == a
