@@ -91,7 +91,8 @@ def find_dependence(problem: DependenceProblem) -> list:
     kernel = spec.vec.kernel(mat)
     out = []
     for vec in kernel:
-        polys = [Poly._make(spec, tuple(int(c) for c in vec[j * (D + 1):(j + 1) * (D + 1)]))
+        codes = vec.tolist()
+        polys = [Poly._make(spec, tuple(codes[j * (D + 1):(j + 1) * (D + 1)]))
                  for j in range(m)]
         # skip candidates that rest only on inputs zero to precision
         if all(v.is_zero_to_prec for p, v in zip(polys, vals) if not p.is_zero):
@@ -107,7 +108,12 @@ def find_dependence(problem: DependenceProblem) -> list:
 
 
 def _combination_vanishes(spec, polys, vals) -> bool:
-    """Whether sum_j p_j v_j is zero to its precision, prec - max deg p_j."""
+    """Whether sum_j p_j v_j is zero to its precision, prec - max deg p_j.
+
+    Built from the input series, not from the kernel's matrix, so that the
+    check is independent of the elimination.  Over a prime field the codes
+    are residues: c v is accumulated in int64 and reduced mod p once.
+    """
     floor = max(max(p.degree, 0) for p in polys) - vals[0].prec
     terms = [(p, v) for p, v in zip(polys, vals) if not p.is_zero and not v.is_zero_to_prec]
     if not terms:
@@ -122,6 +128,12 @@ def _combination_vanishes(spec, polys, vals) -> bool:
             if c:
                 top = high - v.lead - t
                 n = min(len(vc), len(acc) - top)
-                if n > 0:
+                if n <= 0:
+                    continue
+                if vec.e == 1:
+                    acc[top:top + n] += c * vc[:n]
+                else:
                     acc[top:top + n] = vec.add_t[acc[top:top + n], vec.mul_t[c, vc[:n]]]
+    if vec.e == 1:
+        acc %= spec.p
     return not acc.any()

@@ -174,7 +174,7 @@ def combination_reference(polys, vals):
     return acc
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_combination_vanishes_matches_series(q):
     """Random p_j, v_j plus a last value that cancels them, with one code
     changed just above or below the checked precision."""

@@ -152,6 +152,38 @@ def test_power_sum_series_matches_exact(ctx2, ctx3):
                 assert series == rat_to_laurent(exact, 30), (F.q, d, s)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_power_sums_at_exponents_of_several_binary_digits(q):
+    """a^s by square-and-multiply: s = 7, 11, 13 take a multiply after
+    several squarings; the exact sums and their series match the
+    fraction-sum oracle (at q = 9 on level 1, where the oracle is quick)."""
+    F = field(q)
+    E = Evaluator(F)
+    for d in (1, 2) if q <= 4 else (1,):
+        for s in (7, 11, 13):
+            want = power_sum_oracle(F, d, s)
+            assert E.power_sum_exact(d, s) == want, (d, s)
+            for prec in (s * d, 3 * s * d):
+                assert E.power_sum(d, s, prec) == rat_to_laurent(want, prec), (d, s, prec)
+
+
+def test_level_zero_power_sum_takes_log_s_products(monkeypatch):
+    """S_0(s) = 1, the level-0 factor of every zeta entry s > q: its one
+    row a = 1 is powered by O(log s) products, not s - 1."""
+    import time
+    F = field(5)
+    calls = []
+    rows_mul = ffmzv._gfnum.GFVec._rows_mul
+    monkeypatch.setattr(ffmzv._gfnum.GFVec, "_rows_mul",
+                        lambda self, *args: calls.append(args[2]) or rows_mul(self, *args))
+    t0 = time.perf_counter()
+    for s in (3999, 4000, 4096):
+        assert Evaluator(F).power_sum(0, s, 60) == LaurentSeries.one(F, 60), s
+    assert time.perf_counter() - t0 < 0.5
+    # at most two products per binary digit of s, each cut to one coefficient
+    assert len(calls) <= 3 * 2 * (4096).bit_length() and set(calls) == {1}
+
+
 @pytest.mark.parametrize("q, s", [(9, 28), (8, 16)])
 def test_level_series_at_high_precision_match_exact(q, s):
     """zeta (s) at N = 1000 keeps levels 1 and 2, where the order bound
@@ -167,18 +199,33 @@ def test_level_series_at_high_precision_match_exact(q, s):
         assert got.prec == N and (d > 1 or not got.is_zero_to_prec), d
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 9])
-def test_divide_rows_matches_divmod(q):
-    """Row r of the vectorised division is num divmod the r-th monic polynomial."""
+def _codes_poly(F, codes):
+    return F.poly([F.from_index(int(c)) for c in codes])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_divide_rows_matches_divmod(q, monkeypatch):
+    """Dividing by one monic polynomial gives num divmod it; dividing by all
+    of degree d at once gives the sum of their quotients and each remainder.
+    Windows of 1 and 3 quotient digits put a window edge at every step and
+    windows shorter than d."""
     F = field(q)
     rng = random.Random(q)
-    for d in range(3):
+    for d in range(5):
         num = F.poly([F.from_index(rng.randrange(q)) for _ in range(8)] + [F.one])
-        quo, rem = F.vec._divide_rows(num.c, F.vec._monic_codes(d)[:, :d])
-        for row, a in enumerate(all_monic(F, d)):
-            want_q, want_r = num.divmod(a)
-            assert F.poly([F.from_index(int(c)) for c in quo[row]]) == want_q, (d, row)
-            assert F.poly([F.from_index(int(c)) for c in rem[row]]) == want_r, (d, row)
+        low = F.vec._monic_codes(d)[:, :d]
+        want = [num.divmod(a) for a in all_monic(F, d)]
+        total = sum((quo for quo, _ in want), F.poly([]))
+        for window in (1, 3, 64):
+            monkeypatch.setattr(ffmzv._gfnum, "_WINDOW", window)
+            for row, (want_q, want_r) in enumerate(want):
+                if row < 20 or row % 97 == 0:
+                    quo, rem = F.vec._divide_rows(num.c, low[row:row + 1])
+                    assert _codes_poly(F, quo) == want_q, (window, d, row)
+                    assert _codes_poly(F, rem[0]) == want_r, (window, d, row)
+            quo, rem = F.vec._divide_rows(num.c, low)
+            assert _codes_poly(F, quo) == total, (window, d)
+            assert all(_codes_poly(F, r) == want_r for r, (_, want_r) in zip(rem, want)), (window, d)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
