@@ -211,12 +211,11 @@ class GFVec:
         vector, with 1 there and the negated column of the reduced echelon
         form at the pivot columns.
         """
-        m = np.array(mat, dtype=np.int64)
+        m = np.asarray(mat)
         if m.ndim != 2:
             raise ValueError("matrix expected")
         p, prime = self.p, self.e == 1
-        if prime and (p - 1) ** 2 + p < _INT16_LIMIT:
-            m = m.astype(np.int16)
+        m = m.astype(np.int16 if prime and (p - 1) ** 2 + p < _INT16_LIMIT else np.int64)
         rows, cols = m.shape
         piv_cols = []
         rank = 0

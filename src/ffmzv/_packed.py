@@ -4,18 +4,15 @@ Every coefficient the Reducer's checkers sum lies in F_p[Y]: gen_A, the
 products and the dagger expansions have F_p coefficients apart from the
 powers of -Y, and F_p[Y] is closed under the rewriting's sums.  So a vector
 on the Thakur indices of one weight, a normal form or a reduction sum, is
-one int: coordinate t is a run of ``slots`` slots of ``width`` bits holding
-its F_p codes lowest degree first.  This is the Kronecker substitution of
-``algebra._mul_codes`` lifted from one polynomial to a vector: c * v is
-one big-int product and a sum of terms is a sum of ints.
+one int in the slot codec of ``algebra``: coordinate t is a run of
+``slots`` slots holding its F_p codes lowest degree first, so c * v is one
+big-int product and a sum of terms is a sum of ints.
 
 Slot k of coordinate t of c * v is sum_{i+j=k} c_i v_tj, at most
-min(len c, deg v + 1) products of codes below p.  The slot width, the
-narrowest of 8, 16, 32 or 64 bits, holds the sum of (p-1)^2
-min(len c, deg v + 1) over the terms, and the slot count exceeds
-deg c + deg v for every term, so no slot carries into the next and no
-coordinate runs into the next: one ``to_bytes``, one numpy ``% p`` and one
-``from_bytes`` per finished vector give the exact sum over F_p.  Packing a
+min(len c, deg v + 1) products of codes below p, so the slot bound of a sum
+is (p-1)^2 min(len c, deg v + 1) summed over its terms, and the slot count
+exceeds deg c + deg v for every term, so no coordinate runs into the next:
+one reduction per finished vector gives the exact sum over F_p.  Packing a
 coefficient with a denominator or a code >= p raises; it never wraps.
 Each weight has one layout, which grows (the slot count at least doubling)
 when a sum needs more; a memoised vector is repacked to it when next used.
@@ -29,31 +26,10 @@ from __future__ import annotations
 import numpy as np
 
 from ._linalg import _lcm
-from .algebra import Poly, RatFunc
+from .algebra import (Poly, RatFunc, _pack_rows, _pack_slots, _read_slots, _reduce_slots,
+                      _slot_array, _slot_width)
 from .errors import InvalidInput
 from .indices import IndexPoly, thakur_indices
-
-# little-endian dtypes of the 8-, 16-, 32- and 64-bit slots
-_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
-
-
-def slot_width(bound: int) -> int:
-    """The narrowest slot, of 8, 16, 32 or 64 bits, that holds bound."""
-    for width in _DTYPES:
-        if bound < 1 << width:
-            return width
-    raise InvalidInput(f"packed slot sums up to {bound} need more than 64 bits")
-
-
-def _slot_array(x: int, rows: int, slots: int, width: int):
-    """The slots of a packed int as a read-only (rows, slots) array."""
-    return np.frombuffer(x.to_bytes(rows * slots * width // 8, "little"),
-                         _DTYPES[width]).reshape(rows, slots)
-
-
-def _array_int(arr) -> int:
-    """The packed int of a slot array."""
-    return int.from_bytes(arr.tobytes(), "little")
 
 
 def fp_codes(c: RatFunc, p: int) -> tuple:
@@ -130,9 +106,9 @@ class Layouts:
         v, *rest = memo[key]
         slots, width = self._layouts[v.weight]
         if v.slots != slots or v.width != width:
-            out = np.zeros((len(self.basis(v.weight)[0]), slots), _DTYPES[width])
-            out[:, :v.slots] = _slot_array(v.x, len(out), v.slots, v.width)
-            v = Packed(v.weight, _array_int(out), slots, width, v.degree)
+            n = len(self.basis(v.weight)[0]) * v.slots
+            rows = _slot_array(v.x, n, v.width).reshape(-1, v.slots)
+            v = Packed(v.weight, _pack_rows(rows, slots, width), slots, width, v.degree)
             memo[key] = (v, *rest)
         return v
 
@@ -141,7 +117,7 @@ class Layouts:
         key = (codes, width)
         x = self._scalars.get(key)
         if x is None:
-            x = self._scalars[key] = _array_int(np.array(codes, _DTYPES[width]))
+            x = self._scalars[key] = _pack_slots(codes, width)
         return x
 
     def combine(self, w, terms, memo: dict) -> Packed:
@@ -155,14 +131,15 @@ class Layouts:
             return Packed(w, 0, 1, 8, -1)
         p = self.p
         bound = (p - 1) ** 2 * sum(min(len(c), d + 1) for c, _, d in live)
-        slots, width = self.layout(w, max(len(c) + d for c, _, d in live), slot_width(bound))
+        slots, width = self.layout(w, max(len(c) + d for c, _, d in live), _slot_width(bound))
         scalar, fitted = self._scalar, self._fitted
         x = 0
         for c, key, _ in live:
             x += scalar(c, width) * fitted(memo, key).x
-        arr = _slot_array(x, len(self.basis(w)[0]), slots, width) % p
-        cols = np.flatnonzero(arr.any(axis=0))
-        return Packed(w, _array_int(arr), slots, width, int(cols[-1]) if len(cols) else -1)
+        n = len(self.basis(w)[0]) * slots
+        x = _reduce_slots(x, n, width, p)
+        cols = np.flatnonzero(_slot_array(x, n, width).reshape(-1, slots).any(axis=0))
+        return Packed(w, x, slots, width, int(cols[-1]) if len(cols) else -1)
 
     def unpack(self, v: Packed) -> IndexPoly:
         """The IndexPoly of a packed vector, in Thakur-basis order."""
@@ -170,7 +147,7 @@ class Layouts:
         if v.is_zero:
             return IndexPoly._of(spec, {})
         basis = self.basis(v.weight)[0]
-        arr = _slot_array(v.x, len(basis), v.slots, v.width)
+        arr = _slot_array(v.x, len(basis) * v.slots, v.width).reshape(-1, v.slots)
         return IndexPoly._of(spec, {
             basis[t]: RatFunc._make(Poly._make(spec, tuple(arr[t].tolist())))
             for t in np.flatnonzero(arr.any(axis=1))})
@@ -211,13 +188,13 @@ class Projection:
         self.entries = rows
         self.dim = len(quotient)
         self.span = max((len(c) for row in rows for c in row), default=1)
-        self.width = slot_width(len(rows) * (p - 1) ** 2 * self.span)
+        self.width = _slot_width(len(rows) * (p - 1) ** 2 * self.span)
         self.slots = 0
         self.rows = []
 
     def _numerators(self, v: Packed):
-        """The (dim, slots) code array of Lambda * class(v), reduced mod p, or
-        None when v or the quotient is zero."""
+        """Lambda * class(v) packed as dim runs of slots slots, reduced mod p,
+        or None when v or the quotient is zero."""
         if v.weight != self.weight and not v.is_zero:
             raise InvalidInput("weight mismatch")
         if v.is_zero or not self.dim:
@@ -225,31 +202,25 @@ class Projection:
         need = v.degree + self.span
         if need > self.slots:
             self.slots = max(need, 2 * self.slots)
-            dtype = _DTYPES[self.width]
-            self.rows = []
-            for entry in self.entries:
-                arr = np.zeros((self.dim, self.slots), dtype)
-                for j, c in enumerate(entry):
-                    arr[j, :len(c)] = c
-                self.rows.append(_array_int(arr))
-        arr = _slot_array(v.x, len(self.entries), v.slots, v.width)[:, :v.degree + 1]
-        if v.width != self.width:
-            arr = arr.astype(_DTYPES[self.width])
+            self.rows = [_pack_rows(entry, self.slots, self.width) for entry in self.entries]
+        arr = _slot_array(v.x, len(self.rows) * v.slots, v.width).reshape(-1, v.slots)
+        arr = arr[:, :v.degree + 1]
         rows = self.rows
         y = 0
         for t in np.flatnonzero(arr.any(axis=1)):
-            y += _array_int(arr[t]) * rows[t]
-        return _slot_array(y, self.dim, self.slots, self.width) % self.field.p
+            y += _pack_slots(arr[t].tolist(), self.width) * rows[t]
+        return _reduce_slots(y, self.dim * self.slots, self.width, self.field.p)
 
     def kills(self, v: Packed) -> bool:
         """Whether the class of v is zero."""
-        arr = self._numerators(v)
-        return arr is None or not arr.any()
+        return not self._numerators(v)
 
     def classes(self, v: Packed):
         """The class of v on the quotient basis, as RatFuncs."""
-        arr = self._numerators(v)
-        if arr is None:
+        y = self._numerators(v)
+        if y is None:
             return [RatFunc.of(0, self.field)] * self.dim
-        spec, lam = self.field, self.lam
-        return [RatFunc(Poly._make(spec, tuple(row.tolist())), lam) for row in arr]
+        spec, lam, n = self.field, self.lam, self.slots
+        codes = _read_slots(y, self.dim * n, self.width)
+        return [RatFunc(Poly._make(spec, tuple(codes[i:i + n])), lam)
+                for i in range(0, len(codes), n)]

@@ -15,22 +15,18 @@ Four layers, all immutable values with pure-function operations:
   are stored and correct.  Equality compares down to the smaller
   precision, and ``is_zero_to_prec`` is the only zero test.
 
-Every polynomial and series product goes through ``_mul_codes``.  Over a
-prime field it packs both code sequences into ints with slots wide enough
-for the largest coefficient sum of the integer product, min(len a, len b)
-* (p-1)^2, and multiplies once; since no slot overflows, reading the slots
-back and reducing mod p gives the product over F_p exactly.  Over GF(p^e)
-a product whose codes all lie in the prime subfield F_p is such a product
-too, and takes the same path unless it is short; every other extension-field
-product runs the schoolbook loop over the field tables.
+Every polynomial and series product goes through ``_mul_codes``.  Over F_p,
+and over GF(p^e) when every code lies in F_p, it is one Kronecker product in
+the slot codec below, of slot bound min(len a, len b) (p-1)^2; every other
+extension-field product runs the schoolbook loop over the field tables.
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from functools import lru_cache
+
+import numpy as np
 
 from ._gfnum import GFVec
 from .errors import DivisionByZero, InsufficientPrecision, InvalidInput
@@ -156,8 +152,6 @@ class FieldSpec:
         self._inv = inv
         self._frob = frob
         self._upow = upow
-        # byte -> byte mod p, the unpacking step of the Kronecker product
-        self._mod_bytes = bytes(i % p for i in range(256))
 
     def _digits(self, a: int):
         out = []
@@ -402,26 +396,84 @@ def poly_lucas_binom(a: int, b: int, p: int) -> int:
 # Kronecker product at 2-3 coefficients)
 _SHORT = 4
 
-# array typecodes of the 16-, 32- and 64-bit Kronecker slots
-_SLOT_TYPECODES = {array(c).itemsize * 8: c for c in "HILQ"}
+# -- the F_p slot codec of the Kronecker kernels: _mul_codes, the Reducer's
+# packed vectors (_packed) and the value DP's SeriesPacking (evaluate).  Code
+# j of a sequence is slot j of one int >= 0, bits width*j .. width*j + width-1
+# (little-endian).  A sum of products of such ints adds products of codes
+# slot by slot; each kernel proves a bound on its largest slot sum and packs
+# at its _slot_width, so no slot carries into the next and every slot mod p is
+# exact over F_p.  8-bit slots are bytes; wider ones go through numpy.
+
+_SLOT_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
+# a slot bound of at least (p-1)^2 fits 8 bits only for p < 17
+_MOD_BYTES = {p: bytes(i % p for i in range(256)) for p in (2, 3, 5, 7, 11, 13)}
+
+
+def _slot_width(bound: int) -> int:
+    """The narrowest slot, of 8, 16, 32 or 64 bits, that holds bound."""
+    for width in _SLOT_DTYPES:
+        if bound < 1 << width:
+            return width
+    raise InvalidInput(f"packed slot sums up to {bound} need more than 64 bits")
+
+
+def _pack_slots(codes, width: int) -> int:
+    """The int whose width-bit slots hold a sequence of codes, the first lowest."""
+    if width == 8:
+        return int.from_bytes(bytes(codes), "little")
+    return int.from_bytes(np.array(codes, _SLOT_DTYPES[width]).tobytes(), "little")
+
+
+def _pack_rows(rows, slots: int, width: int) -> int:
+    """Code sequences of at most slots codes each, or the rows of a 2-D
+    array in one assignment, packed one after another into runs of slots
+    slots."""
+    arr = np.zeros((len(rows), slots), _SLOT_DTYPES[width])
+    if isinstance(rows, np.ndarray):
+        arr[:, :rows.shape[1]] = rows
+    else:
+        for i, c in enumerate(rows):
+            arr[i, :len(c)] = c
+    return int.from_bytes(arr.tobytes(), "little")
+
+
+def _slot_array(x: int, n: int, width: int):
+    """The n slots of x as a read-only numpy array."""
+    return np.frombuffer(x.to_bytes(n * width >> 3, "little"), _SLOT_DTYPES[width])
+
+
+def _read_slots(x: int, n: int, width: int, p: int = 0, m: int = 0) -> list:
+    """The codes in slots 0..n-1 of x, an int of max(n, m) slots, each
+    reduced mod p when p is given."""
+    if width == 8:
+        data = x.to_bytes(max(n, m), "little")[:n]
+        return list(data.translate(_MOD_BYTES[p]) if p else data)
+    size = width >> 3
+    arr = np.frombuffer(x.to_bytes(max(n, m) * size, "little")[:n * size], _SLOT_DTYPES[width])
+    return (arr % p if p else arr).tolist()
+
+
+def _reduce_slots(x: int, n: int, width: int, p: int) -> int:
+    """x, an int of n slots, with every slot reduced mod p."""
+    data = x.to_bytes(n * width >> 3, "little")
+    if width == 8:
+        data = data.translate(_MOD_BYTES[p])
+    else:
+        data = (np.frombuffer(data, _SLOT_DTYPES[width]) % p).tobytes()
+    return int.from_bytes(data, "little")
 
 
 def _mul_codes(spec: FieldSpec, a, b, n=None) -> list:
     """First n coefficients (all if n is None) of the product of two code sequences.
 
     A length-1 operand scales the other through one multiplication-table
-    row.  Over a prime field the codes are the residues 0..p-1 and the
-    product is one Kronecker substitution: both operands, cut to n
-    coefficients, are packed into ints with w-bit slots, multiplied once,
-    and the slots are read back and reduced mod p.  Slot k of the integer
-    product is sum_{i+j=k} a_i b_j, a sum of at most min(len a, len b)
-    terms each at most (p-1)^2; w is the smallest of 8, 16, 32, 64 bits
-    that holds this bound, so no slot overflows into the next, and slot k
-    mod p is the k-th coefficient of the product over F_p.  Over GF(p^e)
-    the codes below p are exactly the prime-subfield elements, with the
-    same residues, so a product whose codes all lie below p is a product
-    over F_p and takes the same branch once the shorter operand has more
-    than _SHORT coefficients.  Any other product takes the table loop.
+    row.  Over a prime field the product is one Kronecker product: both
+    operands, cut to n coefficients, are packed, multiplied once and read
+    back mod p; slot k is sum_{i+j=k} a_i b_j, so the slot bound is
+    min(len a, len b) (p-1)^2.  Over GF(p^e) the codes below p are exactly
+    the prime-subfield elements, with the same residues, so a product whose
+    codes all lie below p takes the same branch once the shorter operand has
+    more than _SHORT coefficients.  Any other product takes the table loop.
     """
     full = len(a) + len(b) - 1 if a and b else 0
     n = full if n is None else min(n, full)
@@ -435,18 +487,8 @@ def _mul_codes(spec: FieldSpec, a, b, n=None) -> list:
         return [row[v] for v in b]
     p = spec.p
     if spec.e == 1 or (len(a) > _SHORT and max(a) < p and max(b) < p):
-        m = len(a) + len(b) - 1
-        bound = len(a) * (p - 1) ** 2
-        if bound < 1 << 8:
-            x = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
-            return list(x.to_bytes(m, "little")[:n].translate(spec._mod_bytes))
-        w = 16 if bound < 1 << 16 else 32 if bound < 1 << 32 else 64
-        tc, size = _SLOT_TYPECODES[w], w // 8
-        # native byte order on both sides: a big-endian host reads both
-        # operands slot-reversed, so the product comes back reversed too
-        x = (int.from_bytes(array(tc, a), sys.byteorder)
-             * int.from_bytes(array(tc, b), sys.byteorder))
-        return [v % p for v in array(tc, x.to_bytes(m * size, sys.byteorder)[:n * size])]
+        w = _slot_width(len(a) * (p - 1) ** 2)
+        return _read_slots(_pack_slots(a, w) * _pack_slots(b, w), n, w, p, len(a) + len(b) - 1)
     mul, add = spec._mul, spec._add
     out = [0] * n
     for i, ai in enumerate(a):

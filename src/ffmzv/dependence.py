@@ -89,6 +89,7 @@ def find_dependence(problem: DependenceProblem) -> list:
             seg = v.c[:max(nrows - top, 0)]
             mat[top:top + len(seg), j * (D + 1) + t] = seg
     kernel = spec.vec.kernel(mat)
+    arrays = [np.array(v.c, dtype=np.int64) for v in vals]
     out = []
     for vec in kernel:
         codes = vec.tolist()
@@ -102,28 +103,29 @@ def find_dependence(problem: DependenceProblem) -> list:
         inv = lead.leading().inverse()
         polys = [p.scale(inv) for p in polys]
         # re-verify against the inputs at their common precision
-        if _combination_vanishes(spec, polys, vals):
+        if _combination_vanishes(spec, polys, vals, arrays):
             out.append(tuple(polys))
     return out
 
 
-def _combination_vanishes(spec, polys, vals) -> bool:
+def _combination_vanishes(spec, polys, vals, arrays) -> bool:
     """Whether sum_j p_j v_j is zero to its precision, prec - max deg p_j.
 
     Built from the input series, not from the kernel's matrix, so that the
-    check is independent of the elimination.  Over a prime field the codes
-    are residues: c v is accumulated in int64 and reduced mod p once.
+    check is independent of the elimination; arrays[j] holds the codes of
+    v_j as int64.  Over a prime field the codes are residues: c v is
+    accumulated in int64 and reduced mod p once.
     """
     floor = max(max(p.degree, 0) for p in polys) - vals[0].prec
-    terms = [(p, v) for p, v in zip(polys, vals) if not p.is_zero and not v.is_zero_to_prec]
+    terms = [(p, v, vc) for p, v, vc in zip(polys, vals, arrays)
+             if not p.is_zero and not v.is_zero_to_prec]
     if not terms:
         return True
-    high = max(v.lead + p.degree for p, v in terms)
+    high = max(v.lead + p.degree for p, v, _ in terms)
     # acc[r] is the coefficient of T^(high - r), down to T^floor
     acc = np.zeros(max(high - floor + 1, 0), dtype=np.int64)
     vec = spec.vec
-    for p, v in terms:
-        vc = np.array(v.c, dtype=np.int64)
+    for p, v, vc in terms:
         for t, c in enumerate(p.c):
             if c:
                 top = high - v.lead - t

@@ -47,11 +47,9 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
-from ._packed import _DTYPES, slot_width
-from .algebra import (FieldSpec, LaurentSeries, Poly, RatFunc, carlitz_bracket,
-                      carlitz_l, carlitz_l_degree, rat_to_laurent)
+from .algebra import (FieldSpec, LaurentSeries, Poly, RatFunc, _pack_slots, _read_slots,
+                      _reduce_slots, _slot_width, carlitz_bracket, carlitz_l, carlitz_l_degree,
+                      rat_to_laurent)
 from .errors import InvalidInput, PrecisionTooExpensive
 from .indices import Index, IndexPoly
 from .reports import Case, Report
@@ -113,31 +111,25 @@ class EvalBudget:
     ``max_bruteforce`` caps q^d, the number of monic polynomials of degree
     d.  An exact power sum with s = s0 * p^k also divides L_d^s0, of degree
     s0 deg L_d with deg L_d = q(q^d - 1)/(q - 1), by a^s0 for each of them,
-    so its cost grows with the q^d * s0 * deg L_d cells of that division (one
-    cell a row and a quotient digit) rather than with q^d alone.
-    ``MAX_DIVISION_CELLS`` caps those cells at 2^24.  Measured on a 2-vCPU
-    Xeon VM (Python 3.11, numpy 2.4), a cell takes 0.8-2.1e-7 s for s0 = 1
-    at q = 2, 3, 4, 5, 8, 9, so an s0 = 1 numerator at the cap runs 1-4 s;
-    L_5 at q = 9 needs 3.9e9 cells, L_4 at q = 9 4.8e7.
+    so its cost follows the q^d * s0 * deg L_d cells of that division (one
+    cell a row and a quotient digit): ``MAX_DIVISION_CELLS`` caps them at
+    2^24, where an s0 = 1 numerator takes 0.6-1.2 s on a 2-vCPU Xeon VM
+    (Python 3.11, numpy 2.4).  L_5 at q = 9 needs 3.9e9 cells, L_4 4.8e7.
 
     Each cell also updates the s0 d coefficients of a^s0 below its lead, so
-    for a wide divisor the time follows the cells * s0 d coefficient
-    updates instead: 1.1-1.7e-8 s each at (q, d, s0) = (3, 6, 20),
-    (9, 3, 28) and (2, 1, 16001), which take 22, 24 and 9 s.
-    ``MAX_DIVISION_UPDATES`` caps them at 2^27: (2, 1, 5791), (8, 1, 1447)
-    and (9, 2, 95) at the cap take 2.1, 2.4 and 1.9 s, (9, 3, 8) (1.1e8)
-    1.7 s.  It never binds at s0 = 1: there cells <= 2^24 leaves d <= 7,
-    or d <= 11 and cells <= 2^23 at q = 2, so cells * d stays within 2^27.
+    a wide divisor costs cells * s0 d updates, 0.2-1.2e-8 s each:
+    ``MAX_DIVISION_UPDATES`` caps them at 2^27, 0.3-1.4 s at (q, d, s0) =
+    (2, 1, 5791), (8, 1, 1447), (9, 2, 95) and (9, 3, 8).  It never binds
+    at s0 = 1: there cells <= 2^24 leaves d <= 7, or d <= 11 and
+    cells <= 2^23 at q = 2, so cells * d stays within 2^27.
 
     The series power sums divide one row per monic a for M = prec - s d + 1
     quotient digits over at most min(M, s d) coefficients of a^s, so
     ``check_series`` caps their q^d M min(M, s d) coefficient updates at the
-    same ``MAX_DIVISION_UPDATES``: ``power_sum(6, 40, 3000)`` at q = 3, 4.8e8
-    updates, ran 8.6 s uncapped.  Through the level cutoff
-    q^d <= deg L_d <= prec / 2 for the entries s > q that take the series, so
-    a value asks for at most prec^3 / 8 updates; at large prec the cap
-    refuses that too: zeta(40) at q = 3 and prec 3000 needs 1.4e8 at d = 5
-    (it ran 3.0 s uncapped).
+    same ``MAX_DIVISION_UPDATES``: ``power_sum(6, 40, 3000)`` at q = 3 needs
+    4.8e8.  Through the level cutoff q^d <= deg L_d <= prec / 2 for the
+    entries s > q that take the series, so a value asks for at most
+    prec^3 / 8 updates; zeta(40) at q = 3 and prec 3000 needs 1.4e8 at d = 5.
     """
 
     MAX_DIVISION_CELLS = 1 << 24
@@ -192,14 +184,13 @@ class EvalBudget:
 
 class SeriesPacking:
     """Series of order >= 0 over F_p at one absolute precision N, each packed
-    into one Python int.
+    into one Python int in the slot codec of ``algebra``.
 
     Slot j, of ``width`` bits, holds the F_p code of T^(j - N), so slots
     0..N cover T^-N..T^0 and any two packed series are aligned.  Slot m of
     a product u * h is sum_{i+j=m} u_i h_j, at most N + 1 products of codes
     below p, and its slots N..2N hold T^-N..T^0, so x + (u * h >> width N)
-    keeps every slot within (N + 1)(p - 1)^2 + (p - 1), the bound the
-    narrowest sufficient width holds: no slot carries into the next, and
+    keeps every slot within the slot bound (N + 1)(p - 1)^2 + (p - 1), and
     one ``reduce`` gives the exact result over F_p.  Packing a code >= p, a
     series of positive lead or one known below precision N raises; it
     never wraps.
@@ -211,7 +202,7 @@ class SeriesPacking:
         p = spec.p
         self.spec = spec
         self.prec = prec
-        self.width = slot_width((prec + 1) * (p - 1) ** 2 + (p - 1))
+        self.width = _slot_width((prec + 1) * (p - 1) ** 2 + (p - 1))
         self.nbytes = (prec + 1) * self.width // 8
         self.cap = (1 << self.width) - 1  # the largest slot sum
         self.one = 1 << self.width * prec
@@ -228,9 +219,7 @@ class SeriesPacking:
         codes = v.c[:v.lead + self.prec + 1][::-1]
         if max(codes) >= self.spec.p:
             raise InvalidInput("cannot pack a series with codes outside F_p")
-        if self.width == 8:
-            return int.from_bytes(bytes(codes), "little")
-        return int.from_bytes(np.array(codes, _DTYPES[self.width]).tobytes(), "little")
+        return _pack_slots(codes, self.width)
 
     def mul_add(self, x: int, u: int, h: int) -> int:
         """x + u h, reduced, for reduced x, u and h.
@@ -248,18 +237,11 @@ class SeriesPacking:
 
     def reduce(self, x: int) -> int:
         """x with every slot reduced mod p."""
-        data = x.to_bytes(self.nbytes, "little")
-        if self.width == 8:
-            data = data.translate(self.spec._mod_bytes)
-        else:
-            data = (np.frombuffer(data, _DTYPES[self.width]) % self.spec.p).tobytes()
-        return int.from_bytes(data, "little")
+        return _reduce_slots(x, self.prec + 1, self.width, self.spec.p)
 
     def unpack(self, x: int, sign: int = 1) -> LaurentSeries:
         """The LaurentSeries of sign times a reduced packed int."""
-        data = x.to_bytes(self.nbytes, "little")
-        codes = list(data) if self.width == 8 else np.frombuffer(
-            data, _DTYPES[self.width]).tolist()
+        codes = _read_slots(x, self.prec + 1, self.width)
         codes.reverse()
         if sign < 0:
             neg = self.spec._neg

@@ -8,7 +8,8 @@ import pytest
 from ffmzv import (DivisionByZero, FieldSpec, InsufficientPrecision, InvalidInput,
                    LaurentSeries, RatFunc, carlitz_l, field, poly_lucas_binom,
                    rat_to_laurent)
-from ffmzv.algebra import _mul_codes, carlitz_l_degree
+from ffmzv.algebra import (_mul_codes, _pack_rows, _pack_slots, _read_slots, _reduce_slots,
+                           _slot_array, _slot_width, carlitz_l_degree)
 
 
 def test_gf_small_examples():
@@ -171,6 +172,57 @@ def test_mul_codes_slot_boundaries(q, short):
         a = b = (c,) * (short + 50)
         assert _mul_codes(F, a, b, short) == product(short, short, short)
         assert _mul_codes(F, a, b, short) == _schoolbook_codes(F, a, b, short)
+
+
+@pytest.mark.parametrize("bound, width", [(255, 8), (256, 16), (65535, 16), (65536, 32),
+                                          (2 ** 32 - 1, 32), (2 ** 32, 64)])
+def test_slot_codec_at_every_width_switch(bound, width):
+    """Slots holding the bound itself, and 0, 1 and p - 1 around it, come back
+    exact, and reduced mod p, from every read of the codec."""
+    assert _slot_width(bound) == width and _slot_width(bound - 1) <= width
+    top = (1 << width) - 1
+    codes = [bound, 0, 1, top, bound - 1, 0, 0, top]
+    x = _pack_slots(codes, width)
+    assert x == sum(c << width * j for j, c in enumerate(codes))  # little-endian
+    n = len(codes)
+    assert _read_slots(x, n, width) == codes
+    assert _slot_array(x, n, width).tolist() == codes
+    # a read of the first k slots of an int of n slots drops the rest
+    assert _read_slots(x, 5, width, 0, n) == codes[:5]
+    for p in (2, 3, 5, 7, 11, 13) if width == 8 else (2, 3, 13, 257, 4093):
+        want = [c % p for c in codes]
+        assert _read_slots(_reduce_slots(x, n, width, p), n, width) == want
+        assert _read_slots(x, n, width, p) == want
+        assert _read_slots(x, 5, width, p, n) == want[:5]
+    # rows of 4 and 3 slots padded to runs of 6: slots 4, 5, 9, 10 and 11 are zero
+    low = (1 << 4 * width) - 1
+    rows = [codes[:4], tuple(codes[4:7])]
+    assert _pack_rows(rows, 6, width) == x & low | (x >> 4 * width & low >> width) << 6 * width
+    assert _pack_rows(_slot_array(x, n, width).reshape(2, 4), 4, width) == x
+
+
+def test_slot_width_raises_above_64_bits():
+    assert _slot_width(0) == 8 and _slot_width(2 ** 64 - 1) == 64
+    with pytest.raises(InvalidInput):
+        _slot_width(2 ** 64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 257])
+def test_slot_codec_product_matches_schoolbook(p):
+    """Pack, one big-int product and one reduced read give the schoolbook
+    product over F_p, whole and cut, at lengths across the 8/16-bit slot
+    switch of each p < 17 and in 32-bit slots at p = 257."""
+    F = field(p)
+    rng = random.Random(p)
+    for la, lb in [(2, 2), (3, 40), (28, 29), (64, 64), (85, 90), (300, 257), (1, 7)]:
+        for extreme in (False, True):
+            a = [p - 1 if extreme else rng.randrange(p) for _ in range(la)]
+            b = [p - 1 if extreme else rng.randrange(p) for _ in range(lb)]
+            w = _slot_width(min(la, lb) * (p - 1) ** 2)
+            x = _pack_slots(a, w) * _pack_slots(b, w)
+            m = la + lb - 1
+            for n in (m, m // 2 + 1, 1):
+                assert _read_slots(x, n, w, p, m) == _schoolbook_codes(F, a, b, n)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

@@ -197,4 +197,5 @@ def test_combination_vanishes_matches_series(q):
         vals.append(LaurentSeries._make(F, top, codes, N))
         want = bump < floor
         assert combination_reference(polys, vals).is_zero_to_prec == want
-        assert _combination_vanishes(F, polys, vals) == want
+        arrays = [np.array(v.c, dtype=np.int64) for v in vals]
+        assert _combination_vanishes(F, polys, vals, arrays) == want
