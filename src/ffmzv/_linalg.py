@@ -58,9 +58,12 @@ def _echelon(rows, ncols: int):
     at every other pivot column, so N / N[pc] is the reduced row.  A column's
     pivot is its lowest-degree entry, and eliminating f against the pivot d
     replaces the row R by (d/g)*R - (f/g)*P with g = gcd(d, f), so entries
-    stay polynomials; dividing out the content keeps their degrees down.
+    stay polynomials.  A row's content is divided out when it becomes the
+    pivot row and once more on the returned rows, not after every update.
+    N is primitive, so it is unique up to a nonzero scalar of F_q; the
+    reduced row N / N[pc] is unique.
     """
-    rows = [_primitive(_clear(r)[0]) for r in rows]
+    rows = [_clear(r)[0] for r in rows]
     pivots = []
     for ci in range(ncols):
         rank = len(pivots)
@@ -68,8 +71,9 @@ def _echelon(rows, ncols: int):
         if not live:
             continue
         sel = min(live, key=lambda r: rows[r][ci].degree)
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        pivot_row = rows[rank]
+        pivot_row = _primitive(rows[sel])
+        rows[sel] = rows[rank]
+        rows[rank] = pivot_row
         d = pivot_row[ci]
         for r in range(len(rows)):
             f = rows[r][ci]
@@ -77,10 +81,9 @@ def _echelon(rows, ncols: int):
                 continue
             g = d.gcd(f)
             a, b = (d // g, f // g) if g.degree > 0 else (d, f)
-            rows[r] = _primitive([a * x if y.is_zero else a * x - b * y
-                                  for x, y in zip(rows[r], pivot_row)])
+            rows[r] = [a * x if y.is_zero else a * x - b * y for x, y in zip(rows[r], pivot_row)]
         pivots.append(ci)
-    return rows[:len(pivots)], pivots
+    return [_primitive(r) for r in rows[:len(pivots)]], pivots
 
 
 def _residual(vec, echelon, pivots):

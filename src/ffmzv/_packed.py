@@ -23,11 +23,9 @@ per Thakur coordinate, so a class is one sum of big-int products.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ._linalg import _lcm
 from .algebra import (Poly, RatFunc, _pack_rows, _pack_slots, _read_slots, _reduce_slots,
-                      _slot_array, _slot_width)
+                      _slot_codes, _slot_runs, _slot_width)
 from .errors import InvalidInput
 from .indices import IndexPoly, thakur_indices
 
@@ -39,6 +37,12 @@ def fp_codes(c: RatFunc, p: int) -> tuple:
     if c.den.c != (1,) or max(codes) >= p:
         raise InvalidInput(f"coefficient {c} lies outside F_p[Y]")
     return codes
+
+
+def _trim(run: bytes, width: int) -> bytes:
+    """A run of width-bit slots cut after its last nonzero slot."""
+    size = width >> 3
+    return run[:(len(run.rstrip(b"\0")) + size - 1) // size * size]
 
 
 class Packed:
@@ -102,13 +106,18 @@ class Layouts:
 
     def _fitted(self, memo: dict, key) -> Packed:
         """memo[key][0] in the current layout of its weight; a repacked
-        vector is stored back in place of the old one."""
+        vector is stored back in place of the old one.  A wider slot
+        re-encodes the codes; more slots only zero-pad each coordinate's run."""
         v, *rest = memo[key]
         slots, width = self._layouts[v.weight]
         if v.slots != slots or v.width != width:
-            n = len(self.basis(v.weight)[0]) * v.slots
-            rows = _slot_array(v.x, n, v.width).reshape(-1, v.slots)
-            v = Packed(v.weight, _pack_rows(rows, slots, width), slots, width, v.degree)
+            n = len(self.basis(v.weight)[0])
+            x = v.x
+            if v.width != width:
+                x = _pack_slots(_read_slots(x, n * v.slots, v.width), width)
+            pad = bytes((slots - v.slots) * width >> 3)
+            x = int.from_bytes(pad.join(_slot_runs(x, n, v.slots, width)), "little")
+            v = Packed(v.weight, x, slots, width, v.degree)
             memo[key] = (v, *rest)
         return v
 
@@ -136,10 +145,10 @@ class Layouts:
         x = 0
         for c, key, _ in live:
             x += scalar(c, width) * fitted(memo, key).x
-        n = len(self.basis(w)[0]) * slots
-        x = _reduce_slots(x, n, width, p)
-        cols = np.flatnonzero(_slot_array(x, n, width).reshape(-1, slots).any(axis=0))
-        return Packed(w, x, slots, width, int(cols[-1]) if len(cols) else -1)
+        n = len(self.basis(w)[0])
+        x = _reduce_slots(x, n * slots, width, p)
+        top = max(len(_trim(run, width)) for run in _slot_runs(x, n, slots, width))
+        return Packed(w, x, slots, width, top // (width >> 3) - 1)
 
     def unpack(self, v: Packed) -> IndexPoly:
         """The IndexPoly of a packed vector, in Thakur-basis order."""
@@ -147,10 +156,12 @@ class Layouts:
         if v.is_zero:
             return IndexPoly._of(spec, {})
         basis = self.basis(v.weight)[0]
-        arr = _slot_array(v.x, len(basis) * v.slots, v.width).reshape(-1, v.slots)
-        return IndexPoly._of(spec, {
-            basis[t]: RatFunc._make(Poly._make(spec, tuple(arr[t].tolist())))
-            for t in np.flatnonzero(arr.any(axis=1))})
+        terms = {}
+        for s, run in zip(basis, _slot_runs(v.x, len(basis), v.slots, v.width)):
+            run = _trim(run, v.width)
+            if run:
+                terms[s] = RatFunc._make(Poly._make(spec, tuple(_slot_codes(run, v.width))))
+        return IndexPoly._of(spec, terms)
 
 
 class Projection:
@@ -203,12 +214,14 @@ class Projection:
         if need > self.slots:
             self.slots = max(need, 2 * self.slots)
             self.rows = [_pack_rows(entry, self.slots, self.width) for entry in self.entries]
-        arr = _slot_array(v.x, len(self.rows) * v.slots, v.width).reshape(-1, v.slots)
-        arr = arr[:, :v.degree + 1]
-        rows = self.rows
+        x, n = v.x, len(self.rows)
+        if v.width != self.width:
+            x = _pack_slots(_read_slots(x, n * v.slots, v.width), self.width)
         y = 0
-        for t in np.flatnonzero(arr.any(axis=1)):
-            y += _pack_slots(arr[t].tolist(), self.width) * rows[t]
+        for run, row in zip(_slot_runs(x, n, v.slots, self.width), self.rows):
+            c = int.from_bytes(run, "little")
+            if c:
+                y += c * row
         return _reduce_slots(y, self.dim * self.slots, self.width, self.field.p)
 
     def kills(self, v: Packed) -> bool:

@@ -24,9 +24,9 @@ extension-field product runs the schoolbook loop over the field tables.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from functools import lru_cache
-
-import numpy as np
 
 from ._gfnum import GFVec
 from .errors import DivisionByZero, InsufficientPrecision, InvalidInput
@@ -402,65 +402,124 @@ _SHORT = 4
 # (little-endian).  A sum of products of such ints adds products of codes
 # slot by slot; each kernel proves a bound on its largest slot sum and packs
 # at its _slot_width, so no slot carries into the next and every slot mod p is
-# exact over F_p.  8-bit slots are bytes; wider ones go through numpy.
+# exact over F_p.  Slots go to and from bytes through the array typecode of
+# their width; a slot of width/8 bytes is reduced mod p without decoding it:
+# byte k of every slot is one strided slice, translate maps it to
+# b 256^k mod p, and the lanes summed as ints stay below 256 in each byte
+# while p width/8 <= 256.  Past that a slot is reduced by % in Python.
 
-_SLOT_DTYPES = {8: "<u1", 16: "<u2", 32: "<u4", 64: "<u8"}
+_SLOT_TYPECODES = {w: next(t for t in "BHILQ" if array(t).itemsize == w >> 3)
+                   for w in (8, 16, 32, 64)}
+# arrays are in the host's byte order and the slots little-endian
+_SWAP = sys.byteorder != "little"
 # a slot bound of at least (p-1)^2 fits 8 bits only for p < 17
 _MOD_BYTES = {p: bytes(i % p for i in range(256)) for p in (2, 3, 5, 7, 11, 13)}
 
 
 def _slot_width(bound: int) -> int:
     """The narrowest slot, of 8, 16, 32 or 64 bits, that holds bound."""
-    for width in _SLOT_DTYPES:
+    for width in _SLOT_TYPECODES:
         if bound < 1 << width:
             return width
     raise InvalidInput(f"packed slot sums up to {bound} need more than 64 bits")
 
 
+def _slot_bytes(codes, width: int) -> bytes:
+    """The little-endian bytes of a sequence of codes in width-bit slots."""
+    if width == 8:
+        return bytes(codes)
+    arr = array(_SLOT_TYPECODES[width], codes)
+    if _SWAP:
+        arr.byteswap()
+    return arr.tobytes()
+
+
+def _slot_codes(data: bytes, width: int) -> list:
+    """The codes in the width-bit slots of little-endian bytes."""
+    if width == 8:
+        return list(data)
+    arr = array(_SLOT_TYPECODES[width])
+    arr.frombytes(data)
+    if _SWAP:
+        arr.byteswap()
+    return arr.tolist()
+
+
+@lru_cache(maxsize=None)
+def _byte_lanes(p: int, size: int):
+    """(k, table of b -> b 256^k mod p) for each byte k of a size-byte slot
+    that can be nonzero mod p, and the table of b -> b mod p."""
+    lanes = tuple((k, bytes(b * r % p for b in range(256)))
+                  for k in range(size) if (r := pow(256, k, p)))
+    return lanes, bytes(b % p for b in range(256))
+
+
+@lru_cache(maxsize=64)
+def _slot_ones(n: int, width: int) -> int:
+    """1 in each of n width-bit slots."""
+    return ((1 << width * n) - 1) // ((1 << width) - 1)
+
+
+def _residues(data: bytes, size: int, p: int) -> bytes:
+    """One byte per size-byte slot of data: the slot mod p, for size > 1 and
+    p size <= 256."""
+    lanes, mod = _byte_lanes(p, size)
+    if len(lanes) == 1:  # p = 2: only the lowest byte counts
+        return data[::size].translate(lanes[0][1])
+    total = 0
+    for k, table in lanes:
+        total += int.from_bytes(data[k::size].translate(table), "little")
+    return total.to_bytes(len(data) // size, "little").translate(mod)
+
+
 def _pack_slots(codes, width: int) -> int:
     """The int whose width-bit slots hold a sequence of codes, the first lowest."""
-    if width == 8:
-        return int.from_bytes(bytes(codes), "little")
-    return int.from_bytes(np.array(codes, _SLOT_DTYPES[width]).tobytes(), "little")
+    return int.from_bytes(_slot_bytes(codes, width), "little")
 
 
 def _pack_rows(rows, slots: int, width: int) -> int:
-    """Code sequences of at most slots codes each, or the rows of a 2-D
-    array in one assignment, packed one after another into runs of slots
-    slots."""
-    arr = np.zeros((len(rows), slots), _SLOT_DTYPES[width])
-    if isinstance(rows, np.ndarray):
-        arr[:, :rows.shape[1]] = rows
-    else:
-        for i, c in enumerate(rows):
-            arr[i, :len(c)] = c
-    return int.from_bytes(arr.tobytes(), "little")
+    """Code sequences of at most slots codes each packed one after another
+    into runs of slots slots."""
+    size = slots * width >> 3
+    return int.from_bytes(b"".join(_slot_bytes(c, width).ljust(size, b"\0") for c in rows),
+                          "little")
 
 
-def _slot_array(x: int, n: int, width: int):
-    """The n slots of x as a read-only numpy array."""
-    return np.frombuffer(x.to_bytes(n * width >> 3, "little"), _SLOT_DTYPES[width])
+def _slot_runs(x: int, runs: int, slots: int, width: int) -> list:
+    """The bytes of each run of x, an int of runs runs of slots slots each,
+    the first lowest."""
+    size = slots * width >> 3
+    data = x.to_bytes(runs * size, "little")
+    return [data[i:i + size] for i in range(0, len(data), size)]
 
 
 def _read_slots(x: int, n: int, width: int, p: int = 0, m: int = 0) -> list:
     """The codes in slots 0..n-1 of x, an int of max(n, m) slots, each
     reduced mod p when p is given."""
-    if width == 8:
-        data = x.to_bytes(max(n, m), "little")[:n]
-        return list(data.translate(_MOD_BYTES[p]) if p else data)
     size = width >> 3
-    arr = np.frombuffer(x.to_bytes(max(n, m) * size, "little")[:n * size], _SLOT_DTYPES[width])
-    return (arr % p if p else arr).tolist()
+    data = x.to_bytes(max(n, m) * size, "little")[:n * size]
+    if size == 1:
+        return list(data.translate(_MOD_BYTES[p]) if p else data)
+    if not p:
+        return _slot_codes(data, width)
+    if p * size <= 256:
+        return list(_residues(data, size, p))
+    return [v % p for v in _slot_codes(data, width)]
 
 
 def _reduce_slots(x: int, n: int, width: int, p: int) -> int:
     """x, an int of n slots, with every slot reduced mod p."""
-    data = x.to_bytes(n * width >> 3, "little")
     if width == 8:
-        data = data.translate(_MOD_BYTES[p])
-    else:
-        data = (np.frombuffer(data, _SLOT_DTYPES[width]) % p).tobytes()
-    return int.from_bytes(data, "little")
+        return int.from_bytes(x.to_bytes(n, "little").translate(_MOD_BYTES[p]), "little")
+    if p == 2:
+        return x & _slot_ones(n, width)
+    size = width >> 3
+    data = x.to_bytes(n * size, "little")
+    if p * size > 256:
+        return _pack_slots([v % p for v in _slot_codes(data, width)], width)
+    out = bytearray(len(data))
+    out[::size] = _residues(data, size, p)
+    return int.from_bytes(out, "little")
 
 
 def _mul_codes(spec: FieldSpec, a, b, n=None) -> list:

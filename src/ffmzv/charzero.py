@@ -12,14 +12,9 @@ from dataclasses import dataclass
 
 import math
 
-import numpy as np
-
 from .errors import NotAdmissible
 from .indices import Index
 from .reports import Case, Report
-
-# extended-precision accumulation; on x86 this carries a 64-bit significand
-_FLOAT = np.longdouble
 
 _ZETA_BOUND = 1.6449340668482266  # zeta(2), an upper bound for zeta(s), s >= 2
 
@@ -85,6 +80,7 @@ def _tail_bound(outer_exp: int, inner_exps, M: int) -> float:
 
 def mzv_num(s, M: int = 10 ** 6) -> RealValue:
     """Multiple zeta value by nested cumulative sums over m_1 > ... > m_r >= 1."""
+    import numpy as np
     s = Index(s)
     if s.is_empty:
         return RealValue(1.0, 0.0)
@@ -92,22 +88,24 @@ def mzv_num(s, M: int = 10 ** 6) -> RealValue:
         raise NotAdmissible(f"{s} is not admissible (first entry must exceed 1)")
     if M < s.depth:
         raise NotAdmissible("cutoff smaller than the depth")
-    n = np.arange(1, M + 1, dtype=_FLOAT)
-    inner = np.ones(M, dtype=_FLOAT)
+    # extended-precision accumulation; on x86 np.longdouble carries a 64-bit significand
+    n = np.arange(1, M + 1, dtype=np.longdouble)
+    inner = np.ones(M, dtype=np.longdouble)
     # process entries right to left; 'inner[m-1]' sums tuples with largest part m
     for e in reversed(tuple(s)[1:]):
-        level = n ** (-_FLOAT(e)) * inner
+        level = n ** (-np.longdouble(e)) * inner
         csum = np.cumsum(level)
-        inner = np.empty(M, dtype=_FLOAT)
+        inner = np.empty(M, dtype=np.longdouble)
         inner[0] = 0.0
         inner[1:] = csum[:-1]
-    top = n ** (-_FLOAT(s[0])) * inner
+    top = n ** (-np.longdouble(s[0])) * inner
     value = float(np.sum(top))
     return RealValue(value, _tail_bound(s[0], tuple(s)[1:], M))
 
 
 def mzdv_num(s, M: int = 10 ** 6) -> RealValue:
     """Dagger value: weakly increasing m_1 <= ... <= m_r, signed by (-1)^depth."""
+    import numpy as np
     s = Index(s)
     if s.is_empty:
         return RealValue(1.0, 0.0)
@@ -116,12 +114,12 @@ def mzdv_num(s, M: int = 10 ** 6) -> RealValue:
             f"{s} has last entry 1; the regularized values are out of scope")
     if M < 1:
         raise NotAdmissible("cutoff must be >= 1")
-    n = np.arange(1, M + 1, dtype=_FLOAT)
-    running = np.ones(M, dtype=_FLOAT)
+    n = np.arange(1, M + 1, dtype=np.longdouble)
+    running = np.ones(M, dtype=np.longdouble)
     for e in tuple(s)[:-1]:
-        level = n ** (-_FLOAT(e)) * running
+        level = n ** (-np.longdouble(e)) * running
         running = np.cumsum(level)
-    top = n ** (-_FLOAT(s[-1])) * running
+    top = n ** (-np.longdouble(s[-1])) * running
     value = float(np.sum(top))
     sign = -1.0 if s.depth % 2 else 1.0
     return RealValue(sign * value, _tail_bound(s[-1], tuple(s)[:-1], M))

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .algebra import LaurentSeries, Poly
 from .errors import InvalidInput
 
@@ -67,6 +65,7 @@ def find_dependence(problem: DependenceProblem) -> list:
     to the working precision says nothing about the values and is not
     returned.
     """
+    import numpy as np
     spec = problem.spec
     D = problem.deg_bound
     vals = problem.values
@@ -116,6 +115,7 @@ def _combination_vanishes(spec, polys, vals, arrays) -> bool:
     v_j as int64.  Over a prime field the codes are residues: c v is
     accumulated in int64 and reduced mod p once.
     """
+    import numpy as np
     floor = max(max(p.degree, 0) for p in polys) - vals[0].prec
     terms = [(p, v, vc) for p, v, vc in zip(polys, vals, arrays)
              if not p.is_zero and not v.is_zero_to_prec]

@@ -196,14 +196,13 @@ class SeriesPacking:
     never wraps.
     """
 
-    __slots__ = ("spec", "prec", "width", "nbytes", "cap", "one")
+    __slots__ = ("spec", "prec", "width", "cap", "one")
 
     def __init__(self, spec: FieldSpec, prec: int):
         p = spec.p
         self.spec = spec
         self.prec = prec
         self.width = _slot_width((prec + 1) * (p - 1) ** 2 + (p - 1))
-        self.nbytes = (prec + 1) * self.width // 8
         self.cap = (1 << self.width) - 1  # the largest slot sum
         self.one = 1 << self.width * prec
 

@@ -9,7 +9,7 @@ from ffmzv import (DivisionByZero, FieldSpec, InsufficientPrecision, InvalidInpu
                    LaurentSeries, RatFunc, carlitz_l, field, poly_lucas_binom,
                    rat_to_laurent)
 from ffmzv.algebra import (_mul_codes, _pack_rows, _pack_slots, _read_slots, _reduce_slots,
-                           _slot_array, _slot_width, carlitz_l_degree)
+                           _slot_runs, _slot_width, carlitz_l_degree)
 
 
 def test_gf_small_examples():
@@ -186,7 +186,10 @@ def test_slot_codec_at_every_width_switch(bound, width):
     assert x == sum(c << width * j for j, c in enumerate(codes))  # little-endian
     n = len(codes)
     assert _read_slots(x, n, width) == codes
-    assert _slot_array(x, n, width).tolist() == codes
+    runs = _slot_runs(x, 2, 4, width)
+    assert b"".join(runs) == x.to_bytes(n * width >> 3, "little")
+    read = [_read_slots(int.from_bytes(run, "little"), 4, width) for run in runs]
+    assert read == [codes[:4], codes[4:]]
     # a read of the first k slots of an int of n slots drops the rest
     assert _read_slots(x, 5, width, 0, n) == codes[:5]
     for p in (2, 3, 5, 7, 11, 13) if width == 8 else (2, 3, 13, 257, 4093):
@@ -198,7 +201,27 @@ def test_slot_codec_at_every_width_switch(bound, width):
     low = (1 << 4 * width) - 1
     rows = [codes[:4], tuple(codes[4:7])]
     assert _pack_rows(rows, 6, width) == x & low | (x >> 4 * width & low >> width) << 6 * width
-    assert _pack_rows(_slot_array(x, n, width).reshape(2, 4), 4, width) == x
+    assert _pack_rows(read, 4, width) == x
+
+
+@pytest.mark.parametrize("width, p", [(16, 127), (16, 131), (32, 61), (32, 67),
+                                      (64, 31), (64, 37)])
+def test_slot_codec_at_the_byte_lane_limit(width, p):
+    """Reduction mod p sums one residue per byte of a slot in a byte, which
+    holds while p width/8 <= 256: at the largest such p and the next prime,
+    a slot whose every byte leaves residue p - 1 (the largest lane sum), the
+    all-ones slot and random slots read back reduced exactly."""
+    size = width >> 3
+    worst = sum((p - 1) * pow(256, -k, p) % p << 8 * k for k in range(size))
+    rng = random.Random(width * p)
+    codes = [worst, (1 << width) - 1, 0, p, p - 1] + [rng.randrange(1 << width) for _ in range(40)]
+    x = _pack_slots(codes, width)
+    n = len(codes)
+    want = [c % p for c in codes]
+    assert want[0] == size * (p - 1) % p
+    assert _read_slots(_reduce_slots(x, n, width, p), n, width) == want
+    assert _read_slots(x, n, width, p) == want
+    assert _read_slots(x, 7, width, p, n) == want[:7]
 
 
 def test_slot_width_raises_above_64_bits():

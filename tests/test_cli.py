@@ -1,7 +1,12 @@
 """Command-line behaviour: exit codes, JSON schema, determinism."""
 
+import ast
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 from ffmzv.cli import parse_poly, parse_ratfunc, run
@@ -203,3 +208,46 @@ def test_numeric_suites_fail_below_the_requested_precision(monkeypatch):
     code, text = run_cli(["verify", "--suite", "products", "--q", "2", "--max-weight", "2",
                           "--prec", "30", "--pairs", "3"])
     assert code == 0 and text.count("-- N=30\n") == 6
+
+
+_IMPORT_GUARD = r"""
+import io, sys
+import ffmzv, ffmzv.cli
+from ffmzv import cli
+
+made = []
+
+class Counted(cli.Context):
+    def __init__(self, args):
+        made.append(args.command)
+        super().__init__(args)
+
+cli.Context = Counted  # run looks the class up when called, as perfbench/rep.py relies on
+for argv in (["verify", "--suite", "theorem", "--q", "2", "--max-weight", "4"],
+             ["verify", "--suite", "prop42", "--q", "3", "--max-weight", "3"]):
+    assert cli.run(argv, out=io.StringIO()) == 0, argv
+assert "numpy" not in sys.modules, "a symbolic command loaded numpy"
+assert len(made) == 2, made
+assert cli.run(["depend", "--q", "2", "--values", "li:(2);li:(1,1)", "--deg-bound", "2",
+                "--prec", "30"], out=io.StringIO()) == 0
+assert "numpy" in sys.modules, "depend ran without numpy"
+missing = [n for n in sys.argv[1:] if not hasattr(ffmzv, n)]
+assert not missing, missing
+print("ok")
+"""
+
+
+def test_symbolic_commands_do_not_load_numpy():
+    """In a fresh interpreter, importing the package and the CLI and running
+    the symbolic verify suites leave numpy unloaded; depend loads it, and
+    every name the package's __init__ imports resolves."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    tree = ast.parse((src / "ffmzv" / "__init__.py").read_text())
+    names = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+             for a in node.names]
+    assert len(names) > 30
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, *names], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr[-2000:]
