@@ -39,6 +39,7 @@ class GFVec:
     """Array arithmetic bound to one ``FieldSpec``."""
 
     def __init__(self, spec):
+        global np  # bound for every method; loaded by the first GFVec, not at import
         import numpy as np
         self.spec = spec
         self.p = spec.p
@@ -68,7 +69,6 @@ class GFVec:
         Low degree first; row r holds the base-q digits of r below the
         leading 1.  int16 holds every code, since the q x q tables bound q.
         """
-        import numpy as np
         q = self.q
         out = np.ones((q ** d, d + 1), dtype=np.int16)
         digits = np.arange(q, dtype=np.int16)
@@ -105,7 +105,6 @@ class GFVec:
         """Codes of the top keep coefficients of a^s for every code row a,
         by square-and-multiply: O(log s) products, each cut to its top keep
         coefficients, which depend only on the top keep of each factor."""
-        import numpy as np
         a = rows[:, -keep:].astype(np.int64)
         out = a
         for bit in bin(s)[3:]:
@@ -117,7 +116,6 @@ class GFVec:
     def _rows_mul(self, x, y, keep):
         """Codes of the top keep coefficients of the row-wise products x y,
         one array update per column of the narrower factor."""
-        import numpy as np
         if x.shape[1] < y.shape[1]:
             x, y = y, x
         n, k = x.shape[1], y.shape[1]
@@ -155,7 +153,6 @@ class GFVec:
         at q = 8 and 9), and each digit is counted per code; the counts
         become digit-plane sums.
         """
-        import numpy as np
         d = low.shape[1]
         n = len(num) - d  # quotient digits
         p, q, prime = self.p, self.q, self.e == 1
@@ -214,7 +211,6 @@ class GFVec:
         vector, with 1 there and the negated column of the reduced echelon
         form at the pivot columns.
         """
-        import numpy as np
         m = np.asarray(mat)
         if m.ndim != 2:
             raise ValueError("matrix expected")

@@ -403,10 +403,8 @@ _SHORT = 4
 # slot by slot; each kernel proves a bound on its largest slot sum and packs
 # at its _slot_width, so no slot carries into the next and every slot mod p is
 # exact over F_p.  Slots go to and from bytes through the array typecode of
-# their width; a slot of width/8 bytes is reduced mod p without decoding it:
-# byte k of every slot is one strided slice, translate maps it to
-# b 256^k mod p, and the lanes summed as ints stay below 256 in each byte
-# while p width/8 <= 256.  Past that a slot is reduced by % in Python.
+# their width.  8-bit slots are reduced mod p by translate, wider ones at
+# p = 2 by one AND and otherwise by % per slot.
 
 _SLOT_TYPECODES = {w: next(t for t in "BHILQ" if array(t).itemsize == w >> 3)
                    for w in (8, 16, 32, 64)}
@@ -445,31 +443,10 @@ def _slot_codes(data: bytes, width: int) -> list:
     return arr.tolist()
 
 
-@lru_cache(maxsize=None)
-def _byte_lanes(p: int, size: int):
-    """(k, table of b -> b 256^k mod p) for each byte k of a size-byte slot
-    that can be nonzero mod p, and the table of b -> b mod p."""
-    lanes = tuple((k, bytes(b * r % p for b in range(256)))
-                  for k in range(size) if (r := pow(256, k, p)))
-    return lanes, bytes(b % p for b in range(256))
-
-
 @lru_cache(maxsize=64)
 def _slot_ones(n: int, width: int) -> int:
     """1 in each of n width-bit slots."""
     return ((1 << width * n) - 1) // ((1 << width) - 1)
-
-
-def _residues(data: bytes, size: int, p: int) -> bytes:
-    """One byte per size-byte slot of data: the slot mod p, for size > 1 and
-    p size <= 256."""
-    lanes, mod = _byte_lanes(p, size)
-    if len(lanes) == 1:  # p = 2: only the lowest byte counts
-        return data[::size].translate(lanes[0][1])
-    total = 0
-    for k, table in lanes:
-        total += int.from_bytes(data[k::size].translate(table), "little")
-    return total.to_bytes(len(data) // size, "little").translate(mod)
 
 
 def _pack_slots(codes, width: int) -> int:
@@ -500,11 +477,8 @@ def _read_slots(x: int, n: int, width: int, p: int = 0, m: int = 0) -> list:
     data = x.to_bytes(max(n, m) * size, "little")[:n * size]
     if size == 1:
         return list(data.translate(_MOD_BYTES[p]) if p else data)
-    if not p:
-        return _slot_codes(data, width)
-    if p * size <= 256:
-        return list(_residues(data, size, p))
-    return [v % p for v in _slot_codes(data, width)]
+    codes = _slot_codes(data, width)
+    return [v % p for v in codes] if p else codes
 
 
 def _reduce_slots(x: int, n: int, width: int, p: int) -> int:
@@ -513,13 +487,8 @@ def _reduce_slots(x: int, n: int, width: int, p: int) -> int:
         return int.from_bytes(x.to_bytes(n, "little").translate(_MOD_BYTES[p]), "little")
     if p == 2:
         return x & _slot_ones(n, width)
-    size = width >> 3
-    data = x.to_bytes(n * size, "little")
-    if p * size > 256:
-        return _pack_slots([v % p for v in _slot_codes(data, width)], width)
-    out = bytearray(len(data))
-    out[::size] = _residues(data, size, p)
-    return int.from_bytes(out, "little")
+    codes = _slot_codes(x.to_bytes(n * width >> 3, "little"), width)
+    return _pack_slots([v % p for v in codes], width)
 
 
 def _mul_codes(spec: FieldSpec, a, b, n=None) -> list:

@@ -206,11 +206,10 @@ def test_slot_codec_at_every_width_switch(bound, width):
 
 @pytest.mark.parametrize("width, p", [(16, 127), (16, 131), (32, 61), (32, 67),
                                       (64, 31), (64, 37)])
-def test_slot_codec_at_the_byte_lane_limit(width, p):
-    """Reduction mod p sums one residue per byte of a slot in a byte, which
-    holds while p width/8 <= 256: at the largest such p and the next prime,
-    a slot whose every byte leaves residue p - 1 (the largest lane sum), the
-    all-ones slot and random slots read back reduced exactly."""
+def test_slot_codec_reduces_wide_slots_exactly(width, p):
+    """Wide slots at odd primes: a slot whose byte k holds b with
+    b 256^k = p - 1 mod p, the all-ones slot and random slots read back
+    reduced exactly."""
     size = width >> 3
     worst = sum((p - 1) * pow(256, -k, p) % p << 8 * k for k in range(size))
     rng = random.Random(width * p)
