@@ -8,17 +8,19 @@ case failed, 2 for usage or syntax errors, 3 for internal limits
 from __future__ import annotations
 
 import argparse
+import ast
 import json
+import operator
 import os
 import random
+import re
 import sys
 import time
 
 from . import charzero
 from .algebra import FieldSpec, Poly, RatFunc, field, rat_to_laurent
 from .dependence import DependenceProblem, find_dependence, precision_warning
-from .errors import (FFMZVError, InvalidInput, NotAdmissible,
-                     PrecisionTooExpensive, ReductionDiverged)
+from .errors import DivisionByZero, FFMZVError, InvalidInput, NotAdmissible
 from .evaluate import EvalBudget, Evaluator, ValueFamily, default_precision
 from .indices import (EMPTY, Index, IndexAlgebra, ProductKind, compositions,
                       parse_index)
@@ -31,121 +33,59 @@ _SUITES = ("fundamental", "products", "prodsum", "theorem", "prop41", "prop42",
 
 # -- literal parsing ----------------------------------------------------------
 
-def _parse_u_poly(spec: FieldSpec, text: str):
-    """A coefficient literal like "2", "u", "u^2+u+1" -> FieldElem."""
-    t = text.strip().replace(" ", "")
-    if not t:
-        raise InvalidInput("empty coefficient")
-    total = spec.zero
-    sign = 1
-    token = ""
-    parts = []
-    for ch in t + "+":
-        if ch in "+-":
-            if token:
-                parts.append((sign, token))
-            sign = 1 if ch == "+" else -1
-            token = ""
-        else:
-            token += ch
-    for sg, tok in parts:
-        if "*" in tok:
-            c, _, rest = tok.partition("*")
-            coef = int(c)
-            tok = rest
-        else:
-            coef = 1
-        if tok == "":
-            raise InvalidInput(f"bad coefficient term in {text!r}")
-        if tok.isdigit():
-            val = spec.elem(int(tok) * coef)
-        elif tok == "u":
-            val = spec.gen * spec.elem(coef)
-        elif tok.startswith("u^"):
-            val = (spec.gen ** int(tok[2:])) * spec.elem(coef)
-        else:
-            raise InvalidInput(f"bad coefficient term {tok!r}")
-        total = total + (val if sg > 0 else -val)
-    return total
+_LEADING_ZEROS = re.compile(r"\b0+(?=\d)")
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub,
+          ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
-def parse_poly(spec: FieldSpec, text: str) -> Poly:
-    """Parse "T^2+u*T+1" style literals (coefficients in u need parens)."""
-    t = text.strip().replace(" ", "")
-    if not t:
-        raise InvalidInput("empty polynomial")
-    # split on top-level + and -
-    terms = []
-    depth = 0
-    cur = ""
-    sign = 1
-    for ch in t:
-        if ch == "(":
-            depth += 1
-            cur += ch
-        elif ch == ")":
-            depth -= 1
-            cur += ch
-        elif ch in "+-" and depth == 0 and cur:
-            terms.append((sign, cur))
-            sign = 1 if ch == "+" else -1
-            cur = ""
-        elif ch == "-" and depth == 0 and not cur:
-            sign = -sign
-        else:
-            cur += ch
-    if cur:
-        terms.append((sign, cur))
-    out = spec.poly([])
-    for sg, term in terms:
-        coef = spec.one
-        power = 0
-        if "T" in term:
-            pre, _, post = term.partition("T")
-            if pre:
-                if not pre.endswith("*"):
-                    raise InvalidInput(f"bad term {term!r}: use coef*T")
-                pre = pre[:-1]
-                if pre.startswith("(") and pre.endswith(")"):
-                    pre = pre[1:-1]
-                coef = _parse_u_poly(spec, pre)
-            if post:
-                if not post.startswith("^"):
-                    raise InvalidInput(f"bad power in {term!r}")
-                power = int(post[1:])
-                if power < 0:
-                    raise InvalidInput("polynomial literals need powers >= 0")
-            else:
-                power = 1
-        else:
-            body = term[1:-1] if term.startswith("(") and term.endswith(")") else term
-            coef = _parse_u_poly(spec, body)
-        mono = [spec.zero] * power + [coef]
-        p = Poly(spec, mono)
-        out = out + (p if sg > 0 else -p)
-    return out
+def _is_int(src: str, node) -> bool:
+    """A decimal integer literal (no sign, no 0x or 1_000 spellings)."""
+    return (isinstance(node, ast.Constant) and type(node.value) is int
+            and ast.get_source_segment(src, node).isdigit())
+
+
+def _walk(spec: FieldSpec, src: str, node) -> RatFunc:
+    if isinstance(node, ast.BinOp):
+        if type(node.op) in _ARITH:
+            return _ARITH[type(node.op)](_walk(spec, src, node.left),
+                                         _walk(spec, src, node.right))
+        if isinstance(node.op, ast.Pow) and _is_int(src, node.right):
+            return _walk(spec, src, node.left) ** node.right.value
+    elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        v = _walk(spec, src, node.operand)
+        return -v if isinstance(node.op, ast.USub) else v
+    elif isinstance(node, ast.Name) and node.id in ("T", "u"):
+        return RatFunc.of(spec.T if node.id == "T" else spec.gen)
+    elif _is_int(src, node):
+        return RatFunc.of(node.value, spec)
+    bad = ast.get_source_segment(src, node).replace("**", "^")
+    raise InvalidInput(f"{bad!r} is not allowed in a literal")
 
 
 def parse_ratfunc(spec: FieldSpec, text: str) -> RatFunc:
-    t = text.strip()
-    depth = 0
-    split = None
-    for i, ch in enumerate(t):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            split = i
-            break
-    if split is None:
-        return RatFunc.of(parse_poly(spec, t))
-    num, den = t[:split], t[split + 1:]
-    if num.startswith("(") and num.endswith(")"):
-        num = num[1:-1]
-    if den.startswith("(") and den.endswith(")"):
-        den = den[1:-1]
-    return RatFunc(parse_poly(spec, num), parse_poly(spec, den))
+    """Evaluate a literal such as "(u*T+1)/T^2" in F_q(T).
+
+    Allowed: decimal integers (read mod p), T, u (the field generator),
+    unary + and -, binary + - * / with the usual precedence, and ^ with a
+    non-negative integer exponent.
+    """
+    src = _LEADING_ZEROS.sub("", text.strip()).replace("^", "**")
+    try:
+        return _walk(spec, src, ast.parse(src, mode="eval").body)
+    except SyntaxError as exc:
+        raise InvalidInput(f"bad literal {text!r}: {exc.msg}") from None
+    except (RecursionError, MemoryError):  # parser and _walk depth limits
+        raise InvalidInput("literal too deeply nested or too large") from None
+    except DivisionByZero:
+        raise InvalidInput(f"division by zero in {text!r}") from None
+
+
+def parse_poly(spec: FieldSpec, text: str) -> Poly:
+    """Parse a polynomial literal such as "T^2+u*T+1" (see parse_ratfunc)."""
+    r = parse_ratfunc(spec, text)
+    if not r.is_poly:
+        raise InvalidInput(f"{text!r} is not a polynomial")
+    return r.num
 
 
 # -- context -------------------------------------------------------------------
@@ -154,16 +94,16 @@ class Context:
     """Everything a subcommand needs, derived from the common flags."""
 
     def __init__(self, args):
+        try:
+            modulus = tuple(int(c) for c in args.modulus.split(",")) if args.modulus else None
+        except ValueError:
+            raise InvalidInput(f"--modulus {args.modulus!r} is not a list of integers") from None
         if args.q is not None:
-            modulus = None
-            if args.modulus:
-                modulus = tuple(int(c) for c in args.modulus.split(","))
             self.field = field(args.q, modulus)
-        else:
+        else:  # FieldSpec checks that p is prime and e >= 1
             p = args.p if args.p is not None else 2
             e = args.e if args.e is not None else 1
-            modulus = tuple(int(c) for c in args.modulus.split(",")) if args.modulus else None
-            self.field = FieldSpec(p, e, modulus) if (modulus or e > 1) else field(p ** e)
+            self.field = FieldSpec(p, e, modulus)
         budget = args.budget
         env = os.environ.get("FFMZV_BUDGET")
         if env:
@@ -280,6 +220,8 @@ def _delivered(prec: int, *series) -> int | None:
 
 
 def _suite_products(ctx: Context) -> Report:
+    if ctx.args.max_weight < 1:
+        raise InvalidInput("the products suite needs --max-weight >= 1")
     rng = random.Random(ctx.args.seed)
     prec = ctx.prec(ctx.args.max_weight)
     E, A = ctx.evaluator, ctx.algebra
@@ -299,7 +241,7 @@ def _suite_products(ctx: Context) -> Report:
                 detail=f"N={prec}" if short is None else f"N={prec}, delivered {short}"))
     return Report("products", {"q": ctx.q, "pairs": ctx.args.pairs,
                                "max_weight": ctx.args.max_weight, "prec": prec},
-                  cases).sorted()
+                  cases)
 
 
 def _suite_prodsum(ctx: Context) -> Report:
@@ -328,7 +270,7 @@ def _suite_prodsum(ctx: Context) -> Report:
                     f"residuals: {tot1}, {tot2}" if short is None else
                     f"N={prec}, delivered {short}"))
     return Report("prodsum", {"q": ctx.q, "max_weight": ctx.args.max_weight,
-                              "prec": prec}, cases).sorted()
+                              "prec": prec}, cases)
 
 
 def _suite_theorem(ctx: Context) -> Report:
@@ -423,6 +365,9 @@ def _cmd_verify(ctx: Context):
 def _cmd_iota(ctx: Context) -> Report:
     w = ctx.args.weight
     checks = [c.strip() for c in ctx.args.check.split(",") if c.strip()]
+    unknown = set(checks) - {"involution", "nontrivial"}
+    if unknown:
+        raise InvalidInput(f"unknown iota checks: {', '.join(sorted(unknown))}")
     R = ctx.reducer
     cases = []
     if "involution" in checks:
@@ -571,9 +516,6 @@ def run(argv=None, out=sys.stdout) -> int:
     except (InvalidInput, NotAdmissible) as exc:
         print(f"error: {exc}", file=out)
         return 2
-    except (PrecisionTooExpensive, ReductionDiverged) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=out)
-        return 3
     except FFMZVError as exc:
         print(f"{type(exc).__name__}: {exc}", file=out)
         return 3

@@ -199,6 +199,8 @@ class SeriesPacking:
     __slots__ = ("spec", "prec", "width", "cap", "one")
 
     def __init__(self, spec: FieldSpec, prec: int):
+        if prec < 0:
+            raise InvalidInput("precision must be >= 0")
         p = spec.p
         self.spec = spec
         self.prec = prec

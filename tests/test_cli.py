@@ -5,12 +5,15 @@ import io
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
 
+import pytest
+
 from ffmzv.cli import parse_poly, parse_ratfunc, run
-from ffmzv import RatFunc, field
+from ffmzv import InvalidInput, Poly, RatFunc, field
 
 
 def run_cli(argv):
@@ -251,3 +254,69 @@ def test_symbolic_commands_do_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, *names], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr[-2000:]
+
+
+_EVAL = ["--family", "li", "--index", "(1)"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--q", "3", "--modulus", "1,x"] + _EVAL,
+    ["eval", "--p", "3", "--modulus", "1,x"] + _EVAL,
+    ["eval", "--p", "4"] + _EVAL,
+    ["eval", "--p", "3", "--e", "-1"] + _EVAL,
+    ["eval", "--q", "2", "--prec", "-1"] + _EVAL,
+    ["depend", "--q", "2", "--values", "li:(1)", "--prec", "-1"],
+    ["verify", "--suite", "prodsum", "--q", "2", "--max-weight", "2", "--prec", "-1"],
+    ["verify", "--suite", "products", "--q", "2", "--max-weight", "2", "--prec", "-1"],
+    ["verify", "--suite", "products", "--q", "2", "--max-weight", "0"],
+    ["iota", "--q", "2", "--weight", "2", "--check", "foo"],
+    ["iota", "--q", "2", "--weight", "2", "--check", "involution,foo"],
+])
+def test_malformed_flag_values_exit_2(argv):
+    code, text = run_cli(argv)
+    assert code == 2 and text.startswith("error: "), (argv, text)
+
+
+@pytest.mark.parametrize("literal", [
+    "u^b*T", "T^a", "x*u*T", "T^2^3", "(T+1", "1.5*T", "T[0]", '__import__("os")',
+    "1/0", "T^-1", "T^2+", "0x10", "1_0", "True",
+])
+def test_malformed_literals_exit_2(literal):
+    code, text = run_cli(["depend", "--q", "4", "--values", literal,
+                          "--prec", "5", "--deg-bound", "0"])
+    assert code == 2 and text.startswith("error: "), (literal[:20], text)
+
+
+def test_literal_grammar():
+    """Integers are read mod p with leading zeros allowed, u is the field
+    generator, / binds tighter than +, and signs may follow an operator."""
+    F4 = field(4)
+    u, T = F4.gen, F4.T
+    cases = {"T^02": T * T, "007": F4.poly([7]), "u^2*3*T": T.scale(u * u * F4.elem(3)),
+             "2*-T": -T.scale(F4.elem(2)), "(u+T)*T": T * T + T.scale(u),
+             " -T ^ 2 ": -(T * T)}
+    for text, want in cases.items():
+        assert parse_poly(F4, text) == want, text
+    r = parse_ratfunc(F4, "T+1/T^2")
+    assert r == RatFunc.of(T) + RatFunc(F4.poly([1]), T * T)
+    assert r != parse_ratfunc(F4, "(T+1)/T^2")
+    with pytest.raises(InvalidInput):
+        parse_poly(F4, "1/T")
+    with pytest.raises(InvalidInput, match="too deeply nested"):
+        parse_ratfunc(F4, "+".join(["T"] * 3000))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_printed_values_parse_back(q):
+    F = field(q)
+    rng = random.Random(q)
+
+    def rand_poly():
+        return Poly(F, [F.from_index(rng.randrange(q)) for _ in range(rng.randint(1, 5))])
+
+    for _ in range(60):
+        num, den = rand_poly(), rand_poly()
+        assert parse_poly(F, str(num)) == num
+        if not den.is_zero:
+            r = RatFunc(num, den)
+            assert parse_ratfunc(F, str(r)) == r, str(r)
