@@ -45,21 +45,12 @@ class GFVec:
         self.p = spec.p
         self.e = spec.e
         self.q = spec.q
-        q, p, e = self.q, self.p, self.e
-        self.add_t = np.array([[spec.add_idx(a, b) for b in range(q)] for a in range(q)],
-                              dtype=np.int64)
-        self.mul_t = np.array([[spec.mul_idx(a, b) for b in range(q)] for a in range(q)],
-                              dtype=np.int64)
-        self.neg_t = np.array([spec.neg_idx(a) for a in range(q)], dtype=np.int64)
+        self.add_t = np.array(spec._add, dtype=np.int64)
+        self.mul_t = np.array(spec._mul, dtype=np.int64)
+        self.neg_t = np.array(spec._neg, dtype=np.int64)
         # digit planes: dig[a, i] = i-th base-p digit of code a
-        dig = np.zeros((q, e), dtype=np.int64)
-        for a in range(q):
-            v = a
-            for i in range(e):
-                dig[a, i] = v % p
-                v //= p
-        self.dig_t = dig
-        self.pow_p = np.array([p ** i for i in range(e)], dtype=np.int64)
+        self.dig_t = np.array([spec._digits(a) for a in range(spec.q)], dtype=np.int64)
+        self.pow_p = np.array([spec.p ** i for i in range(spec.e)], dtype=np.int64)
 
     # -- power sums over the monic polynomials ----------------------------
 

@@ -14,21 +14,20 @@ from __future__ import annotations
 from .algebra import Poly
 
 
-def _lcm(a: Poly, b: Poly) -> Poly:
-    """The monic lcm of two monic polynomials."""
-    if a.degree == 0:
-        return b
-    if b.degree == 0:
-        return a
-    g = a.gcd(b)
-    return a * (b // g) if g.degree > 0 else a * b
+def _lcm(spec, polys) -> Poly:
+    """The monic lcm of nonzero polynomials over spec, 1 for none."""
+    out = Poly._make(spec, (1,))
+    for b in polys:
+        if b.degree > 0:
+            b = b.monic()
+            g = out.gcd(b) if out.degree > 0 else out
+            out = out * (b // g if g.degree > 0 else b)
+    return out
 
 
 def _clear(vec):
     """(polynomial numerators, monic common denominator) of a nonempty RatFunc vector."""
-    den = vec[0].den
-    for v in vec[1:]:
-        den = _lcm(den, v.den)
+    den = _lcm(vec[0].spec, [v.den for v in vec])
     if den.degree == 0:
         return [v.num for v in vec], den
     return [v.num * (den // v.den) for v in vec], den
@@ -95,9 +94,7 @@ def _residual(vec, echelon, pivots):
     """
     w, den = _clear(vec)
     used = [(row, pc) for row, pc in zip(echelon, pivots) if not w[pc].is_zero]
-    lcm = den.spec.poly([1])
-    for row, pc in used:
-        lcm = _lcm(lcm, row[pc].monic())
+    lcm = _lcm(den.spec, [row[pc] for row, pc in used])
     out = w if lcm.degree == 0 else [lcm * x for x in w]
     for row, pc in used:
         c = w[pc] * (lcm // row[pc])

@@ -180,9 +180,7 @@ class Projection:
 
     def __init__(self, qs):
         p = qs.field.p
-        lam = qs.field.poly([1])
-        for row, pc in zip(qs.echelon, qs.pivots):
-            lam = _lcm(lam, row[pc].monic())
+        lam = _lcm(qs.field, [row[pc] for row, pc in zip(qs.echelon, qs.pivots)])
         pivots = set(qs.pivots)
         quotient = [t for t in range(len(qs.basis)) if t not in pivots]
         rows = [None] * len(qs.basis)

@@ -24,6 +24,7 @@ extension-field product runs the schoolbook loop over the field tables.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from array import array
 from functools import lru_cache
@@ -41,6 +42,27 @@ BUILTIN_MODULI = {
 }
 
 _TABLE_LIMIT = 4096
+
+
+def _power(mul, one, a, n: int):
+    """a ** n, n >= 0, by square-and-multiply under mul, one its identity."""
+    acc = one
+    while n:
+        if n & 1:
+            acc = mul(acc, a)
+        n >>= 1
+        if n:
+            a = mul(a, a)
+    return acc
+
+
+def _p_split(n: int, p: int):
+    """(n0, k) with n = n0 p^k and n0 prime to p; (0, 0) for n = 0."""
+    k = 0
+    while n and n % p == 0:
+        n //= p
+        k += 1
+    return n, k
 
 
 def _is_prime(n: int) -> bool:
@@ -126,45 +148,20 @@ class FieldSpec:
             ups = [fp.poly(d) for d in digits]
             mul = [[self._encode((x * y % m).c) for y in ups] for x in ups]
         neg = [self._encode([(-x) % p for x in digits[a]]) for a in range(q)]
-        inv = [0] * q
-        for a in range(1, q):
-            b = a
-            acc = 1
-            n = q - 2
-            while n:
-                if n & 1:
-                    acc = mul[acc][b]
-                b = mul[b][b]
-                n >>= 1
-            inv[a] = acc
-        frob = [0] * q
-        for a in range(q):
-            acc, base, n = 1, a, p
-            while n:
-                if n & 1:
-                    acc = mul[acc][base]
-                base = mul[base][base]
-                n >>= 1
-            frob[a] = acc
-        self._add = add
-        self._mul = mul
-        self._neg = neg
-        self._inv = inv
-        self._frob = frob
-        self._upow = upow
+
+        def times(x, y):
+            return mul[x][y]
+
+        self._add, self._mul, self._neg, self._upow = add, mul, neg, upow
+        self._inv = [0] + [_power(times, 1, a, q - 2) for a in range(1, q)]
+        self._frob = [_power(times, 1, a, p) for a in range(q)]
 
     def _digits(self, a: int):
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        """The e base-p digits of a code, lowest first."""
+        return [a // self.p ** i % self.p for i in range(self.e)]
 
     def _encode(self, digits) -> int:
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + (d % self.p)
-        return v
+        return sum(d % self.p * self.p ** i for i, d in enumerate(digits))
 
     # fast paths on codes
     def add_idx(self, a, b):
@@ -256,17 +253,10 @@ def _cached_field(p, e, modulus):
 
 def field(q: int, modulus=None) -> FieldSpec:
     """Shared FieldSpec of order q (prime power); moduli built in for 4, 8, 9."""
-    n, p = q, None
-    for cand in range(2, q + 1):
-        if q % cand == 0:
-            p = cand
-            break
+    p = next((c for c in range(2, q + 1) if q % c == 0), None)
     if p is None:
         raise InvalidInput("field order must be >= 2")
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
+    n, e = _p_split(q, p)
     if n != 1:
         raise InvalidInput(f"{q} is not a prime power")
     if modulus is not None:
@@ -289,6 +279,17 @@ def _fmt_elem(spec: FieldSpec, i: int) -> str:
             u = "u" if t == 1 else f"u^{t}"
             terms.append(u if c == 1 else f"{c}*{u}")
     return "+".join(terms) if terms else "0"
+
+
+def _fmt_term(spec: FieldSpec, v: int, e: int) -> str:
+    """The term c T^e of a nonzero code v, as Poly and LaurentSeries print it."""
+    cs = _fmt_elem(spec, v)
+    if "+" in cs:
+        cs = f"({cs})"
+    if e == 0:
+        return cs
+    t = "T" if e == 1 else f"T^{e}"
+    return t if cs == "1" else f"{cs}*{t}"
 
 
 class FieldElem:
@@ -349,13 +350,7 @@ class FieldElem:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        acc, base = self.spec.one, self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+        return _power(operator.mul, self.spec.one, self, n)
 
     @property
     def is_zero(self):
@@ -690,19 +685,9 @@ class Poly:
         """self ** n; the factor p^k of n is applied as a k-fold Frobenius first."""
         if n < 0:
             raise InvalidInput("negative polynomial power")
-        times = 0
-        while n and n % self.spec.p == 0:
-            n //= self.spec.p
-            times += 1
+        n, times = _p_split(n, self.spec.p)
         base = self.frobenius(times) if times else self
-        acc = Poly._make(self.spec, (1,))
-        while n:
-            if n & 1:
-                acc = acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return acc
+        return _power(operator.mul, Poly._make(self.spec, (1,)), base, n)
 
     power = __pow__
 
@@ -742,20 +727,8 @@ class Poly:
     def __str__(self):
         if self.is_zero:
             return "0"
-        terms = []
-        for k in range(len(self.c) - 1, -1, -1):
-            v = self.c[k]
-            if not v:
-                continue
-            cs = _fmt_elem(self.spec, v)
-            if "+" in cs:
-                cs = f"({cs})"
-            if k == 0:
-                terms.append(cs)
-            else:
-                t = "T" if k == 1 else f"T^{k}"
-                terms.append(t if cs == "1" else f"{cs}*{t}")
-        return "+".join(terms)
+        return "+".join(_fmt_term(self.spec, self.c[k], k)
+                        for k in range(len(self.c) - 1, -1, -1) if self.c[k])
 
     def __repr__(self):
         return f"Poly({self!s})"
@@ -1091,19 +1064,7 @@ class LaurentSeries:
         tail = f"O(T^-{self.prec})" if self.prec >= 0 else f"O(T^{-self.prec})"
         if self.is_zero_to_prec:
             return tail
-        terms = []
-        for k, v in enumerate(self.c):
-            if not v:
-                continue
-            e = self.lead - k
-            cs = _fmt_elem(self.spec, v)
-            if "+" in cs:
-                cs = f"({cs})"
-            if e == 0:
-                terms.append(cs)
-            else:
-                t = "T" if e == 1 else f"T^{e}"
-                terms.append(t if cs == "1" else f"{cs}*{t}")
+        terms = [_fmt_term(self.spec, v, self.lead - k) for k, v in enumerate(self.c) if v]
         return " + ".join(terms + [tail])
 
     def __repr__(self):

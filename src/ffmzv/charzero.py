@@ -78,9 +78,24 @@ def _tail_bound(outer_exp: int, inner_exps, M: int) -> float:
     return const * M ** (1 - s) * total
 
 
+def _nested_sum(exps, M: int, strict: bool) -> float:
+    """Sum of prod_i m_i^-exps[i] over 1 <= m_1 <= ... <= m_r <= M, or over
+    m_1 < ... < m_r when strict, by one cumulative sum per inner entry."""
+    import numpy as np
+    # extended-precision accumulation; on x86 np.longdouble carries a 64-bit significand
+    n = np.arange(1, M + 1, dtype=np.longdouble)
+    # inner[m-1] sums over the entries so far, the last part at most m
+    # (strict: below m)
+    inner = np.ones(M, dtype=np.longdouble)
+    for e in exps[:-1]:
+        inner = np.cumsum(n ** (-np.longdouble(e)) * inner)
+        if strict:
+            inner = np.concatenate((np.zeros(1, dtype=np.longdouble), inner[:-1]))
+    return float(np.sum(n ** (-np.longdouble(exps[-1])) * inner))
+
+
 def mzv_num(s, M: int = 10 ** 6) -> RealValue:
     """Multiple zeta value by nested cumulative sums over m_1 > ... > m_r >= 1."""
-    import numpy as np
     s = Index(s)
     if s.is_empty:
         return RealValue(1.0, 0.0)
@@ -88,24 +103,11 @@ def mzv_num(s, M: int = 10 ** 6) -> RealValue:
         raise NotAdmissible(f"{s} is not admissible (first entry must exceed 1)")
     if M < s.depth:
         raise NotAdmissible("cutoff smaller than the depth")
-    # extended-precision accumulation; on x86 np.longdouble carries a 64-bit significand
-    n = np.arange(1, M + 1, dtype=np.longdouble)
-    inner = np.ones(M, dtype=np.longdouble)
-    # process entries right to left; 'inner[m-1]' sums tuples with largest part m
-    for e in reversed(tuple(s)[1:]):
-        level = n ** (-np.longdouble(e)) * inner
-        csum = np.cumsum(level)
-        inner = np.empty(M, dtype=np.longdouble)
-        inner[0] = 0.0
-        inner[1:] = csum[:-1]
-    top = n ** (-np.longdouble(s[0])) * inner
-    value = float(np.sum(top))
-    return RealValue(value, _tail_bound(s[0], tuple(s)[1:], M))
+    return RealValue(_nested_sum(tuple(s)[::-1], M, True), _tail_bound(s[0], tuple(s)[1:], M))
 
 
 def mzdv_num(s, M: int = 10 ** 6) -> RealValue:
     """Dagger value: weakly increasing m_1 <= ... <= m_r, signed by (-1)^depth."""
-    import numpy as np
     s = Index(s)
     if s.is_empty:
         return RealValue(1.0, 0.0)
@@ -114,15 +116,9 @@ def mzdv_num(s, M: int = 10 ** 6) -> RealValue:
             f"{s} has last entry 1; the regularized values are out of scope")
     if M < 1:
         raise NotAdmissible("cutoff must be >= 1")
-    n = np.arange(1, M + 1, dtype=np.longdouble)
-    running = np.ones(M, dtype=np.longdouble)
-    for e in tuple(s)[:-1]:
-        level = n ** (-np.longdouble(e)) * running
-        running = np.cumsum(level)
-    top = n ** (-np.longdouble(s[-1])) * running
-    value = float(np.sum(top))
     sign = -1.0 if s.depth % 2 else 1.0
-    return RealValue(sign * value, _tail_bound(s[-1], tuple(s)[:-1], M))
+    return RealValue(sign * _nested_sum(tuple(s), M, False),
+                     _tail_bound(s[-1], tuple(s)[:-1], M))
 
 
 def check_prodsum0(s, M: int = 10 ** 6, tol: float = 1e-5) -> Report:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import operator
 import os
 import random
@@ -36,6 +37,9 @@ _SUITES = ("fundamental", "products", "prodsum", "theorem", "prop41", "prop42",
 _LEADING_ZEROS = re.compile(r"\b0+(?=\d)")
 _ARITH = {ast.Add: operator.add, ast.Sub: operator.sub,
           ast.Mult: operator.mul, ast.Div: operator.truediv}
+# the largest degree of a numerator or denominator in a literal, its parts
+# included; a power is refused before it is computed
+_MAX_LITERAL_DEGREE = 1 << 16
 
 
 def _is_int(src: str, node) -> bool:
@@ -44,13 +48,22 @@ def _is_int(src: str, node) -> bool:
             and ast.get_source_segment(src, node).isdigit())
 
 
+def _bounded(r: RatFunc, n: int = 1) -> RatFunc:
+    """r, once r^n is known to have no numerator or denominator of degree
+    above _MAX_LITERAL_DEGREE."""
+    if max(r.num.degree, r.den.degree) * n > _MAX_LITERAL_DEGREE:
+        raise InvalidInput(f"a literal's degree is at most {_MAX_LITERAL_DEGREE}")
+    return r
+
+
 def _walk(spec: FieldSpec, src: str, node) -> RatFunc:
     if isinstance(node, ast.BinOp):
         if type(node.op) in _ARITH:
-            return _ARITH[type(node.op)](_walk(spec, src, node.left),
-                                         _walk(spec, src, node.right))
+            return _bounded(_ARITH[type(node.op)](_walk(spec, src, node.left),
+                                                  _walk(spec, src, node.right)))
         if isinstance(node.op, ast.Pow) and _is_int(src, node.right):
-            return _walk(spec, src, node.left) ** node.right.value
+            n = node.right.value
+            return _bounded(_walk(spec, src, node.left), n) ** n
     elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         v = _walk(spec, src, node.operand)
         return -v if isinstance(node.op, ast.USub) else v
@@ -67,7 +80,8 @@ def parse_ratfunc(spec: FieldSpec, text: str) -> RatFunc:
 
     Allowed: decimal integers (read mod p), T, u (the field generator),
     unary + and -, binary + - * / with the usual precedence, and ^ with a
-    non-negative integer exponent.
+    non-negative integer exponent.  No numerator or denominator, of the
+    literal or of any part of it, may exceed degree _MAX_LITERAL_DEGREE.
     """
     src = _LEADING_ZEROS.sub("", text.strip()).replace("^", "**")
     try:
@@ -90,10 +104,19 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
 
 # -- context -------------------------------------------------------------------
 
+# the least meaningful value of each count flag
+_FLAG_FLOORS = {"cap": 0, "max_weight": 0, "max_d": 0, "prec": 0, "pairs": 1}
+
+
 class Context:
-    """Everything a subcommand needs, derived from the common flags."""
+    """Everything a subcommand needs, derived from the common flags, each
+    checked before any work starts."""
 
     def __init__(self, args):
+        for name, floor in _FLAG_FLOORS.items():
+            value = getattr(args, name)
+            if value is not None and value < floor:
+                raise InvalidInput(f"--{name.replace('_', '-')} must be >= {floor}")
         try:
             modulus = tuple(int(c) for c in args.modulus.split(",")) if args.modulus else None
         except ValueError:
@@ -104,10 +127,14 @@ class Context:
             p = args.p if args.p is not None else 2
             e = args.e if args.e is not None else 1
             self.field = FieldSpec(p, e, modulus)
-        budget = args.budget
         env = os.environ.get("FFMZV_BUDGET")
-        if env:
-            budget = int(env)
+        try:
+            budget = int(env) if env else args.budget
+        except ValueError:
+            budget = None
+        if budget is None or budget < self.field.q:  # EvalBudget's least budget
+            raise InvalidInput(f"{'FFMZV_BUDGET' if env else '--budget'} must be an "
+                               f"integer >= q = {self.field.q}")
         self.budget = EvalBudget(max_bruteforce=budget)
         self.evaluator = Evaluator(self.field, self.budget)
         self.algebra = IndexAlgebra(self.field)
@@ -371,12 +398,7 @@ def _cmd_iota(ctx: Context) -> Report:
     R = ctx.reducer
     cases = []
     if "involution" in checks:
-        # squared in the Reducer's Y-form: phi is an injective ring
-        # homomorphism, so the verdict is that of the T-form iota_matrix(w)
-        m = R._iota(w)
-        ok = m.squared_is_identity()
-        cases.append(Case(input=f"iota^2 @ w={w}", status="pass" if ok else "fail",
-                          detail=f"quotient dimension {m.dim}"))
+        cases.append(R._involution_case(w))
     if "nontrivial" in checks:
         A = ctx.algebra
         witness = None
@@ -527,6 +549,8 @@ class _CharzeroContext:
     """charzero needs no finite field; keep the args interface."""
 
     def __init__(self, args):
+        if not (math.isfinite(args.tol) and args.tol >= 0):
+            raise InvalidInput("--tol must be finite and >= 0")
         self.args = args
 
 

@@ -47,9 +47,9 @@ from __future__ import annotations
 
 import enum
 
-from .algebra import (FieldSpec, LaurentSeries, Poly, RatFunc, _pack_slots, _read_slots,
-                      _reduce_slots, _slot_width, carlitz_bracket, carlitz_l, carlitz_l_degree,
-                      rat_to_laurent)
+from .algebra import (FieldSpec, LaurentSeries, Poly, RatFunc, _p_split, _pack_slots,
+                      _read_slots, _reduce_slots, _slot_width, carlitz_bracket, carlitz_l,
+                      carlitz_l_degree, rat_to_laurent)
 from .errors import InvalidInput, PrecisionTooExpensive
 from .indices import Index, IndexPoly
 from .reports import Case, Report
@@ -164,9 +164,7 @@ class EvalBudget:
         updates of dividing L_d^s0 by a^s0 for every monic a of degree d,
         s0 the part of s prime to the characteristic."""
         self.check_enumeration(q, d)
-        p = next(k for k in range(2, q + 1) if q % k == 0)
-        while s % p == 0:
-            s //= p
+        s, _ = _p_split(s, next(k for k in range(2, q + 1) if q % k == 0))
         deg = carlitz_l_degree(q, d)
         cells = q ** d * s * deg
         what = (f"L_{d} (degree {deg}) by the" if s == 1 else
@@ -307,10 +305,7 @@ class Evaluator:
         With s = s0 * p^k the sum is (sum of (L_d / a)^s0)^(p^k), a Frobenius
         of the memoised s0 numerator.
         """
-        s0, k = s, 0
-        while s0 % self.field.p == 0:
-            s0 //= self.field.p
-            k += 1
+        s0, k = _p_split(s, self.field.p)
         num = self._numerators.get((d, s0))
         if num is None:
             codes, rem = self.field.vec.monic_quotient_sum(self.L(d).power(s0).c, d, s0)

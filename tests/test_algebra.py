@@ -8,8 +8,8 @@ import pytest
 from ffmzv import (DivisionByZero, FieldSpec, InsufficientPrecision, InvalidInput,
                    LaurentSeries, RatFunc, carlitz_l, field, poly_lucas_binom,
                    rat_to_laurent)
-from ffmzv.algebra import (_mul_codes, _pack_rows, _pack_slots, _read_slots, _reduce_slots,
-                           _slot_runs, _slot_width, carlitz_l_degree)
+from ffmzv.algebra import (_mul_codes, _p_split, _pack_rows, _pack_slots, _read_slots,
+                           _reduce_slots, _slot_runs, _slot_width, carlitz_l_degree)
 
 
 def test_gf_small_examples():
@@ -41,6 +41,47 @@ def test_field_axioms_random(q):
         assert a * (b + c) == a * b + a * c
         if not a.is_zero:
             assert a * a.inverse() == F.one
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
+def test_field_tables_and_powers(q):
+    """The inverse and Frobenius tables, FieldElem powers and the GFVec
+    arrays against repeated multiplication and the FieldSpec lookups."""
+    F = field(q, modulus=(2, 0, 1)) if q == 25 else field(q)
+    p = F.p
+
+    def repeated(a, n):
+        acc = F.one
+        for _ in range(n):
+            acc = acc * a
+        return acc
+
+    for a in F.elements():
+        assert F.frob_idx(a.i) == repeated(a, p).i
+        for n in (0, 1, 2, 3, q - 2, q - 1, q):
+            assert a ** n == repeated(a, n), (a, n)
+        if a.is_zero:
+            continue
+        assert F.inv_idx(a.i) == repeated(a, q - 2).i
+        assert (a * a.inverse()) == F.one
+        for n in (-1, -2):
+            assert a ** n == repeated(a.inverse(), -n), (a, n)
+    vec = F.vec
+    for a in range(q):
+        assert vec.neg_t[a] == F.neg_idx(a)
+        assert vec.dig_t[a].tolist() == F._digits(a)
+        assert int(vec.dig_t[a] @ vec.pow_p) == a
+        for b in range(q):
+            assert vec.add_t[a, b] == F.add_idx(a, b)
+            assert vec.mul_t[a, b] == F.mul_idx(a, b)
+    assert vec.pow_p.tolist() == [p ** i for i in range(F.e)]
+    assert _p_split(0, p) == (0, 0)
+    assert _p_split(1, p) == (1, 0)
+    for k in range(4):
+        assert _p_split(p ** k, p) == (1, k)
+        for m in (2, p + 1, 2 * p - 1):
+            if m % p:
+                assert _p_split(p ** k * m, p) == (m, k)
 
 
 def test_field_of_order_25_needs_modulus_or_table():

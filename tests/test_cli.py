@@ -80,6 +80,13 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.delenv("FFMZV_BUDGET")
 
 
+@pytest.mark.parametrize("env", ["abc", "1.5", "-1", "2"])
+def test_budget_env_must_be_an_integer_at_least_q(monkeypatch, env):
+    monkeypatch.setenv("FFMZV_BUDGET", env)
+    code, text = run_cli(["eval", "--q", "3", "--family", "li", "--index", "(1)"])
+    assert code == 2 and text.startswith("error: ") and "FFMZV_BUDGET" in text, text
+
+
 def test_conjecture_observation_never_fails():
     code, text = run_cli(["conjecture", "--q", "2", "--index", "(1,2)"])
     assert code == 0
@@ -271,6 +278,18 @@ _EVAL = ["--family", "li", "--index", "(1)"]
     ["verify", "--suite", "products", "--q", "2", "--max-weight", "0"],
     ["iota", "--q", "2", "--weight", "2", "--check", "foo"],
     ["iota", "--q", "2", "--weight", "2", "--check", "involution,foo"],
+    ["reduce", "--q", "2", "--family", "li", "--index", "(2)", "--cap", "-1"],
+    ["eval", "--q", "2", "--budget", "-1"] + _EVAL,
+    ["eval", "--q", "3", "--budget", "2"] + _EVAL,
+    ["verify", "--suite", "products", "--q", "2", "--pairs", "0"],
+    ["verify", "--suite", "fundamental", "--q", "2", "--max-d", "-1"],
+    ["verify", "--suite", "theorem", "--q", "2", "--max-weight", "-1"],
+    ["verify", "--suite", "keylemma", "--q", "2", "--max-weight", "-1"],
+    ["conjecture", "--q", "2", "--max-weight", "-1"],
+    ["verify", "--suite", "theorem", "--q", "2", "--prec", "-1"],
+    ["charzero", "--check", "example45", "--tol", "-1"],
+    ["charzero", "--check", "example45", "--tol", "nan"],
+    ["charzero", "--check", "example45", "--tol", "inf"],
 ])
 def test_malformed_flag_values_exit_2(argv):
     code, text = run_cli(argv)
@@ -279,7 +298,8 @@ def test_malformed_flag_values_exit_2(argv):
 
 @pytest.mark.parametrize("literal", [
     "u^b*T", "T^a", "x*u*T", "T^2^3", "(T+1", "1.5*T", "T[0]", '__import__("os")',
-    "1/0", "T^-1", "T^2+", "0x10", "1_0", "True",
+    "1/0", "T^-1", "T^2+", "0x10", "1_0", "True", "T^200000000", "(T+1)^100000",
+    "T^40000*T^40000", "1/(T^40000*T^40000)",
 ])
 def test_malformed_literals_exit_2(literal):
     code, text = run_cli(["depend", "--q", "4", "--values", literal,
@@ -304,6 +324,8 @@ def test_literal_grammar():
         parse_poly(F4, "1/T")
     with pytest.raises(InvalidInput, match="too deeply nested"):
         parse_ratfunc(F4, "+".join(["T"] * 3000))
+    assert parse_poly(F4, "T^65536") == T.shift(65535)
+    assert parse_ratfunc(F4, "1/(T^32768)^2") == RatFunc(F4.poly([1]), T.shift(65535))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
