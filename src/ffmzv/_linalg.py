@@ -7,11 +7,26 @@ so no gcd runs per entry.  The reduced echelon form and the residual are
 unique, so the results are those of plain Gauss-Jordan over the field of
 fractions.  The Reducer runs it over F_q[Y] (``reduction``) and
 ``linear_solve`` over F_q[T].
+
+A row whose codes all lie below p (every row over F_p, and every row of
+the Reducer, whose entries lie in F_p[Y]) stays one int in the slot codec
+of ``algebra`` for the whole elimination: entry j is the run of slots
+j*S .. j*S + S-1, its codes lowest degree first.  Its update against a
+packed pivot row is two big-int products, with the codes of -(f/g) packed
+so that no slot goes negative, and one reduction mod p.  A slot of the sum
+is at most (p-1)^2 (len(d/g) + len(f/g)): while that is at most 255 the
+slots are 8 bits, reduced by translate, and otherwise every row is
+repacked at the slot width of that bound.  S exceeds deg(d/g) + deg R and
+deg(f/g) + deg P, and at least doubles when it grows; the row degrees are
+upper bounds, made exact before S grows.  A row with a code >= p
+(linear_solve input with genuine GF(p^e) coefficients), or any row updated
+against such a pivot row, takes the entrywise Poly update instead.
 """
 
 from __future__ import annotations
 
-from .algebra import Poly
+from .algebra import (Poly, _pack_rows, _pack_slots, _read_slots, _reduce_slots, _repack,
+                      _slot_codes, _slot_runs, _slot_width, _trim)
 
 
 def _lcm(spec, polys) -> Poly:
@@ -48,6 +63,37 @@ def _primitive(row):
     return [x // g for x in row]
 
 
+def _in_fp(row, p: int) -> bool:
+    """Whether every code of a Poly row lies below p."""
+    return all(not x.c or max(x.c) < p for x in row)
+
+
+def _entries(spec, x, ncols: int, slots: int, width: int) -> list:
+    """The Poly entries of a row, unpacked if it is packed."""
+    if type(x) is not int:
+        return x
+    zero = Poly._make(spec, ())
+    return [Poly._make(spec, tuple(_slot_codes(run, width))) if run else zero
+            for run in (_trim(run, width) for run in _slot_runs(x, ncols, slots, width))]
+
+
+def _lead(x, ci: int, ncols: int, slots: int, width: int) -> int:
+    """The first column >= ci where a row has a nonzero entry, ncols if none;
+    a packed row's is its lowest set bit at or above column ci."""
+    if type(x) is not int:
+        return next((j for j in range(ci, ncols) if x[j].c), ncols)
+    y = x >> ci * slots * width
+    return ci + ((y & -y).bit_length() - 1) // (slots * width) if y else ncols
+
+
+def _entry(spec, x, j: int, slots: int, width: int) -> Poly:
+    """Entry j of a row, read from its run alone if it is packed."""
+    if type(x) is not int:
+        return x[j]
+    run = x >> j * slots * width & (1 << slots * width) - 1
+    return Poly._make(spec, tuple(_read_slots(run, (run.bit_length() - 1) // width + 1, width)))
+
+
 def _echelon(rows, ncols: int):
     """Reduced row echelon form over F_q(X), computed fraction-free over F_q[X]
     (X is Y inside the Reducer, T in linear_solve).
@@ -55,34 +101,69 @@ def _echelon(rows, ncols: int):
     Returns (rows, pivots), pivot columns ascending.  Each returned row N is a
     primitive polynomial row with N[pc] != 0 at its own pivot column pc and 0
     at every other pivot column, so N / N[pc] is the reduced row.  A column's
-    pivot is its lowest-degree entry, and eliminating f against the pivot d
-    replaces the row R by (d/g)*R - (f/g)*P with g = gcd(d, f), so entries
-    stay polynomials.  A row's content is divided out when it becomes the
-    pivot row and once more on the returned rows, not after every update.
-    N is primitive, so it is unique up to a nonzero scalar of F_q; the
-    reduced row N / N[pc] is unique.
+    pivot is its lowest-degree entry, the first such row on ties, and
+    eliminating f against the pivot d replaces the row R by (d/g)*R - (f/g)*P
+    with g = gcd(d, f), so entries stay polynomials.  A row's content is
+    divided out when it becomes the pivot row and once more on the returned
+    rows, not after every update.  N is primitive, so it is unique up to a
+    nonzero scalar of F_q; the reduced row N / N[pc] is unique.  The next
+    pivot column is the first column where a remaining row is nonzero, found
+    in a packed row (module docstring) from its lowest set bit, and only
+    that column of each row is read; only the pivot row, for its content,
+    and the returned rows are unpacked.
     """
     rows = [_clear(r)[0] for r in rows]
-    pivots = []
-    for ci in range(ncols):
+    if not rows:
+        return [], []
+    spec = rows[0][0].spec
+    p = spec.p
+    degs = [max(x.degree for x in row) for row in rows]
+    slots, width = max(1, max(degs) + 1), _slot_width(p - 1)
+    rows = [_pack_rows([x.c for x in row], slots, width) if _in_fp(row, p) else row
+            for row in rows]
+    pivots, ci = [], 0
+    while len(pivots) < len(rows):
         rank = len(pivots)
-        live = [r for r in range(rank, len(rows)) if not rows[r][ci].is_zero]
-        if not live:
-            continue
-        sel = min(live, key=lambda r: rows[r][ci].degree)
-        pivot_row = _primitive(rows[sel])
-        rows[sel] = rows[rank]
-        rows[rank] = pivot_row
+        ci = min(_lead(rows[r], ci, ncols, slots, width) for r in range(rank, len(rows)))
+        if ci == ncols:
+            break
+        col = [_entry(spec, rows[r], ci, slots, width) for r in range(rank, len(rows))]
+        sel = rank + min((k for k, f in enumerate(col) if f.c), key=lambda k: col[k].degree)
+        x = rows[sel]
+        pivot_row = _primitive(_entries(spec, x, ncols, slots, width))
+        packed = type(x) is int or _in_fp(pivot_row, p)
+        pdeg = max(y.degree for y in pivot_row)
+        rows[sel], degs[sel] = rows[rank], degs[rank]
+        rows[rank] = _pack_rows([y.c for y in pivot_row], slots, width) if packed else pivot_row
+        degs[rank] = pdeg
         d = pivot_row[ci]
         for r in range(len(rows)):
-            f = rows[r][ci]
-            if r == rank or f.is_zero:
+            x = rows[r]
+            f = _entry(spec, x, ci, slots, width) if r != rank else None
+            if f is None or f.is_zero:
                 continue
             g = d.gcd(f)
             a, b = (d // g, f // g) if g.degree > 0 else (d, f)
-            rows[r] = [a * x if y.is_zero else a * x - b * y for x, y in zip(rows[r], pivot_row)]
+            if not (packed and type(x) is int):
+                x = _entries(spec, x, ncols, slots, width)
+                rows[r] = [a * u if v.is_zero else a * u - b * v for u, v in zip(x, pivot_row)]
+                continue
+            need = max(a.degree + degs[r], b.degree + pdeg) + 1
+            if need > slots:
+                degs[r] = max(u.degree for u in _entries(spec, x, ncols, slots, width))
+                need = max(a.degree + degs[r], b.degree + pdeg) + 1
+            new_width = max(width, _slot_width((p - 1) ** 2 * (len(a.c) + len(b.c))))
+            if need > slots or new_width > width:
+                new_slots = slots if need <= slots else max(need, 2 * slots)
+                rows = [_repack(y, ncols, slots, width, new_slots, new_width)
+                        if type(y) is int else y for y in rows]
+                slots, width, x = new_slots, new_width, rows[r]
+            x = _pack_slots(a.c, width) * x + _pack_slots((-b).c, width) * rows[rank]
+            rows[r] = _reduce_slots(x, ncols * slots, width, p)
+            degs[r] = need - 1
         pivots.append(ci)
-    return [_primitive(r) for r in rows[:len(pivots)]], pivots
+        ci += 1
+    return [_primitive(_entries(spec, x, ncols, slots, width)) for x in rows[:len(pivots)]], pivots
 
 
 def _residual(vec, echelon, pivots):

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from ._linalg import _lcm
 from .algebra import (Poly, RatFunc, _pack_rows, _pack_slots, _read_slots, _reduce_slots,
-                      _slot_codes, _slot_runs, _slot_width)
+                      _repack, _slot_codes, _slot_runs, _slot_width, _trim)
 from .errors import InvalidInput
 from .indices import IndexPoly, thakur_indices
 
@@ -37,12 +37,6 @@ def fp_codes(c: RatFunc, p: int) -> tuple:
     if c.den.c != (1,) or max(codes) >= p:
         raise InvalidInput(f"coefficient {c} lies outside F_p[Y]")
     return codes
-
-
-def _trim(run: bytes, width: int) -> bytes:
-    """A run of width-bit slots cut after its last nonzero slot."""
-    size = width >> 3
-    return run[:(len(run.rstrip(b"\0")) + size - 1) // size * size]
 
 
 class Packed:
@@ -112,11 +106,7 @@ class Layouts:
         slots, width = self._layouts[v.weight]
         if v.slots != slots or v.width != width:
             n = len(self.basis(v.weight)[0])
-            x = v.x
-            if v.width != width:
-                x = _pack_slots(_read_slots(x, n * v.slots, v.width), width)
-            pad = bytes((slots - v.slots) * width >> 3)
-            x = int.from_bytes(pad.join(_slot_runs(x, n, v.slots, width)), "little")
+            x = _repack(v.x, n, v.slots, v.width, slots, width)
             v = Packed(v.weight, x, slots, width, v.degree)
             memo[key] = (v, *rest)
         return v

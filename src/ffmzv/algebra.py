@@ -465,6 +465,21 @@ def _slot_runs(x: int, runs: int, slots: int, width: int) -> list:
     return [data[i:i + size] for i in range(0, len(data), size)]
 
 
+def _trim(run: bytes, width: int) -> bytes:
+    """A run of width-bit slots cut after its last nonzero slot."""
+    size = width >> 3
+    return run[:(len(run.rstrip(b"\0")) + size - 1) // size * size]
+
+
+def _repack(x: int, runs: int, slots: int, width: int, new_slots: int, new_width: int) -> int:
+    """x, an int of runs runs of slots width-bit slots each, with the same
+    codes in runs of new_slots >= slots slots of new_width >= width bits."""
+    if width != new_width:
+        x = _pack_slots(_read_slots(x, runs * slots, width), new_width)
+    pad = bytes((new_slots - slots) * new_width >> 3)
+    return int.from_bytes(pad.join(_slot_runs(x, runs, slots, new_width)), "little")
+
+
 def _read_slots(x: int, n: int, width: int, p: int = 0, m: int = 0) -> list:
     """The codes in slots 0..n-1 of x, an int of max(n, m) slots, each
     reduced mod p when p is given."""

@@ -51,9 +51,11 @@ reduction sum of c * NF(a), has coefficients in F_p[Y] and is one packed
 int, and membership and classes apply one packed class map per weight
 (``_packed``).  Vectors are unpacked only where a result leaves the
 checkers: reduce_to_T applies phi to the unpacked normal forms, and the
-ideal generators enter the Poly elimination unpacked.  The public T-form
-QuotientSpace and linear_solve take any F_q(T) input, fractions and genuine
-F_q codes included, so they keep the residual over the echelon.
+ideal generators are unpacked for QuotientSpace.ideal_gens; the
+elimination packs its F_p[Y] rows again in a layout of its own.  The
+public T-form QuotientSpace and linear_solve take any F_q(T) input,
+fractions and genuine F_q codes included, so they keep the residual over
+the echelon.
 """
 
 from __future__ import annotations

@@ -476,7 +476,7 @@ def test_elimination_matches_field_oracle(q):
             assert R.linear_solve(gens, target) == _oracle_solve(F, qs.basis, gens, target)
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_elimination_fractional_rows_match_field_oracle(q):
     """Genuinely fractional, rank-deficient rows take the lcm-clearing path."""
     F = field(q)
@@ -517,6 +517,77 @@ def test_elimination_fractional_rows_match_field_oracle(q):
             assert qs.class_vector(target) == _oracle_class(F, basis, vecs, target)
             assert R.linear_solve(vecs, target) == _oracle_solve(F, basis, vecs, target)
         assert qs.class_is_zero(inside) and R.linear_solve(vecs, inside) is not None
+
+
+def _spy_reductions(monkeypatch):
+    """The slot width of every packed row reduction _echelon makes, in order,
+    and the (old, new) slot counts of every repacking."""
+    from ffmzv import _linalg
+    widths, growth = [], []
+
+    def reduce_slots(x, n, width, p):
+        widths.append(width)
+        return _linalg_reduce(x, n, width, p)
+
+    def repack(x, runs, slots, width, new_slots, new_width):
+        growth.append((slots, new_slots))
+        return _linalg_repack(x, runs, slots, width, new_slots, new_width)
+
+    _linalg_reduce, _linalg_repack = _linalg._reduce_slots, _linalg._repack
+    monkeypatch.setattr(_linalg, "_reduce_slots", reduce_slots)
+    monkeypatch.setattr(_linalg, "_repack", repack)
+    return widths, growth
+
+
+def _coprime_pair(F, rng, deg_d, deg_f):
+    """Random coprime polynomials over F_p of exact degrees deg_d <= deg_f."""
+    def poly(deg):
+        return F.poly([rng.randrange(F.p) for _ in range(deg)] + [rng.randrange(1, F.p)])
+    while True:
+        d, f = poly(deg_d), poly(deg_f)
+        if d.gcd(f).degree == 0:
+            return d, f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 17])
+def test_echelon_slot_boundaries(p, monkeypatch):
+    """Packed row updates around the 8-bit slot bound equal the F_q(T)
+    Gauss-Jordan reference.  The first update is d*R - f*P with d, f coprime,
+    whose slot sums are at most (p-1)^2 (len d + len f): the largest length
+    sum whose bound fits 8 bits reduces by translate, one more repacks every
+    row at 16 bits (at p = 13 no length sum of at least 2 fits 8 bits, and at
+    p = 17 not even the rows' codes leave room for one product).  The entries
+    of degree up to 4 in the last matrix make the slot count grow."""
+    F = field(p)
+    rng = random.Random(19 + p)
+
+    def rat(c):
+        return RatFunc.of(F.poly(c) if isinstance(c, list) else c, F)
+
+    def rand(deg):
+        return [rng.randrange(p) for _ in range(deg + 1)]
+
+    most = 255 // (p - 1) ** 2
+    for n in (most, most + 1):
+        if n < 2:
+            continue
+        d, f = _coprime_pair(F, rng, (n - 2) // 2, n - 2 - (n - 2) // 2)
+        rows = [[rat(d), rat(1), rat(rand(2)), rat(0)],
+                [rat(f), rat(0), rat(rand(1)), rat(rand(3))],
+                [rat(0), rat(rand(2)), rat(rand(3)), rat(rand(1))]]
+        widths, _ = _spy_reductions(monkeypatch)
+        _assert_same_echelon(F, rows, 4)
+        assert widths[0] == (8 if n == most else 16), n
+        monkeypatch.undo()
+    widths, growth = _spy_reductions(monkeypatch)
+    rows = [[rat(rand(rng.randint(0, 4))) for _ in range(7)] for _ in range(5)]
+    c = rat(rand(2))
+    rows.append([c * x + y for x, y in zip(rows[0], rows[1])])
+    _, pivots = _assert_same_echelon(F, rows, 7)
+    assert len(pivots) == 5
+    assert any(new > old for old, new in growth)
+    if p == 17:
+        assert set(widths) == {16}
 
 
 def test_check_theorem_weight_8_q2(ctx2):
