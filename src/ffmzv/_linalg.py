@@ -20,13 +20,16 @@ repacked at the slot width of that bound.  S exceeds deg(d/g) + deg R and
 deg(f/g) + deg P, and at least doubles when it grows; the row degrees are
 upper bounds, made exact before S grows.  A row with a code >= p
 (linear_solve input with genuine GF(p^e) coefficients), or any row updated
-against such a pivot row, takes the entrywise Poly update instead.
+against such a pivot row, stays a list of Poly entries to the end, pivot
+row or not, and takes the entrywise Poly update: its degrees may outgrow S.
+Packing and unpacking pass over every column, zero entries included, so
+a packed row pays for itself through the updates it takes.
 """
 
 from __future__ import annotations
 
 from .algebra import (Poly, _pack_rows, _pack_slots, _read_slots, _reduce_slots, _repack,
-                      _slot_codes, _slot_runs, _slot_width, _trim)
+                      _slot_width, _unpack_runs)
 
 
 def _lcm(spec, polys) -> Poly:
@@ -63,18 +66,9 @@ def _primitive(row):
     return [x // g for x in row]
 
 
-def _in_fp(row, p: int) -> bool:
-    """Whether every code of a Poly row lies below p."""
-    return all(not x.c or max(x.c) < p for x in row)
-
-
 def _entries(spec, x, ncols: int, slots: int, width: int) -> list:
     """The Poly entries of a row, unpacked if it is packed."""
-    if type(x) is not int:
-        return x
-    zero = Poly._make(spec, ())
-    return [Poly._make(spec, tuple(_slot_codes(run, width))) if run else zero
-            for run in (_trim(run, width) for run in _slot_runs(x, ncols, slots, width))]
+    return _unpack_runs(spec, x, ncols, slots, width) if type(x) is int else x
 
 
 def _lead(x, ci: int, ncols: int, slots: int, width: int) -> int:
@@ -117,10 +111,11 @@ def _echelon(rows, ncols: int):
         return [], []
     spec = rows[0][0].spec
     p = spec.p
-    degs = [max(x.degree for x in row) for row in rows]
+    codes = [[x.c for x in row] for row in rows]
+    degs = [max(map(len, c)) - 1 for c in codes]
     slots, width = max(1, max(degs) + 1), _slot_width(p - 1)
-    rows = [_pack_rows([x.c for x in row], slots, width) if _in_fp(row, p) else row
-            for row in rows]
+    rows = [_pack_rows(c, slots, width) if max(map(max, filter(None, c)), default=0) < p else row
+            for c, row in zip(codes, rows)]
     pivots, ci = [], 0
     while len(pivots) < len(rows):
         rank = len(pivots)
@@ -130,12 +125,14 @@ def _echelon(rows, ncols: int):
         col = [_entry(spec, rows[r], ci, slots, width) for r in range(rank, len(rows))]
         sel = rank + min((k for k, f in enumerate(col) if f.c), key=lambda k: col[k].degree)
         x = rows[sel]
-        pivot_row = _primitive(_entries(spec, x, ncols, slots, width))
-        packed = type(x) is int or _in_fp(pivot_row, p)
-        pdeg = max(y.degree for y in pivot_row)
+        packed = type(x) is int
+        entries = _entries(spec, x, ncols, slots, width)
+        pivot_row = _primitive(entries)
+        if pivot_row is not entries:
+            x = _pack_rows([y.c for y in pivot_row], slots, width) if packed else pivot_row
+        pdeg = max(len(y.c) for y in pivot_row) - 1
         rows[sel], degs[sel] = rows[rank], degs[rank]
-        rows[rank] = _pack_rows([y.c for y in pivot_row], slots, width) if packed else pivot_row
-        degs[rank] = pdeg
+        rows[rank], degs[rank] = x, pdeg
         d = pivot_row[ci]
         for r in range(len(rows)):
             x = rows[r]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from ._linalg import _lcm
 from .algebra import (Poly, RatFunc, _pack_rows, _pack_slots, _read_slots, _reduce_slots,
-                      _repack, _slot_codes, _slot_runs, _slot_width, _trim)
+                      _repack, _slot_runs, _slot_width, _trim, _unpack_runs)
 from .errors import InvalidInput
 from .indices import IndexPoly, thakur_indices
 
@@ -146,12 +146,8 @@ class Layouts:
         if v.is_zero:
             return IndexPoly._of(spec, {})
         basis = self.basis(v.weight)[0]
-        terms = {}
-        for s, run in zip(basis, _slot_runs(v.x, len(basis), v.slots, v.width)):
-            run = _trim(run, v.width)
-            if run:
-                terms[s] = RatFunc._make(Poly._make(spec, tuple(_slot_codes(run, v.width))))
-        return IndexPoly._of(spec, terms)
+        entries = _unpack_runs(spec, v.x, len(basis), v.slots, v.width)
+        return IndexPoly._of(spec, {s: RatFunc._make(c) for s, c in zip(basis, entries) if c.c})
 
 
 class Projection:
@@ -204,7 +200,7 @@ class Projection:
             self.rows = [_pack_rows(entry, self.slots, self.width) for entry in self.entries]
         x, n = v.x, len(self.rows)
         if v.width != self.width:
-            x = _pack_slots(_read_slots(x, n * v.slots, v.width), self.width)
+            x = _repack(x, n, v.slots, v.width, v.slots, self.width)
         y = 0
         for run, row in zip(_slot_runs(x, n, v.slots, self.width), self.rows):
             c = int.from_bytes(run, "little")

@@ -471,11 +471,23 @@ def _trim(run: bytes, width: int) -> bytes:
     return run[:(len(run.rstrip(b"\0")) + size - 1) // size * size]
 
 
+def _unpack_runs(spec, x: int, runs: int, slots: int, width: int) -> list:
+    """The Poly over spec held in each run of x, an int of runs runs of slots
+    width-bit slots each, the first lowest."""
+    zero, empty = Poly._make(spec, ()), bytes(slots * width >> 3)
+    return [zero if run == empty else
+            Poly._make(spec, tuple(_slot_codes(_trim(run, width), width)))
+            for run in _slot_runs(x, runs, slots, width)]
+
+
 def _repack(x: int, runs: int, slots: int, width: int, new_slots: int, new_width: int) -> int:
     """x, an int of runs runs of slots width-bit slots each, with the same
-    codes in runs of new_slots >= slots slots of new_width >= width bits."""
+    codes in runs of new_slots >= slots slots of new_width bits, which hold
+    every code."""
     if width != new_width:
         x = _pack_slots(_read_slots(x, runs * slots, width), new_width)
+    if new_slots == slots:
+        return x
     pad = bytes((new_slots - slots) * new_width >> 3)
     return int.from_bytes(pad.join(_slot_runs(x, runs, slots, new_width)), "little")
 

@@ -590,6 +590,18 @@ def test_echelon_slot_boundaries(p, monkeypatch):
         assert set(widths) == {16}
 
 
+def test_echelon_entrywise_row_outgrows_slots():
+    """Over GF(4) the pivot row [T, uT, 1, 0] has a genuine GF(4) code, so the
+    other row takes the entrywise update and becomes [0, 0, T^2+T+1, T, ...],
+    codes in F_2 of degree 2 past the 2 slots the input needed.  As the next
+    pivot it stays entrywise, and the echelon equals the reference."""
+    F = field(4)
+    T, u, one = F.T, F.poly([F.gen]), F.poly([1])
+    rows = [[T, u * T, one, F.poly([])], [T + one, u * (T + one), T, one]]
+    _, pivots = _assert_same_echelon(F, [[RatFunc.of(x, F) for x in r] for r in rows], 4)
+    assert pivots == [0, 2]
+
+
 def test_check_theorem_weight_8_q2(ctx2):
     rep = ctx2.reducer.check_theorem(8)
     assert rep.ok and len(rep.cases) == 179
