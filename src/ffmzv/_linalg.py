@@ -8,22 +8,17 @@ unique, so the results are those of plain Gauss-Jordan over the field of
 fractions.  The Reducer runs it over F_q[Y] (``reduction``) and
 ``linear_solve`` over F_q[T].
 
-A row whose codes all lie below p (every row over F_p, and every row of
-the Reducer, whose entries lie in F_p[Y]) stays one int in the slot codec
-of ``algebra`` for the whole elimination: entry j is the run of slots
-j*S .. j*S + S-1, its codes lowest degree first.  Its update against a
-packed pivot row is two big-int products, with the codes of -(f/g) packed
-so that no slot goes negative, and one reduction mod p.  A slot of the sum
-is at most (p-1)^2 (len(d/g) + len(f/g)): while that is at most 255 the
-slots are 8 bits, reduced by translate, and otherwise every row is
-repacked at the slot width of that bound.  S exceeds deg(d/g) + deg R and
-deg(f/g) + deg P, and at least doubles when it grows; the row degrees are
-upper bounds, made exact before S grows.  A row with a code >= p
-(linear_solve input with genuine GF(p^e) coefficients), or any row updated
-against such a pivot row, stays a list of Poly entries to the end, pivot
-row or not, and takes the entrywise Poly update: its degrees may outgrow S.
-Packing and unpacking pass over every column, zero entries included, so
-a packed row pays for itself through the updates it takes.
+A row with every code below p (every row of the Reducer) is one int in
+the slot codec of ``algebra`` throughout: entry j is the run of S slots
+from slot j*S, lowest degree first.  Its update is two big-int products,
+with -(f/g) packed by its codes so that no slot goes negative, and one
+reduction mod p.  A slot sum is at most (p-1)^2 (len(d/g) + len(f/g)):
+slots are 8 bits, reduced by translate, while that is at most 255, and
+every row is repacked wider otherwise.  S exceeds deg(d/g) + deg R and
+deg(f/g) + deg P (upper bounds, made exact before S at least doubles).
+A row with a code >= p (linear_solve input over GF(p^e)), and any row
+updated against one, is a list of Poly entries to the end, since its
+degrees may outgrow S.
 """
 
 from __future__ import annotations
@@ -100,11 +95,9 @@ def _echelon(rows, ncols: int):
     with g = gcd(d, f), so entries stay polynomials.  A row's content is
     divided out when it becomes the pivot row and once more on the returned
     rows, not after every update.  N is primitive, so it is unique up to a
-    nonzero scalar of F_q; the reduced row N / N[pc] is unique.  The next
-    pivot column is the first column where a remaining row is nonzero, found
-    in a packed row (module docstring) from its lowest set bit, and only
-    that column of each row is read; only the pivot row, for its content,
-    and the returned rows are unpacked.
+    nonzero scalar of F_q; the reduced row N / N[pc] is unique.  Only the
+    pivot column of each row is read, and only the pivot row and the
+    returned rows are unpacked.
     """
     rows = [_clear(r)[0] for r in rows]
     if not rows:
