@@ -32,11 +32,15 @@ COMMANDS = {
     "iota_q2_w6": ["iota", "--q", "2", "--weight", "6"],
     "iota_q3_w1": ["iota", "--q", "3", "--weight", "1"],
     "iota_q4_w2": ["iota", "--q", "4", "--weight", "2"],
+    "iota_q5_w7": ["iota", "--q", "5", "--weight", "7"],
+    "iota_q9_w8": ["iota", "--q", "9", "--weight", "8"],
     "conjecture_q2": ["conjecture", "--q", "2", "--max-weight", "4"],
     "conjecture_q3": ["conjecture", "--q", "3", "--max-weight", "3"],
+    "conjecture_q4": ["conjecture", "--q", "4", "--max-weight", "5"],
     "keylemma_q2": ["verify", "--suite", "keylemma", "--q", "2"],
     "keylemma_q3": ["verify", "--suite", "keylemma", "--q", "3"],
     "theorem_q4": ["verify", "--suite", "theorem", "--q", "4", "--max-weight", "6"],
+    "theorem_q9": ["verify", "--suite", "theorem", "--q", "9", "--max-weight", "7"],
 }
 
 

@@ -389,6 +389,53 @@ def test_check_conjecture(ctx2):
     assert rep.cases[0].status == "observation"
 
 
+class DaggerBumpReducer(Reducer):
+    """A reducer whose zeta-side dagger of one index gains one Thakur index,
+    so the conjecture's classes differ there."""
+
+    def __init__(self, algebra, at, term):
+        super().__init__(algebra)
+        self.at, self.term = Index(at), Index(term)
+
+    def _dagger(self, family, s):
+        out = super()._dagger(family, s)
+        if family == "zeta" and s == self.at:
+            out = out + self.algebra.mono(self.term)
+        return out
+
+
+def _conjecture_detail_by_apply(R, s):
+    """The conjecture's detail from the public T-form quotient and IotaMatrix.apply."""
+    w, A = s.weight, R.algebra
+    qs = R.quotient_space(w)
+
+    def cls(fam, P):
+        return qs.class_vector(R.to_vector(w, R.reduce_to_T(fam, P)))
+
+    lhs = R.iota_matrix(w).apply(cls("zeta", A.mono(s)))
+    rhs = cls("zeta", R.dagger_expand("zeta", s))
+    diff = [a - b for a, b in zip(lhs, rhs)]
+    if all(v.is_zero for v in diff):
+        return "classes equal"
+    return "classes differ by " + " | ".join(
+        f"{qs.quotient_basis[i]}: {v}" for i, v in enumerate(diff) if not v.is_zero)
+
+
+@pytest.mark.parametrize("q, at", [(2, (1, 2, 2)), (3, (2, 3)), (4, (1, 4)), (5, (1, 5, 1))])
+def test_conjecture_difference_matches_the_apply_reference(q, at):
+    """A zeta-side dagger bumped by the first pivot column's index, whose
+    class has fractional entries, makes the classes differ; the printed
+    difference equals the one the public iota matrix gives through apply."""
+    at = Index(at)
+    qs = Reducer(IndexAlgebra(field(q))).quotient_space(at.weight)
+    term = qs.basis[qs.pivots[0]]
+    R = DaggerBumpReducer(IndexAlgebra(field(q)), at, term)
+    detail = R.check_conjecture(at).cases[0].detail
+    assert detail.startswith("classes differ by ") and "/" in detail
+    assert detail == _conjecture_detail_by_apply(
+        DaggerBumpReducer(IndexAlgebra(field(q)), at, term), at)
+
+
 # -- reference elimination over F_q(T) ------------------------------------------------
 # The elimination in ffmzv.reduction runs fraction-free over F_q[T]; this is
 # the plain Gauss-Jordan over F_q(T) it replaced, kept here as the oracle.
