@@ -5,8 +5,8 @@ ring: rows stay polynomial, each with its pivot entry as its denominator,
 and a residual is one polynomial combination over one common denominator,
 so no gcd runs per entry.  The reduced echelon form and the residual are
 unique, so the results are those of plain Gauss-Jordan over the field of
-fractions.  The Reducer runs it over F_q[Y] (``reduction``) and
-``linear_solve`` over F_q[T].
+fractions.  The Reducer runs it over F_q[Y] (``_packed``) and
+``linear_solve`` over F_q[T], which clears its fractions first (``_clear``).
 
 A row with every code below p (every row of the Reducer) is one int in
 the slot codec of ``algebra`` throughout: entry j is the run of S slots
@@ -84,8 +84,8 @@ def _entry(spec, x, j: int, slots: int, width: int) -> Poly:
 
 
 def _echelon(rows, ncols: int):
-    """Reduced row echelon form over F_q(X), computed fraction-free over F_q[X]
-    (X is Y inside the Reducer, T in linear_solve).
+    """Reduced row echelon form over F_q(X) of polynomial rows, computed
+    fraction-free over F_q[X] (X is Y inside the Reducer, T in linear_solve).
 
     Returns (rows, pivots), pivot columns ascending.  Each returned row N is a
     primitive polynomial row with N[pc] != 0 at its own pivot column pc and 0
@@ -99,7 +99,6 @@ def _echelon(rows, ncols: int):
     pivot column of each row is read, and only the pivot row and the
     returned rows are unpacked.
     """
-    rows = [_clear(r)[0] for r in rows]
     if not rows:
         return [], []
     spec = rows[0][0].spec

@@ -17,15 +17,16 @@ coefficient with a denominator or a code >= p raises; it never wraps.
 Each weight has one layout, which grows (the slot count at least doubling)
 when a sum needs more; a memoised vector is repacked to it when next used.
 
-A ``Projection`` packs the class map of a quotient the same way, one row
-per Thakur coordinate, so a class is one sum of big-int products.
+A ``Quotient`` packs Lambda times the class map of one weight's quotient
+the same way, one row per Thakur coordinate, so a class is one sum of
+big-int products; its generators enter the elimination as F_p[Y] rows.
 """
 
 from __future__ import annotations
 
-from ._linalg import _lcm
-from .algebra import (Poly, RatFunc, _pack_rows, _pack_slots, _read_slots, _reduce_slots,
-                      _repack, _slot_runs, _slot_width, _trim, _unpack_runs)
+from ._linalg import _echelon, _lcm
+from .algebra import (Poly, RatFunc, _pack_rows, _pack_slots, _reduce_slots, _repack,
+                      _slot_runs, _slot_width, _trim, _unpack_runs)
 from .errors import InvalidInput
 from .indices import IndexPoly, thakur_indices
 
@@ -150,40 +151,43 @@ class Layouts:
         return IndexPoly._of(spec, {s: RatFunc._make(c) for s, c in zip(basis, entries) if c.c})
 
 
-class Projection:
-    """Lambda times the class map of one weight's quotient, as one packed
-    row per Thakur coordinate t over the quotient columns Q.
-
-    With N_i the echelon rows and d_i = N_i[pc_i] their pivot entries, and
-    Lambda the monic lcm of the d_i, row t is Lambda e_t when t is not a
-    pivot column and -(Lambda / d_i) N_i[Q] when it is row i's.  Then
-    sum_t v_t row_t is Lambda times the residual of v on Q: the class of v
-    is zero exactly when that sum is, and is the sum over Lambda.  The rows
-    share one width, which holds every query's slot sums (n coordinates,
-    each entry at most span codes), and are repacked with more slots when a
-    query's degree needs them.
+class Quotient:
+    """One weight's quotient by the ideal of zeta(q-1): the packed generators
+    gens, their reduced echelon form (``_linalg``), rows N_i with pivot
+    entries d_i = N_i[pc_i], Lambda the monic lcm of the d_i, and Lambda
+    times the class map as one packed row per Thakur coordinate t over the
+    quotient columns Q.  Row t is Lambda e_t when t is not a pivot column
+    and -(Lambda / d_i) N_i[Q] when it is row i's.  Then sum_t v_t row_t is
+    Lambda times the residual of v on Q: the class of v is zero exactly
+    when that sum is, and is the sum over Lambda.  The rows share one
+    width, which holds every query's slot sums (n coordinates, each entry
+    at most span codes), and are repacked with more slots when a query's
+    degree needs them.
     """
 
-    def __init__(self, qs):
-        p = qs.field.p
-        lam = _lcm(qs.field, [row[pc] for row, pc in zip(qs.echelon, qs.pivots)])
-        pivots = set(qs.pivots)
-        quotient = [t for t in range(len(qs.basis)) if t not in pivots]
-        rows = [None] * len(qs.basis)
+    def __init__(self, layouts: Layouts, weight: int, gens: list):
+        spec, p = layouts.field, layouts.p
+        self.weight, self.field, self.gens = weight, spec, gens
+        self.basis = basis = layouts.basis(weight)[0]
+        n = len(basis)
+        self.echelon, self.pivots = echelon, pivots = _echelon(
+            [_unpack_runs(spec, g.x, n, g.slots, g.width) for g in gens], n)
+        self.lam = lam = _lcm(spec, [row[pc] for row, pc in zip(echelon, pivots)])
+        pivot_set = set(pivots)
+        quotient = [t for t in range(n) if t not in pivot_set]
+        self.quotient_basis = [basis[t] for t in quotient]
+        self.dim = len(quotient)
+        rows = [None] * n
         for j, t in enumerate(quotient):
-            rows[t] = [lam.c if k == j else () for k in range(len(quotient))]
-        for row, pc in zip(qs.echelon, qs.pivots):
+            rows[t] = [lam.c if k == j else () for k in range(self.dim)]
+        for row, pc in zip(echelon, pivots):
             f = lam // row[pc]
             rows[pc] = [(-(f * row[t])).c for t in quotient]
         if any(max(c) >= p for row in rows for c in row if c):
             raise InvalidInput("an echelon entry lies outside F_p[Y]")
-        self.weight = qs.weight
-        self.field = qs.field
-        self.lam = lam
         self.entries = rows
-        self.dim = len(quotient)
         self.span = max((len(c) for row in rows for c in row), default=1)
-        self.width = _slot_width(len(rows) * (p - 1) ** 2 * self.span)
+        self.width = _slot_width(n * (p - 1) ** 2 * self.span)
         self.slots = 0
         self.rows = []
 
@@ -212,12 +216,9 @@ class Projection:
         """Whether the class of v is zero."""
         return not self._numerators(v)
 
-    def classes(self, v: Packed):
-        """The class of v on the quotient basis, as RatFuncs."""
+    def classes(self, v: Packed) -> list:
+        """Lambda times the class of v on the quotient basis, as Polys."""
         y = self._numerators(v)
         if y is None:
-            return [RatFunc.of(0, self.field)] * self.dim
-        spec, lam, n = self.field, self.lam, self.slots
-        codes = _read_slots(y, self.dim * n, self.width)
-        return [RatFunc(Poly._make(spec, tuple(codes[i:i + n])), lam)
-                for i in range(0, len(codes), n)]
+            return [Poly._make(self.field, ())] * self.dim
+        return _unpack_runs(self.field, y, self.dim, self.slots, self.width)

@@ -48,14 +48,14 @@ T-form input as before.
 
 Inside the Reducer every vector the checkers sum, a normal form or a
 reduction sum of c * NF(a), has coefficients in F_p[Y] and is one packed
-int, and membership and classes apply one packed class map per weight
-(``_packed``).  Vectors are unpacked only where a result leaves the
-checkers: reduce_to_T applies phi to the unpacked normal forms, and the
-ideal generators are unpacked for QuotientSpace.ideal_gens; the
-elimination packs its F_p[Y] rows again in a layout of its own.  The
-public T-form QuotientSpace and linear_solve take any F_q(T) input,
-fractions and genuine F_q codes included, so they keep the residual over
-the echelon.
+int.  Each weight's quotient is one ``_packed.Quotient``: its packed ideal
+generators enter the elimination as F_p[Y] rows, and a class, like the
+iota matrix N, is Lambda times it over F_p[Y], so iota^2 = id is
+N N = Lambda^2 I.  Vectors are unpacked, and fractions formed, only where
+a result leaves the checkers (reduce_to_T, quotient_space, iota_matrix, a
+printed conjecture difference).  The public T-form QuotientSpace and
+linear_solve take any F_q(T) input, fractions and genuine F_q codes
+included, so they keep the residual over the echelon.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._linalg import _echelon, _lcm, _residual
-from ._packed import Layouts, Packed, Projection, fp_codes
+from ._linalg import _clear, _echelon, _lcm, _residual
+from ._packed import Layouts, Packed, Quotient, fp_codes
 from .algebra import Poly, RatFunc, carlitz_bracket
 from .errors import InvalidInput, ReductionDiverged
 from .evaluate import ValueFamily
@@ -219,24 +219,26 @@ class IotaMatrix:
         return out
 
     def squared_is_identity(self) -> bool:
-        """Whether iota^2 is the identity, as one polynomial identity: with D
-        the monic lcm of the entries' denominators and N = D iota over the
-        polynomials, whether N N = D^2 I.  No fraction is formed."""
+        """Whether iota^2 is the identity: N N = D^2 I for N = D iota, D the
+        monic lcm of the denominators."""
         dens = {c.den for row in self.rows for c in row}
         D = _lcm(self.field, dens)
         cofactor = {den: D // den for den in dens}
-        N = [[c.num * cofactor[c.den] for c in row] for row in self.rows]
-        zero, D2 = self.field.poly([]), D * D
-        for i, row in enumerate(N):
-            acc = [zero] * self.dim
-            for k, nik in enumerate(row):
-                if nik.c:
-                    for j, nkj in enumerate(N[k]):
-                        if nkj.c:
-                            acc[j] = acc[j] + nik * nkj
-            if any(v != (D2 if j == i else zero) for j, v in enumerate(acc)):
-                return False
-        return True
+        return _is_involution([[c.num * cofactor[c.den] for c in row] for row in self.rows], D)
+
+
+def _is_involution(N, D: Poly) -> bool:
+    """Whether N N = D^2 I, that is (N / D)^2 = I, compared by code tuples."""
+    zero, d2 = Poly._make(D.spec, ()), (D * D).c
+    nonzero = [[(j, x) for j, x in enumerate(row) if x.c] for row in N]
+    for i, row in enumerate(nonzero):
+        acc = [zero] * len(N)
+        for k, nik in row:
+            for j, nkj in nonzero[k]:
+                acc[j] = acc[j] + nik * nkj
+        if any(v.c != (d2 if j == i else ()) for j, v in enumerate(acc)):
+            return False
+    return True
 
 
 class Reducer:
@@ -253,12 +255,11 @@ class Reducer:
         self.cap = cap
         self._nf_memo = {}
         self._dagger_memo = {}
-        self._quotient_memo = {}
+        self._quotients = {}
         self._iota_memo = {}
         self._public_quotients = {}
         self._public_iotas = {}
         self._packed = Layouts(self.field, self.q)
-        self._projections = {}
 
     # -- scalars and the boundary map ---------------------------------------------
 
@@ -467,7 +468,7 @@ class Reducer:
         rows = [[v.coords.get(s, zero) for s in basis] + [zero] * n for v in vectors]
         for i, row in enumerate(rows):
             row[len(basis) + i] = one
-        echelon, pivots = _echelon(rows, len(basis) + n)
+        echelon, pivots = _echelon([_clear(r)[0] for r in rows], len(basis) + n)
         nums, den = _residual([target.coords.get(s, zero) for s in basis] + [zero] * n,
                               echelon, pivots)
         if any(not x.is_zero for x in nums[:len(basis)]):
@@ -479,61 +480,48 @@ class Reducer:
         hit = self._public_quotients.get(w)
         if hit is None:
             qs = self._quotient(w)
-            phi = self._phi
-            gens = [BasisVector(w, {s: phi(c) for s, c in g.coords.items()})
-                    for g in qs.ideal_gens]
-            echelon = [[phi(RatFunc._make(x)).num for x in row] for row in qs.echelon]
+            gens = [BasisVector(w, self._public(self._packed.unpack(g)).terms) for g in qs.gens]
+            echelon = [[self._phi(RatFunc._make(x)).num for x in row] for row in qs.echelon]
             hit = QuotientSpace(w, qs.basis, gens, echelon, qs.pivots, self.field)
             self._public_quotients[w] = hit
         return hit
 
-    def _quotient(self, w: int) -> QuotientSpace:
+    def _quotient(self, w: int) -> Quotient:
+        """The weight-w quotient and Lambda times its class map, built on first use."""
         if w < 0:
             raise InvalidInput("weight must be >= 0")
-        hit = self._quotient_memo.get(w)
-        if hit is not None:
-            return hit
-        A = self.algebra
-        basis = thakur_indices(self.q, w)
-        gens = []
-        lower = w - (self.q - 1)
-        if lower >= 0:
-            for b in thakur_indices(self.q, lower):
-                prod = A.harmonic(A.mono(Index((self.q - 1,))), A.mono(b))
-                gens.append(BasisVector(w, self._packed.unpack(self._reduce("li", prod)).terms))
-        zero = RatFunc.of(0, self.field)
-        echelon, pivots = _echelon([[g.coords.get(s, zero) for s in basis] for g in gens],
-                                   len(basis))
-        out = QuotientSpace(w, basis, gens, echelon, pivots, self.field)
-        self._quotient_memo[w] = out
-        return out
+        hit = self._quotients.get(w)
+        if hit is None:
+            A, q = self.algebra, self.q
+            zeta = A.mono(Index((q - 1,)))
+            gens = [self._reduce("li", A.harmonic(zeta, A.mono(b)))
+                    for b in thakur_indices(q, w - q + 1)]
+            hit = self._quotients[w] = Quotient(self._packed, w, gens)
+        return hit
 
     def class_of(self, w: int, P: IndexPoly):
         """Quotient coordinates of a Thakur-supported combination."""
         return self.quotient_space(w).class_vector(self.to_vector(w, P))
 
     def iota_matrix(self, w: int) -> IotaMatrix:
-        """The phi-image of the weight-w involution matrix."""
+        """The phi-image of the weight-w involution matrix, N / Lambda."""
         hit = self._public_iotas.get(w)
         if hit is None:
-            m = self._iota(w)
-            hit = IotaMatrix(w, m.basis, [[self._phi(x) for x in row] for row in m.rows],
-                             self.field)
-            self._public_iotas[w] = hit
+            qs, phi = self._quotient(w), self._phi
+            rows = [[phi(RatFunc(x, qs.lam)) for x in row] for row in self._iota(w)]
+            hit = self._public_iotas[w] = IotaMatrix(w, qs.quotient_basis, rows, self.field)
         return hit
 
-    def _iota(self, w: int) -> IotaMatrix:
+    def _iota(self, w: int) -> list:
+        """N = Lambda iota over F_p[Y]: N[i][j] is Lambda times the coefficient
+        of quotient basis element i in iota of element j."""
         hit = self._iota_memo.get(w)
-        if hit is not None:
-            return hit
-        qs = self._quotient(w)
-        proj = self._projection(w)
-        cols = [proj.classes(self._reduce("li", self._dagger("li", a)))
-                for a in qs.quotient_basis]
-        rows = [list(row) for row in zip(*cols)]
-        out = IotaMatrix(w, qs.quotient_basis, rows, self.field)
-        self._iota_memo[w] = out
-        return out
+        if hit is None:
+            qs = self._quotient(w)
+            cols = [qs.classes(self._reduce("li", self._dagger("li", a)))
+                    for a in qs.quotient_basis]
+            hit = self._iota_memo[w] = [list(row) for row in zip(*cols)]
+        return hit
 
     # -- checkers -------------------------------------------------------------------
 
@@ -549,25 +537,18 @@ class Reducer:
         out.sort(key=lambda t: (t[0].weight, t[0], t[1], t[2]))
         return out
 
-    def _projection(self, w: int) -> Projection:
-        """Lambda times the class map of weight w, built on first use."""
-        hit = self._projections.get(w)
-        if hit is None:
-            hit = self._projections[w] = Projection(self._quotient(w))
-        return hit
-
     def _in_ideal(self, w: int, v: Packed) -> bool:
         """Whether a packed vector has class zero at weight w."""
-        return self._projection(w).kills(v)
+        return self._quotient(w).kills(v)
 
     def _involution_case(self, w: int) -> Case:
-        """Whether iota^2 is the identity at weight w, squared in the Y-form:
-        phi is an injective ring homomorphism, so the verdict is that of the
-        T-form iota_matrix(w)."""
-        m = self._iota(w)
-        ok = m.squared_is_identity()
+        """Whether iota^2 is the identity at weight w, as N N = Lambda^2 I in
+        the Y-form: phi is an injective ring homomorphism, so the verdict is
+        that of the T-form iota_matrix(w)."""
+        qs = self._quotient(w)
+        ok = _is_involution(self._iota(w), qs.lam)
         return Case(input=f"iota^2 @ w={w}", status="pass" if ok else "fail",
-                    detail=f"quotient dimension {m.dim}")
+                    detail=f"quotient dimension {qs.dim}")
 
     def check_theorem(self, w: int) -> Report:
         """Dagger images of all weight-w li-side generators land in the ideal,
@@ -680,14 +661,18 @@ class Reducer:
         s = Index(s)
         w = s.weight
         qs = self._quotient(w)
-        proj = self._projection(w)
-        lhs = self._iota(w).apply(proj.classes(self._reduce("zeta", self.algebra.mono(s))))
-        rhs = proj.classes(self._reduce("zeta", self._dagger("zeta", s)))
-        diff = [a - b for a, b in zip(lhs, rhs)]
-        equal = all(v.is_zero for v in diff)
-        detail = "classes equal" if equal else (
-            "classes differ by " + " | ".join(
-                f"{qs.quotient_basis[i]}: {self._phi(v)}"
-                for i, v in enumerate(diff) if not v.is_zero))
+        lam = qs.lam
+        # Lambda^2 (iota(class) - class of the dagger) = N c - Lambda d
+        c = qs.classes(self._reduce("zeta", self.algebra.mono(s)))
+        d = qs.classes(self._reduce("zeta", self._dagger("zeta", s)))
+        diff = []
+        for t, row, di in zip(qs.quotient_basis, self._iota(w), d):
+            v = -(lam * di)
+            for x, y in zip(row, c):
+                if x.c and y.c:
+                    v = v + x * y
+            if v.c:
+                diff.append(f"{t}: {self._phi(RatFunc(v, lam * lam))}")
+        detail = "classes differ by " + " | ".join(diff) if diff else "classes equal"
         return Report(check="conjecture", params={"q": self.q, "index": str(s)},
                       cases=[Case(input=str(s), status="observation", detail=detail)])

@@ -7,7 +7,8 @@ import pytest
 from ffmzv import (EMPTY, Evaluator, Index, IndexAlgebra, IndexPoly, InvalidInput,
                    ProductKind, RatFunc, Reducer, ReductionDiverged, carlitz_bracket,
                    compositions, field, thakur_indices)
-from ffmzv._packed import Projection
+from ffmzv._linalg import _clear
+from ffmzv._packed import Packed, Quotient
 from ffmzv.evaluate import ValueFamily
 from ffmzv.indices import _accumulate
 from ffmzv.reduction import (BasisVector, IotaMatrix, QuotientSpace, _echelon, _phi,
@@ -494,7 +495,7 @@ def _oracle_solve(F, basis, vectors, target):
 
 
 def _assert_same_echelon(F, rows, ncols):
-    echelon, pivots = _echelon(rows, ncols)
+    echelon, pivots = _echelon([_clear(r)[0] for r in rows], ncols)
     ref_rows, ref_pivots = _field_echelon(rows, ncols)
     assert pivots == ref_pivots
     assert [[RatFunc(x, row[pc]) for x in row] for row, pc in zip(echelon, pivots)] == ref_rows
@@ -678,7 +679,9 @@ def test_iota_square_matches_the_apply_reference(q, wmax):
     R = Reducer(IndexAlgebra(F))
     changes = (RatFunc.of(F.T), RatFunc(F.poly([1]), F.poly([1, 1])))
     for w in range(wmax + 1):
-        for m in (R._iota(w), R.iota_matrix(w)):
+        qs = R._quotient(w)
+        internal = [[RatFunc(x, qs.lam) for x in row] for row in R._iota(w)]
+        for m in (IotaMatrix(w, qs.quotient_basis, internal, F), R.iota_matrix(w)):
             assert m.squared_is_identity() and _squared_is_identity_by_apply(m), w
             ends = {0, m.dim - 1} if m.dim else set()
             for i, j in ((i, j) for i in ends for j in ends):
@@ -918,13 +921,34 @@ def test_checkers_never_leave_Y(q, wmax, monkeypatch):
             lower += c.num.degree < t.num.degree
     assert lower > 0
     assert R._dagger_memo.keys() == ref._dagger_memo.keys()
-    for w, qs in R._quotient_memo.items():
-        ref_qs = ref._quotient_memo[w]
+    for w, qs in R._quotients.items():
+        ref_qs = ref._quotients[w]
         assert [[_phi_poly(x) for x in row] for row in qs.echelon] == ref_qs.echelon
         assert [[max(x.degree * q, -1) for x in row] for row in qs.echelon] == \
             [[x.degree for x in row] for row in ref_qs.echelon]
-    for w, m in R._iota_memo.items():
-        assert [[_phi(x) for x in row] for row in m.rows] == ref._iota_memo[w].rows
+    for w, N in R._iota_memo.items():
+        lam, ref_lam = R._quotients[w].lam, ref._quotients[w].lam
+        assert [[_phi(RatFunc(x, lam)) for x in row] for row in N] == \
+            [[RatFunc(x, ref_lam) for x in row] for row in ref._iota_memo[w]]
+
+
+@pytest.mark.parametrize("q,w", [(3, 6), (9, 5)])
+def test_involution_case_builds_no_fraction(q, w, monkeypatch):
+    """A cold iota^2 case squares N = Lambda iota over F_p[Y]: it reduces no
+    fraction, so the gcd-taking RatFunc constructor never runs."""
+    R = Reducer(IndexAlgebra(field(q)))
+    calls = []
+    init = RatFunc.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RatFunc, "__init__", counting_init)
+    case = R._involution_case(w)
+    monkeypatch.undo()
+    assert case.status == "pass" and R._quotient(w).dim > 1
+    assert calls == []
 
 
 def _random_poly(rng, F, dmax):
@@ -1010,11 +1034,11 @@ def test_packing_a_genuine_F_q_code_raises(q):
             R._reduce("li", IndexPoly(F, {t: RatFunc.of(c)}))
     with pytest.raises(InvalidInput):
         R._reduce("li", IndexPoly(F, {t: RatFunc(F.poly([1]), F.poly([1, 1]))}))
-    basis = thakur_indices(q, 2)
-    one = F.poly([1])
-    qs = QuotientSpace(2, basis, [], [[one] + [u] * (len(basis) - 1)], [0], F)
+    # a generator packed by hand with the code of u survives the elimination
+    n = len(thakur_indices(q, 2))
+    gen = Packed(2, int.from_bytes(bytes([1] + [F.p] * (n - 1)), "little"), 1, 8, 0)
     with pytest.raises(InvalidInput):
-        Projection(qs)
+        Quotient(R._packed, 2, [gen])
 
 
 class PolyReference:
@@ -1043,11 +1067,15 @@ class PolyReference:
             _accumulate(out, self.normal_form(fam, a), c)
         return out
 
+    def quotient(self, w):
+        qs = self.R._quotient(w)
+        return QuotientSpace(w, qs.basis, [], qs.echelon, qs.pivots, self.R.field)
+
     def class_vector(self, w, terms):
-        return self.R._quotient(w).class_vector(BasisVector(w, terms))
+        return self.quotient(w).class_vector(BasisVector(w, terms))
 
     def in_ideal(self, w, terms):
-        return self.R._quotient(w).class_is_zero(BasisVector(w, terms))
+        return self.quotient(w).class_is_zero(BasisVector(w, terms))
 
 
 @pytest.mark.parametrize("q,wmax", [(2, 8), (3, 6), (4, 6), (5, 5), (9, 4)])
@@ -1097,10 +1125,11 @@ def test_packed_kernel_matches_the_Poly_reference(q, wmax, monkeypatch):
             assert R._in_ideal(w, packed) == ref.in_ideal(w, bumped.terms)
             outside += not R._in_ideal(w, packed)
     assert outside > 0
-    for w, m in R._iota_memo.items():
-        for j, a in enumerate(m.basis):
+    for w, N in R._iota_memo.items():
+        qs = R._quotient(w)
+        for j, a in enumerate(qs.quotient_basis):
             image = ref.reduce("li", R._dagger("li", a))
-            assert [row[j] for row in m.rows] == ref.class_vector(w, image), (w, a)
+            assert [RatFunc(row[j], qs.lam) for row in N] == ref.class_vector(w, image), (w, a)
 
 
 def test_packed_layout_grows_and_repacks_memoised_forms():
