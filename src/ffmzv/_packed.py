@@ -2,11 +2,12 @@
 
 Every coefficient the Reducer's checkers sum lies in F_p[Y]: gen_A, the
 products and the dagger expansions have F_p coefficients apart from the
-powers of -Y, and F_p[Y] is closed under the rewriting's sums.  So a vector
-on the Thakur indices of one weight, a normal form or a reduction sum, is
-one int in the slot codec of ``algebra``: coordinate t is a run of
-``slots`` slots holding its F_p codes lowest degree first, so c * v is one
-big-int product and a sum of terms is a sum of ints.
+powers of -Y, and F_p[Y] is closed under the rewriting's sums; the
+Reducer hands them to ``combine`` as code tuples.  So a vector on the
+Thakur indices of one weight, a normal form or a reduction sum, is one int
+in the slot codec of ``algebra``: coordinate t is a run of ``slots`` slots
+holding its F_p codes lowest degree first, so c * v is one big-int product
+and a sum of terms is a sum of ints.
 
 Slot k of coordinate t of c * v is sum_{i+j=k} c_i v_tj, at most
 min(len c, deg v + 1) products of codes below p, so the slot bound of a sum

@@ -6,10 +6,13 @@ indices.  The two products live here: the plain harmonic
 (quasi-shuffle) product, and the q-shuffle product which adds the
 carry terms D driven by the coefficients Delta.
 
-Sums of many ``IndexPoly`` terms go through one in-place accumulator,
-``_accumulate``, which adds c * v into a dict entry by entry.  It gives
-the same terms, in the same dict order, as the repeated sum
-``out = out + P.scale(c)``, without copying ``out`` per addend.
+Every coefficient of an index product, a carry term D and a Delta lies
+in F_p, so the product recursion memoises dicts from Index to an int code
+in 1..p-1; the public products read them through one RatFunc per code.
+Sums add in place, codes with ``_add_codes`` (one ``%`` per entry) and
+RatFuncs with ``_accumulate``: new indices are appended, updated ones keep
+their place, and an entry that cancels is deleted, which gives the terms
+and dict order of the repeated sum ``out = out + P.scale(c)``.
 """
 
 from __future__ import annotations
@@ -122,9 +125,10 @@ def _is_one(c: RatFunc) -> bool:
     return c.num.c == (1,) and c.den.c == (1,)
 
 
-def _accumulate(out: dict, terms: dict, c: RatFunc | None = None) -> None:
+def _accumulate(out: dict, terms: dict, c: RatFunc | None = None, coeffs=None) -> None:
     """out[s] += c * v for every term v*s of terms, in place (c None or one:
     no product; c is never zero); an entry that cancels to zero is deleted.
+    With coeffs, the values of terms are codes and v is coeffs[code].
 
     This is ``out = out + IndexPoly(terms).scale(c)`` without the copy of
     out: new indices are appended, updated ones keep their place, so the
@@ -135,6 +139,8 @@ def _accumulate(out: dict, terms: dict, c: RatFunc | None = None) -> None:
         c = None
     get = out.get
     for s, v in terms.items():
+        if coeffs is not None:
+            v = coeffs[v]
         if c is not None:
             v = v * c
         old = get(s)
@@ -146,6 +152,24 @@ def _accumulate(out: dict, terms: dict, c: RatFunc | None = None) -> None:
                 out[s] = v
             else:
                 del out[s]
+
+
+def _add_codes(out: dict, terms: dict, p: int, c: int = 1, prefix=None) -> None:
+    """out[prefix + s] += c * v mod p for the terms v*s, codes in 1..p-1."""
+    get = out.get
+    for s, v in terms.items():
+        if prefix is not None:
+            s = _index(prefix + s)
+        v = (get(s, 0) + c * v) % p
+        if v:
+            out[s] = v
+        else:
+            del out[s]
+
+
+def _prepend(prefix, terms: dict) -> dict:
+    """The terms with a fixed index in front of every index."""
+    return {_index(prefix + s): v for s, v in terms.items()}
 
 
 def parse_index(text: str) -> Index:
@@ -365,6 +389,7 @@ class IndexAlgebra:
         self.p = field.p
         self._prod_memo = {}
         self._d_memo = {}
+        self._coeffs = [RatFunc.of(k, field) for k in range(field.p)]
 
     def _own(self, *polys):
         for P in polys:
@@ -410,7 +435,7 @@ class IndexAlgebra:
         out = {}
         for s, cs in P.terms.items():
             for n, cn in Q.terms.items():
-                _accumulate(out, self._prod_indices(s, n, kind).terms, cs * cn)
+                _accumulate(out, self._prod_indices(s, n, kind), cs * cn, self._coeffs)
         return IndexPoly._of(self.field, out)
 
     def harmonic(self, P: IndexPoly, Q: IndexPoly) -> IndexPoly:
@@ -419,27 +444,37 @@ class IndexAlgebra:
     def qshuffle(self, P: IndexPoly, Q: IndexPoly) -> IndexPoly:
         return self.product(P, Q, ProductKind.QSHUFFLE)
 
-    def _prod_indices(self, s: Index, n: Index, kind: ProductKind) -> IndexPoly:
+    def _product(self, P: dict, Q: dict, kind: ProductKind, out=None, scale: int = 1) -> dict:
+        """out + scale * P * Q over F_p codes, in place (out None: a new dict)."""
+        out = {} if out is None else out
+        p = self.p
+        for s, cs in P.items():
+            for n, cn in Q.items():
+                _add_codes(out, self._prod_indices(s, n, kind), p, scale * cs * cn % p)
+        return out
+
+    def _prod_indices(self, s: Index, n: Index, kind: ProductKind) -> dict:
+        """s * n as a dict from Index to code, memoised; never mutate it."""
         if s.is_empty:
-            return self.mono(n)
+            return {n: 1}
         if n.is_empty:
-            return self.mono(s)
+            return {s: 1}
         key = (kind, s, n)
         hit = self._prod_memo.get(key)
         if hit is not None:
             return hit
-        s1, n1 = s[0], n[0]
-        # prepend builds a fresh dict, so the sum can accumulate into it
-        out = self._prod_indices(s.minus, n, kind).prepend(_index((s1,)))
-        _accumulate(out.terms, self._prod_indices(s, n.minus, kind).prepend(_index((n1,))).terms)
-        _accumulate(out.terms,
-                    self._prod_indices(s.minus, n.minus, kind).prepend(_index((s1 + n1,))).terms)
+        s1, n1, p = s[0], n[0], self.p
+        # _prepend builds a fresh dict, so the sum can accumulate into it
+        out = _prepend((s1,), self._prod_indices(s.minus, n, kind))
+        _add_codes(out, self._prod_indices(s, n.minus, kind), p, 1, (n1,))
+        _add_codes(out, self._prod_indices(s.minus, n.minus, kind), p, 1, (s1 + n1,))
         if kind is ProductKind.QSHUFFLE:
-            _accumulate(out.terms, self._d_indices(s, n).terms)
+            _add_codes(out, self._d_indices(s, n), p)
         self._prod_memo[key] = out
         return out
 
-    def _d_indices(self, s: Index, n: Index) -> IndexPoly:
+    def _d_indices(self, s: Index, n: Index) -> dict:
+        """D_s(n) for nonempty s and n, as codes, memoised; never mutate it."""
         key = (s, n)
         hit = self._d_memo.get(key)
         if hit is not None:
@@ -448,13 +483,10 @@ class IndexAlgebra:
         tails = self._prod_indices(s.minus, n.minus, ProductKind.QSHUFFLE)
         out = {}
         for j in range(1, s1 + n1):
-            dj = self.delta(s1, n1, j)
-            if dj.is_zero:
-                continue
-            term = self.qshuffle(self.mono(_index((j,))), tails)
-            _accumulate(out, term.prepend(_index((s1 + n1 - j,))).terms,
-                        RatFunc.of(dj))
-        out = IndexPoly._of(self.field, out)
+            dj = self.delta(s1, n1, j).i
+            if dj:
+                term = self._product({_index((j,)): 1}, tails, ProductKind.QSHUFFLE)
+                _add_codes(out, term, self.p, dj, (s1 + n1 - j,))
         self._d_memo[key] = out
         return out
 
@@ -468,7 +500,7 @@ class IndexAlgebra:
         for n, c in P.terms.items():
             if n.is_empty:
                 continue
-            _accumulate(out, self._d_indices(head, n).terms, c)
+            _accumulate(out, self._d_indices(head, n), c, self._coeffs)
         return IndexPoly._of(self.field, out)
 
     # -- boxplus and alpha ---------------------------------------------------

@@ -18,10 +18,10 @@ those of plain Gauss-Jordan over the field of fractions.
 The Reducer computes over F_q(Y), Y = T^q - T.  The only T-dependent
 constant its arithmetic meets is L_1 = T - T^q in gen_A (the Delta carries
 and the product coefficients lie in F_p), and L_1 = -Y.  Inside the
-Reducer every coefficient is therefore a rational function of Y, kept with
-the same Poly / RatFunc types and FieldSpec, at 1/q of its T-degree: the
-memoised normal forms and dagger expansions, the quotient echelons, the
-iota matrices, and every membership and iota^2 test.  One substitution,
+Reducer every coefficient is therefore a rational function of Y, at 1/q
+of its T-degree: the memoised normal forms and dagger expansions, the
+quotient echelons, the iota matrices, and every membership and iota^2
+test.  One substitution,
 phi: Y -> T^q - T, maps a result to F_q(T) where it leaves the Reducer
 through the public API (gen_A, u_step, reduce_to_T, dagger_expand,
 dagger_linear, quotient_space, iota_matrix, and the coefficients
@@ -46,6 +46,11 @@ phi-images per index, and a public QuotientSpace is the phi-image of the
 internal one, so its class_vector, class_is_zero and linear_solve take
 T-form input as before.
 
+The checkers do no RatFunc arithmetic: dagger expansions map Index to
+F_p codes, like the index products, and gen_A and a rewriting step map it
+to the F_p[Y] code tuple of its coefficient.  The public methods build
+IndexPoly over RatFunc from these codes.
+
 Inside the Reducer every vector the checkers sum, a normal form or a
 reduction sum of c * NF(a), has coefficients in F_p[Y] and is one packed
 int.  Each weight's quotient is one ``_packed.Quotient``: its packed ideal
@@ -68,8 +73,8 @@ from ._packed import Layouts, Packed, Quotient, fp_codes
 from .algebra import Poly, RatFunc, carlitz_bracket
 from .errors import InvalidInput, ReductionDiverged
 from .evaluate import ValueFamily
-from .indices import (EMPTY, Index, IndexAlgebra, IndexPoly, ProductKind,
-                      _accumulate, compositions, repeat, thakur_indices)
+from .indices import (EMPTY, Index, IndexAlgebra, IndexPoly, ProductKind, _add_codes,
+                      _index, _prepend, compositions, repeat, thakur_indices)
 from .reports import Case, Report
 
 _FAMILIES = ("zeta", "li")
@@ -274,34 +279,53 @@ class Reducer:
     def _public(self, P: IndexPoly) -> IndexPoly:
         return IndexPoly._of(self.field, {s: self._phi(c) for s, c in P.terms.items()})
 
+    def _public_codes(self, terms: dict) -> IndexPoly:
+        """The phi-image of Y-form terms held as F_p[Y] code tuples."""
+        spec, phi = self.field, self._phi
+        return IndexPoly._of(spec, {s: phi(RatFunc._make(Poly._make(spec, c)))
+                                    for s, c in terms.items()})
+
     # -- generators -------------------------------------------------------------
 
     def gen_A(self, family, s, m: int, n) -> IndexPoly:
         """The relation generator for (s; m; n); homogeneous of weight wt(s)+mq+wt(n)."""
-        return self._public(self._gen_A(family, s, m, n))
+        return self._public_codes(self._gen_A(family, s, m, n))
 
-    def _gen_A(self, family, s, m: int, n) -> IndexPoly:
+    def _gen_A(self, family, s, m: int, n) -> dict:
+        """gen_A as a dict from Index to F_p[Y] code tuples."""
         family = _family(family)
         if m < 1:
             raise InvalidInput("m must be >= 1")
-        A = self.algebra
-        q = self.q
+        A, q, p = self.algebra, self.q, self.field.p
         s, n = Index(s), Index(n)
         kind = _KIND[family]
         qm = repeat(q, m)
-        l1m = self._L1() ** m
-        n_poly = A.mono(n)
-        alpha_m = A.alpha(1, (q - 1,), kind, n_poly, m)
-        out = A.mono(s.cat(qm, n))
-        out = out + A.boxplus(A.mono(qm), n_poly).linear_map(lambda t: A.mono(s.cat(t)))
-        if family == "zeta":
-            dq = A.d_op(Index((q,)), n_poly)
-            out = out + dq.linear_map(lambda t: A.mono(s.cat(repeat(q, m - 1), t)))
-        out = out - alpha_m.linear_map(lambda t: A.mono(s.cat(t))).scale(l1m)
-        out = out - A.boxplus(A.mono(s), alpha_m).scale(l1m)
-        if family == "zeta" and not s.is_empty:
-            ds = A.d_op(Index((s[-1],)), alpha_m)
-            out = out - ds.linear_map(lambda t: A.mono(s.plus.cat(t))).scale(l1m)
+        # gen_A = x + L_1^m z with x and z over F_p: the parts never cancel,
+        # as L_1 is not constant, so x keeps its place and z-only terms follow
+        x = {s.cat(qm, n): 1}
+        if not n.is_empty:
+            x[_index(s + qm[:-1] + (q + n[0],) + n[1:])] = 1  # boxplus(q^m, n), one depth less
+            if family == "zeta":
+                _add_codes(x, A._d_indices(Index((q,)), n), p, 1, s + qm[:-1])
+        alpha = {n: 1}
+        for _ in range(m):
+            alpha = _prepend((1,), A._product({Index((q - 1,)): 1}, alpha, kind))
+        z = {_index(s + t): p - c for t, c in alpha.items()}
+        if not s.is_empty:
+            _add_codes(z, {_index(s[:-1] + (s[-1] + t[0],) + t[1:]): c
+                           for t, c in alpha.items()}, p, p - 1)
+            if family == "zeta":
+                ds = {}
+                for t, c in alpha.items():
+                    _add_codes(ds, A._d_indices(Index((s[-1],)), t), p, c)
+                _add_codes(z, ds, p, p - 1, s.plus)
+        l1m = fp_codes(self._L1() ** m, p)
+        out = {t: (c,) for t, c in x.items()}
+        for t, c in z.items():
+            codes = [c * v % p for v in l1m]
+            if t in out:
+                codes[0] = (codes[0] + out[t][0]) % p
+            out[t] = tuple(codes)
         return out
 
     # -- rewriting ----------------------------------------------------------------
@@ -329,12 +353,12 @@ class Reducer:
 
     def _u_image(self, family, a: Index) -> IndexPoly:
         """The one-step image of a, in T."""
-        return self._public(self._rewrite(family, a))
+        return self._public_codes(self._rewrite(family, a))
 
-    def _rewrite(self, family, a: Index) -> IndexPoly:
-        """The one-step image of a, in Y."""
+    def _rewrite(self, family, a: Index) -> dict:
+        """The one-step image of a, in Y, as F_p[Y] code tuples."""
         if a.is_thakur(self.q):
-            return self.algebra.mono(a)
+            return {a: (1,)}
         dec = self.decompose_T(a)
         if not dec.n.is_empty:
             littler = Index((dec.n[0] - self.q,)).cat(dec.n.minus)
@@ -342,10 +366,10 @@ class Reducer:
         else:
             # no oversized entry, so the trailing run has m >= 2
             gen = self._gen_A(family, dec.s, dec.m - 1, EMPTY)
-        out = self.algebra.mono(a) - gen
-        if not out.coeff(a).is_zero:
+        if gen.get(a) != (1,):
             raise InvalidInput(f"rewriting failed to cancel {a}")
-        return out
+        p = self.field.p
+        return {t: tuple(-v % p for v in c) for t, c in gen.items() if t != a}
 
     def _normal_form(self, family, a: Index, cap: int, path: list):
         """(NF(a) packed, rewriting height of a), memoised; path lists the
@@ -363,10 +387,10 @@ class Reducer:
                 if len(path) > cap:
                     raise ReductionDiverged(
                         f"rewriting {path[0]} needs more than {cap} levels", trail=path)
-                p, terms, height = self.field.p, [], 0
-                for b, c in self._rewrite(family, a).terms.items():
+                terms, height = [], 0
+                for b, c in self._rewrite(family, a).items():
                     height = max(height, self._normal_form(family, b, cap, path)[1])
-                    terms.append((fp_codes(c, p), (family, b)))
+                    terms.append((c, (family, b)))
                 path.pop()
                 hit = (self._packed.combine(a.weight, terms, self._nf_memo), height + 1)
             self._nf_memo[key] = hit
@@ -385,61 +409,81 @@ class Reducer:
         """
         return self._reduce(family, P, cap, self._public)
 
-    def _reduce(self, family, P: IndexPoly, cap=None, image=None):
+    def _reduce(self, family, P, cap=None, image=None):
         """Sum of c * NF(a) over the terms c*a of P.
 
-        With image None, P is a homogeneous Y-form combination with
-        coefficients in F_p[Y] and the sum is one Packed vector; otherwise it
-        is the IndexPoly sum of c * image(NF(a)), NF(a) unpacked.
+        With image None, P is a homogeneous Y-form combination over F_p[Y]:
+        a dict from Index to code tuple (or to int, for a constant) or an
+        IndexPoly, and the sum is one Packed vector.  Otherwise P is an
+        IndexPoly and the sum is the IndexPoly of c * image(NF(a)), NF(a)
+        unpacked.
         """
         family = _family(family)
         cap = self.cap if cap is None else cap
+        if image is None and isinstance(P, IndexPoly):
+            P = {a: fp_codes(c, self.field.p) for a, c in P.terms.items()}
+        indices = P if image is None else P.terms
         try:
             if image is not None:
                 return P.linear_map(
                     lambda a: image(self._packed.unpack(self._normal_form(family, a, cap, [])[0])))
-            for a in P.terms:
+            for a in indices:
                 self._normal_form(family, a, cap, [])
         except RecursionError:
             raise ReductionDiverged("rewriting nests deeper than the recursion limit",
-                                    trail=sorted(P.terms)) from None
-        w = P.weight()
-        if w is None and P.terms:
+                                    trail=sorted(indices)) from None
+        weights = {a.weight for a in P}
+        if len(weights) > 1:
             raise InvalidInput("a packed reduction needs a homogeneous combination")
-        p = self.field.p
-        return self._packed.combine(w, [(fp_codes(c, p), (family, a)) for a, c in P.terms.items()],
-                                    self._nf_memo)
+        return self._packed.combine(
+            weights.pop() if weights else None,
+            [(c if type(c) is tuple else (c,), (family, a)) for a, c in P.items()],
+            self._nf_memo)
 
     # -- dagger expansion ------------------------------------------------------------
 
     def dagger_expand(self, family, s) -> IndexPoly:
         """D with value(dagger, s) = value(plain, D(s)); D(empty) = empty."""
-        return self._public(self._dagger(_family(family), Index(s)))
+        A = self.algebra
+        return IndexPoly._of(self.field, {t: A._coeffs[c] for t, c in
+                                          self._dagger(_family(family), Index(s)).items()})
 
     def dagger_linear(self, family, P: IndexPoly) -> IndexPoly:
         return P.linear_map(lambda s: self.dagger_expand(family, s))
 
-    def _dagger(self, family, s: Index) -> IndexPoly:
+    def _dagger(self, family, s: Index) -> dict:
+        """The dagger expansion of s over F_p codes, memoised; never mutate it."""
         key = (family, s)
         hit = self._dagger_memo.get(key)
-        if hit is not None:
-            return hit
-        A = self.algebra
-        if s.is_empty:
-            out = A.one()
-        else:
-            kind = _KIND[family]
-            # the sum of the products, negated once at the end
-            acc = {}
-            for i in range(1, s.depth + 1):
-                _accumulate(acc, A.product(A.mono(s.prefix(i)),
-                                           self._dagger(family, s.drop(i)), kind).terms)
-            out = -IndexPoly._of(self.field, acc)
-        self._dagger_memo[key] = out
+        if hit is None:
+            if s.is_empty:
+                hit = {EMPTY: 1}
+            else:
+                A, p, kind = self.algebra, self.field.p, _KIND[family]
+                hit = {}
+                for i in range(1, s.depth + 1):
+                    _add_codes(hit, A._product({s.prefix(i): 1}, self._dagger(family, s.drop(i)),
+                                               kind), p, p - 1)
+            self._dagger_memo[key] = hit
+        return hit
+
+    def _dagger_sum(self, family, P: dict) -> dict:
+        """The dagger image of a combination with F_p codes."""
+        out, p = {}, self.field.p
+        for s, c in P.items():
+            _add_codes(out, self._dagger(family, s), p, c)
         return out
 
-    def _dagger_linear(self, family, P: IndexPoly) -> IndexPoly:
-        return P.linear_map(lambda s: self._dagger(family, s))
+    def _dagger_linear(self, family, P: dict) -> dict:
+        """The dagger image of F_p[Y] code tuples, summed over F_p per power of Y."""
+        powers = [self._dagger_sum(family, {s: c[k] for s, c in P.items() if k < len(c) and c[k]})
+                  for k in range(max(map(len, P.values()), default=0))]
+        out = {}
+        for k, terms in enumerate(powers):
+            for t, v in terms.items():
+                codes = out.get(t, ())
+                out[t] = codes + (0,) * (k - len(codes)) + (v,)
+        return out
 
     # -- exact linear algebra ------------------------------------------------------------
 
@@ -493,8 +537,8 @@ class Reducer:
         hit = self._quotients.get(w)
         if hit is None:
             A, q = self.algebra, self.q
-            zeta = A.mono(Index((q - 1,)))
-            gens = [self._reduce("li", A.harmonic(zeta, A.mono(b)))
+            zeta = Index((q - 1,))
+            gens = [self._reduce("li", A._prod_indices(zeta, b, ProductKind.HARMONIC))
                     for b in thakur_indices(q, w - q + 1)]
             hit = self._quotients[w] = Quotient(self._packed, w, gens)
         return hit
@@ -566,34 +610,30 @@ class Reducer:
 
     def check_keylemma(self, s, n, cs) -> Report:
         """Congruence of a dagger value of (s, alpha-chain(n)) with its expansion."""
-        A = self.algebra
+        A, harmonic = self.algebra, ProductKind.HARMONIC
         s, n = Index(s), Index(n)
         cs = list(cs)
         m = len(cs)
         if s.depth + n.depth + m < 1:
             raise InvalidInput("at least one of s, n, cs must be nonempty")
+        head = {Index((self.q - 1,)): 1}
 
         def chain(values, P):
-            out = P
+            """The alpha chain (c_1, (q-1) * (c_2, ... (q-1) * P)) over F_p codes."""
             for c in reversed(values):
-                out = A.alpha(c, (self.q - 1,), ProductKind.HARMONIC, out, 1)
-            return out
+                P = _prepend((c,), A._product(head, P, harmonic))
+            return P
 
-        full = chain(cs, A.mono(n)).linear_map(lambda t: A.mono(s.cat(t)))
-        expr = self._dagger_linear("li", full)
+        expr = self._dagger_sum("li", _prepend(s, chain(cs, {n: 1})))
         for i in range(1, s.depth + 1):
-            left = A.mono(s.prefix(i))
-            right = self._dagger_linear(
-                "li", chain(cs, A.mono(n)).linear_map(lambda t: A.mono(s.drop(i).cat(t))))
-            expr = expr + A.harmonic(left, right)
+            right = self._dagger_sum("li", _prepend(s.drop(i), chain(cs, {n: 1})))
+            A._product({s.prefix(i): 1}, right, harmonic, expr)
         for i in range(1, m + 1):
-            left = chain(cs[:i], A.one()).linear_map(lambda t: A.mono(s.cat(t)))
-            right = self._dagger_linear("li", chain(cs[i:], A.mono(n)))
-            expr = expr + A.harmonic(left, right)
+            left = _prepend(s, chain(cs[:i], {EMPTY: 1}))
+            A._product(left, self._dagger_sum("li", chain(cs[i:], {n: 1})), harmonic, expr)
         for i in range(1, n.depth + 1):
-            left = chain(cs, A.mono(n.prefix(i))).linear_map(lambda t: A.mono(s.cat(t)))
-            right = self._dagger("li", n.drop(i))
-            expr = expr + A.harmonic(left, right)
+            left = _prepend(s, chain(cs, {n.prefix(i): 1}))
+            A._product(left, self._dagger("li", n.drop(i)), harmonic, expr)
         reduced = self._reduce("li", expr)
         w = s.weight + n.weight + sum(cs) + m * (self.q - 1)
         if reduced.is_zero:
@@ -609,19 +649,17 @@ class Reducer:
     def check_prop41(self, s: int, n: int) -> Report:
         """Single dagger q-shuffle: exact identity with its carry correction,
         plus the congruence form in the quotient."""
-        A = self.algebra
-        ds = self._dagger("zeta", Index((s,)))
-        dn = self._dagger("zeta", Index((n,)))
-        prod = A.qshuffle(A.mono(Index((s,))), A.mono(Index((n,))))
-        cong = A.qshuffle(ds, dn) - self._dagger_linear("zeta", prod)
-        expr = cong
+        A, p, qshuffle = self.algebra, self.field.p, ProductKind.QSHUFFLE
+        cong = A._product(self._dagger("zeta", Index((s,))), self._dagger("zeta", Index((n,))),
+                          qshuffle)
+        image = self._dagger_sum("zeta", A._prod_indices(Index((s,)), Index((n,)), qshuffle))
+        _add_codes(cong, image, p, p - 1)
+        expr = dict(cong)
         for j in range(1, s + n):
-            dj = A.delta(s, n, j)
-            if dj.is_zero:
-                continue
-            term = A.qshuffle(A.mono(Index((s + n - j,))),
-                              self._dagger("zeta", Index((j,))))
-            expr = expr - term.scale(dj)
+            dj = A.delta(s, n, j).i
+            if dj:
+                A._product({Index((s + n - j,)): 1}, self._dagger("zeta", Index((j,))),
+                           qshuffle, expr, p - dj)
         reduced = self._reduce("zeta", expr)
         exact_ok = reduced.is_zero
         cong_ok = self._in_ideal(s + n, self._reduce("zeta", cong))
@@ -663,7 +701,7 @@ class Reducer:
         qs = self._quotient(w)
         lam = qs.lam
         # Lambda^2 (iota(class) - class of the dagger) = N c - Lambda d
-        c = qs.classes(self._reduce("zeta", self.algebra.mono(s)))
+        c = qs.classes(self._reduce("zeta", {s: 1}))
         d = qs.classes(self._reduce("zeta", self._dagger("zeta", s)))
         diff = []
         for t, row, di in zip(qs.quotient_basis, self._iota(w), d):

@@ -6,8 +6,9 @@ import random
 import pytest
 
 from ffmzv import (EMPTY, EmptyIndex, Index, IndexAlgebra, IndexPoly, InvalidInput,
-                   ProductKind, RatFunc, classify, compositions, field, parse_index,
+                   ProductKind, RatFunc, Reducer, classify, compositions, field, parse_index,
                    repeat, thakur_indices)
+from ffmzv.indices import _accumulate
 
 
 def delta_oracle(q, p, s, n, j):
@@ -306,6 +307,65 @@ class CopyAndAdd:
         return self.sum([(fn(s), c) for s, c in P.terms.items()])
 
 
+class AccumulateReference:
+    """The product recursion, D and the dagger expansions over RatFunc
+    coefficients summed with _accumulate, as before the F_p codes."""
+
+    def __init__(self, A):
+        self.A = A
+        self._prod, self._d, self._dagger = {}, {}, {}
+
+    def prod_indices(self, s, n, kind):
+        A = self.A
+        if s.is_empty:
+            return A.mono(n)
+        if n.is_empty:
+            return A.mono(s)
+        key = (kind, s, n)
+        if key not in self._prod:
+            s1, n1 = s[0], n[0]
+            out = self.prod_indices(s.minus, n, kind).prepend((s1,))
+            _accumulate(out.terms, self.prod_indices(s, n.minus, kind).prepend((n1,)).terms)
+            _accumulate(out.terms,
+                        self.prod_indices(s.minus, n.minus, kind).prepend((s1 + n1,)).terms)
+            if kind is ProductKind.QSHUFFLE:
+                _accumulate(out.terms, self.d_indices(s, n).terms)
+            self._prod[key] = out
+        return self._prod[key]
+
+    def d_indices(self, s, n):
+        if (s, n) not in self._d:
+            A, s1, n1 = self.A, s[0], n[0]
+            tails = self.prod_indices(s.minus, n.minus, ProductKind.QSHUFFLE)
+            out = {}
+            for j in range(1, s1 + n1):
+                dj = A.delta(s1, n1, j)
+                if not dj.is_zero:
+                    term = self.product(A.mono((j,)), tails, ProductKind.QSHUFFLE)
+                    _accumulate(out, term.prepend((s1 + n1 - j,)).terms, RatFunc.of(dj))
+            self._d[s, n] = IndexPoly._of(A.field, out)
+        return self._d[s, n]
+
+    def product(self, P, Q, kind):
+        out = {}
+        for s, cs in P.terms.items():
+            for n, cn in Q.terms.items():
+                _accumulate(out, self.prod_indices(s, n, kind).terms, cs * cn)
+        return IndexPoly._of(self.A.field, out)
+
+    def dagger(self, kind, s):
+        A = self.A
+        if s.is_empty:
+            return A.one()
+        if (kind, s) not in self._dagger:
+            acc = {}
+            for i in range(1, s.depth + 1):
+                _accumulate(acc, self.product(A.mono(s.prefix(i)), self.dagger(kind, s.drop(i)),
+                                              kind).terms)
+            self._dagger[kind, s] = -IndexPoly._of(A.field, acc)
+        return self._dagger[kind, s]
+
+
 def same_terms(got, want):
     """Equal term for term and in dict order."""
     return list(got.terms.items()) == list(want.terms.items())
@@ -375,3 +435,38 @@ def test_products_reject_mixed_fields():
                lambda: A2.mono((1,)).linear_map(lambda t: A3.mono(t))):
         with pytest.raises(InvalidInput):
             op()
+
+
+def _coded_terms(A, terms):
+    """Coded terms as (index, RatFunc) pairs, in dict order."""
+    return [(s, A._coeffs[c]) for s, c in terms.items()]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_coded_recursion_matches_the_RatFunc_reference(q):
+    """The coded products (both kinds), D and dagger expansions equal the
+    RatFunc recursion term for term and in dict order, on every pair of
+    indices of weight up to 5; every memoised code lies in 1..p-1, and
+    every Delta lies in the prime subfield."""
+    F = field(q)
+    A = IndexAlgebra(F)
+    R = Reducer(A)
+    ref = AccumulateReference(A)
+    pool = [s for w in range(6) for s in compositions(w)]
+    for s in pool:
+        for n in pool:
+            for kind in ProductKind:
+                assert _coded_terms(A, A._prod_indices(s, n, kind)) == \
+                    list(ref.prod_indices(s, n, kind).terms.items()), (s, n, kind)
+            if s and n:
+                assert _coded_terms(A, A._d_indices(s, n)) == \
+                    list(ref.d_indices(s, n).terms.items()), (s, n)
+    for fam, kind in (("li", ProductKind.HARMONIC), ("zeta", ProductKind.QSHUFFLE)):
+        for s in pool:
+            assert _coded_terms(A, R._dagger(fam, s)) == list(ref.dagger(kind, s).terms.items())
+    assert A._d_memo and R._dagger_memo
+    for memo in (A._prod_memo, A._d_memo, R._dagger_memo):
+        assert all(0 < c < F.p for terms in memo.values() for c in terms.values())
+    deltas = {A.delta(a, b, j).i for a in range(1, 11) for b in range(1, 11)
+              for j in range(1, a + b)}
+    assert len(deltas) > 1 and all(c < F.p and F.frob_idx(c) == c for c in deltas)

@@ -1,5 +1,6 @@
 """Generators, rewriting, quotients, the involution, and the checkers."""
 
+import collections
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from ffmzv import (EMPTY, Evaluator, Index, IndexAlgebra, IndexPoly, InvalidInpu
 from ffmzv._linalg import _clear
 from ffmzv._packed import Packed, Quotient
 from ffmzv.evaluate import ValueFamily
-from ffmzv.indices import _accumulate
+from ffmzv.indices import _accumulate, _add_codes
 from ffmzv.reduction import (BasisVector, IotaMatrix, QuotientSpace, _echelon, _phi,
                              _phi_poly)
 from test_indices import CopyAndAdd, same_terms
@@ -391,17 +392,20 @@ def test_check_conjecture(ctx2):
 
 
 class DaggerBumpReducer(Reducer):
-    """A reducer whose zeta-side dagger of one index gains one Thakur index,
-    so the conjecture's classes differ there."""
+    """A reducer whose dagger of one index on one side gains one Thakur
+    index (none when term is None): on the zeta side the conjecture's
+    classes differ there, on the li side a theorem case escapes the ideal."""
 
-    def __init__(self, algebra, at, term):
+    def __init__(self, algebra, at, term, family="zeta"):
         super().__init__(algebra)
-        self.at, self.term = Index(at), Index(term)
+        self.at, self.family = Index(at), family
+        self.term = None if term is None else Index(term)
 
     def _dagger(self, family, s):
         out = super()._dagger(family, s)
-        if family == "zeta" and s == self.at:
-            out = out + self.algebra.mono(self.term)
+        if self.term is not None and family == self.family and s == self.at:
+            out = dict(out)  # the memoised dict is shared
+            _add_codes(out, {self.term: 1}, self.field.p)
         return out
 
 
@@ -435,6 +439,23 @@ def test_conjecture_difference_matches_the_apply_reference(q, at):
     assert detail.startswith("classes differ by ") and "/" in detail
     assert detail == _conjecture_detail_by_apply(
         DaggerBumpReducer(IndexAlgebra(field(q)), at, term), at)
+
+
+@pytest.mark.parametrize("q, w", [(2, 5), (2, 7), (3, 5), (4, 6)])
+def test_theorem_reports_an_escaping_dagger_image(q, w):
+    """A li-side dagger bumped by a quotient basis index takes the dagger
+    image of the generator A(li; (); 1; n), which holds that index with
+    coefficient one, out of the ideal; unbumped, every case passes."""
+    n = Index((1,) * (w - q))
+    at = Index((q,)).cat(n)
+    term = Reducer(IndexAlgebra(field(q))).quotient_space(w).quotient_basis[0]
+    plain = DaggerBumpReducer(IndexAlgebra(field(q)), at, None, "li").check_theorem(w)
+    assert plain.cases and all(c.status == "pass" for c in plain.cases)
+    bumped = DaggerBumpReducer(IndexAlgebra(field(q)), at, term, "li").check_theorem(w)
+    failed = {c.input: c.detail for c in bumped.cases if c.status == "fail"}
+    assert failed[f"A(li; s=(); m=1; n={n})"] == "dagger image escapes the ideal"
+    assert all(detail == "dagger image escapes the ideal"
+               for case, detail in failed.items() if case.startswith("A("))
 
 
 # -- reference elimination over F_q(T) ------------------------------------------------
@@ -757,13 +778,14 @@ def test_reduction_sums_match_copy_and_add(q):
 
 
 def _memo_snapshot(R):
-    """The terms of every memoised IndexPoly, in dict order, as strings; a
-    packed normal form is read through its unpacked IndexPoly."""
+    """The terms of every memoised sum, in dict order, as strings: a coded
+    product, D or dagger expansion by its codes, a packed normal form
+    through its unpacked IndexPoly."""
     def terms(v):
         P = v[0] if isinstance(v, tuple) else v
-        if not isinstance(P, IndexPoly):
-            P = R._packed.unpack(P)
-        return [(str(s), str(c)) for s, c in P.terms.items()]
+        if isinstance(P, Packed):
+            P = R._packed.unpack(P).terms
+        return [(str(s), str(c)) for s, c in P.items()]
 
     memos = {"prod": R.algebra._prod_memo, "d": R.algebra._d_memo,
              "nf": R._nf_memo, "dagger": R._dagger_memo}
@@ -951,6 +973,34 @@ def test_involution_case_builds_no_fraction(q, w, monkeypatch):
     assert calls == []
 
 
+def _prop42_cases(q, wmax):
+    """The prop42 suite's (s, n) pairs up to total weight wmax."""
+    return [(s, n) for w in range(wmax + 1) for ws in range(w + 1) for s in compositions(ws)
+            if s.is_empty or s[-1] < q for n in ([EMPTY] if w == ws else [Index((w - ws,))])]
+
+
+@pytest.mark.parametrize("q, check", [
+    (2, lambda R: [R.check_theorem(w) for w in range(8)]),
+    (9, lambda R: [R.check_theorem(w) for w in range(10)]),
+    (3, lambda R: [R.check_prop41(s, n) for s in range(1, 5) for n in range(1, 5)]),
+    (3, lambda R: [R.check_prop42(s, n) for s, n in _prop42_cases(3, 5)]),
+], ids=["theorem-2", "theorem-9", "prop41-3", "prop42-3"])
+def test_checkers_do_no_RatFunc_arithmetic(q, check, monkeypatch):
+    """Cold checkers sum products, dagger expansions and gen_A over F_p
+    codes: no RatFunc is added, multiplied or built with a gcd."""
+    R = Reducer(IndexAlgebra(field(q)))
+    calls = collections.Counter()
+    for name in ("__init__", "__add__", "__radd__", "__mul__", "__rmul__"):
+        def spy(*args, _name=name, _fn=getattr(RatFunc, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(RatFunc, name, spy)
+    reports = check(R)
+    monkeypatch.undo()
+    assert reports and all(c.status in ("pass", "observation") for r in reports for c in r.cases)
+    assert calls == {}
+
+
 def _random_poly(rng, F, dmax):
     return F.poly([F.from_index(rng.randrange(F.q)) for _ in range(rng.randint(0, dmax + 1))])
 
@@ -1050,21 +1100,29 @@ class PolyReference:
         self.one = RatFunc.of(1, R.field)
         self.nf = {}
 
+    def coeff(self, c):
+        """A RatFunc from a RatFunc, an F_p[Y] code tuple or an F_p code."""
+        if isinstance(c, RatFunc):
+            return c
+        return RatFunc.of(self.R.field.poly(c if isinstance(c, tuple) else (c,)))
+
     def normal_form(self, fam, a):
         if a.is_thakur(self.R.q):
             return {a: self.one}
         hit = self.nf.get((fam, a))
         if hit is None:
             hit = {}
-            for b, c in self.R._rewrite(fam, a).terms.items():
-                _accumulate(hit, self.normal_form(fam, b), c)
+            for b, c in self.R._rewrite(fam, a).items():
+                _accumulate(hit, self.normal_form(fam, b), self.coeff(c))
             self.nf[fam, a] = hit
         return hit
 
     def reduce(self, fam, P):
+        """The sum of c * NF(a) over an IndexPoly or the coded terms the
+        Reducer sums."""
         out = {}
-        for a, c in P.terms.items():
-            _accumulate(out, self.normal_form(fam, a), c)
+        for a, c in (P.terms if isinstance(P, IndexPoly) else P).items():
+            _accumulate(out, self.normal_form(fam, a), self.coeff(c))
         return out
 
     def quotient(self, w):
