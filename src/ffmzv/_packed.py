@@ -14,31 +14,24 @@ min(len c, deg v + 1) products of codes below p, so the slot bound of a sum
 is (p-1)^2 min(len c, deg v + 1) summed over its terms, and the slot count
 exceeds deg c + deg v for every term, so no coordinate runs into the next:
 one reduction per finished vector gives the exact sum over F_p.  Packing a
-coefficient with a denominator or a code >= p raises; it never wraps.
-Each weight has one layout, which grows (the slot count at least doubling)
-when a sum needs more; a memoised vector is repacked to it when next used.
+code >= p, a genuine F_q element, raises; it never wraps.  Each weight has
+one layout, which grows (the slot count at least doubling) when a sum needs
+more; a memoised vector is repacked to it when next used.
 
 A ``Quotient`` packs Lambda times the class map of one weight's quotient
 the same way, one row per Thakur coordinate, so a class is one sum of
 big-int products; its generators enter the elimination as F_p[Y] rows.
+Vectors come out as F_p[Y] code tuples and classes as Polys in Y: the
+Reducer builds RatFunc and IndexPoly only where a result leaves it.
 """
 
 from __future__ import annotations
 
 from ._linalg import _echelon, _lcm
-from .algebra import (Poly, RatFunc, _pack_rows, _pack_slots, _reduce_slots, _repack,
-                      _slot_runs, _slot_width, _trim, _unpack_runs)
+from .algebra import (Poly, _pack_rows, _pack_slots, _reduce_slots, _repack, _slot_runs,
+                      _slot_width, _trim, _unpack_runs)
 from .errors import InvalidInput
-from .indices import IndexPoly, thakur_indices
-
-
-def fp_codes(c: RatFunc, p: int) -> tuple:
-    """The codes of a nonzero coefficient in F_p[Y], lowest degree first; a
-    denominator or a code >= p (outside the prime subfield) raises."""
-    codes = c.num.c
-    if c.den.c != (1,) or max(codes) >= p:
-        raise InvalidInput(f"coefficient {c} lies outside F_p[Y]")
-    return codes
+from .indices import thakur_indices
 
 
 class Packed:
@@ -114,10 +107,13 @@ class Layouts:
         return v
 
     def _scalar(self, codes: tuple, width: int) -> int:
-        """A coefficient's codes packed into width-bit slots, memoised."""
+        """A coefficient's codes packed into width-bit slots, memoised; a code
+        >= p (outside the prime subfield) raises, so no slot wraps."""
         key = (codes, width)
         x = self._scalars.get(key)
         if x is None:
+            if max(codes, default=0) >= self.p:
+                raise InvalidInput(f"coefficient codes {codes} lie outside F_p[Y]")
             x = self._scalars[key] = _pack_slots(codes, width)
         return x
 
@@ -142,14 +138,14 @@ class Layouts:
         top = max(len(_trim(run, width)) for run in _slot_runs(x, n, slots, width))
         return Packed(w, x, slots, width, top // (width >> 3) - 1)
 
-    def unpack(self, v: Packed) -> IndexPoly:
-        """The IndexPoly of a packed vector, in Thakur-basis order."""
-        spec = self.field
+    def unpack(self, v: Packed) -> dict:
+        """The nonzero coordinates of a packed vector as {Thakur index: F_p[Y]
+        code tuple}, in Thakur-basis order."""
         if v.is_zero:
-            return IndexPoly._of(spec, {})
+            return {}
         basis = self.basis(v.weight)[0]
-        entries = _unpack_runs(spec, v.x, len(basis), v.slots, v.width)
-        return IndexPoly._of(spec, {s: RatFunc._make(c) for s, c in zip(basis, entries) if c.c})
+        entries = _unpack_runs(self.field, v.x, len(basis), v.slots, v.width)
+        return {s: c.c for s, c in zip(basis, entries) if c.c}
 
 
 class Quotient:

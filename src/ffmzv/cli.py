@@ -17,6 +17,7 @@ import random
 import re
 import sys
 import time
+from functools import lru_cache
 
 from . import charzero
 from .algebra import FieldSpec, Poly, RatFunc, field, rat_to_laurent
@@ -105,7 +106,7 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
 # -- context -------------------------------------------------------------------
 
 # the least meaningful value of each count flag
-_FLAG_FLOORS = {"cap": 0, "max_weight": 0, "max_d": 0, "prec": 0, "pairs": 1}
+_FLAG_FLOORS = {"cap": 0, "max_weight": 0, "max_d": 0, "prec": 0, "pairs": 1, "deg_bound": 0}
 
 
 class Context:
@@ -170,7 +171,10 @@ def _common_flags(sp):
     sp.add_argument("--pairs", type=int, default=50)
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
+    """The argument parser, built once: parse_args leaves it unchanged, and a
+    rebuilt one is cyclic garbage that outlives the run."""
     ap = argparse.ArgumentParser(
         prog="ffmzv",
         description="Exact verification engine for function-field multiple zeta values")
@@ -392,6 +396,8 @@ def _cmd_verify(ctx: Context):
 def _cmd_iota(ctx: Context) -> Report:
     w = ctx.args.weight
     checks = [c.strip() for c in ctx.args.check.split(",") if c.strip()]
+    if not checks:
+        raise InvalidInput("no iota checks given")
     unknown = set(checks) - {"involution", "nontrivial"}
     if unknown:
         raise InvalidInput(f"unknown iota checks: {', '.join(sorted(unknown))}")

@@ -48,19 +48,22 @@ T-form input as before.
 
 The checkers do no RatFunc arithmetic: dagger expansions map Index to
 F_p codes, like the index products, and gen_A and a rewriting step map it
-to the F_p[Y] code tuple of its coefficient.  The public methods build
-IndexPoly over RatFunc from these codes.
+to the F_p[Y] code tuple of its coefficient.
 
 Inside the Reducer every vector the checkers sum, a normal form or a
 reduction sum of c * NF(a), has coefficients in F_p[Y] and is one packed
-int.  Each weight's quotient is one ``_packed.Quotient``: its packed ideal
-generators enter the elimination as F_p[Y] rows, and a class, like the
-iota matrix N, is Lambda times it over F_p[Y], so iota^2 = id is
-N N = Lambda^2 I.  Vectors are unpacked, and fractions formed, only where
-a result leaves the checkers (reduce_to_T, quotient_space, iota_matrix, a
-printed conjecture difference).  The public T-form QuotientSpace and
-linear_solve take any F_q(T) input, fractions and genuine F_q codes
-included, so they keep the residual over the echelon.
+int: ``_reduce`` takes a dict of codes and returns one.  Each weight's
+quotient is one ``_packed.Quotient``: its packed ideal generators enter
+the elimination as F_p[Y] rows, and a class, like the iota matrix N, is
+Lambda times it over F_p[Y], so iota^2 = id is N N = Lambda^2 I.
+
+RatFunc and IndexPoly are built only where a result leaves the Reducer:
+``_public`` maps code-tuple terms (gen_A, a rewriting step, a normal form
+in reduce_to_T, a quotient generator) through phi, and ``_phi`` the
+fractions of quotient_space, iota_matrix and a conjecture difference.  The
+public T-form QuotientSpace and linear_solve take any F_q(T) input,
+fractions and genuine F_q codes included, so they keep the residual over
+the echelon.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ._linalg import _clear, _echelon, _lcm, _residual
-from ._packed import Layouts, Packed, Quotient, fp_codes
+from ._packed import Layouts, Packed, Quotient
 from .algebra import Poly, RatFunc, carlitz_bracket
 from .errors import InvalidInput, ReductionDiverged
 from .evaluate import ValueFamily
@@ -268,19 +271,17 @@ class Reducer:
 
     # -- scalars and the boundary map ---------------------------------------------
 
-    def _L1(self) -> RatFunc:
+    def _L1(self) -> Poly:
         """L_1 = T - T^q, which is -Y."""
-        return RatFunc._make(self.field.poly([0, -1]))
+        return self.field.poly([0, -1])
 
     def _phi(self, f: RatFunc) -> RatFunc:
         """Y -> T^q - T: the one way a coefficient leaves the Reducer."""
         return _phi(f)
 
-    def _public(self, P: IndexPoly) -> IndexPoly:
-        return IndexPoly._of(self.field, {s: self._phi(c) for s, c in P.terms.items()})
-
-    def _public_codes(self, terms: dict) -> IndexPoly:
-        """The phi-image of Y-form terms held as F_p[Y] code tuples."""
+    def _public(self, terms: dict) -> IndexPoly:
+        """The phi-image of Y-form terms held as F_p[Y] code tuples, as they
+        leave the Reducer."""
         spec, phi = self.field, self._phi
         return IndexPoly._of(spec, {s: phi(RatFunc._make(Poly._make(spec, c)))
                                     for s, c in terms.items()})
@@ -289,7 +290,7 @@ class Reducer:
 
     def gen_A(self, family, s, m: int, n) -> IndexPoly:
         """The relation generator for (s; m; n); homogeneous of weight wt(s)+mq+wt(n)."""
-        return self._public_codes(self._gen_A(family, s, m, n))
+        return self._public(self._gen_A(family, s, m, n))
 
     def _gen_A(self, family, s, m: int, n) -> dict:
         """gen_A as a dict from Index to F_p[Y] code tuples."""
@@ -319,7 +320,7 @@ class Reducer:
                 for t, c in alpha.items():
                     _add_codes(ds, A._d_indices(Index((s[-1],)), t), p, c)
                 _add_codes(z, ds, p, p - 1, s.plus)
-        l1m = fp_codes(self._L1() ** m, p)
+        l1m = (self._L1() ** m).c
         out = {t: (c,) for t, c in x.items()}
         for t, c in z.items():
             codes = [c * v % p for v in l1m]
@@ -349,11 +350,7 @@ class Reducer:
     def u_step(self, family, P: IndexPoly) -> IndexPoly:
         """One value-preserving rewriting pass; fixes anything already Thakur."""
         family = _family(family)
-        return P.linear_map(lambda a: self._u_image(family, a))
-
-    def _u_image(self, family, a: Index) -> IndexPoly:
-        """The one-step image of a, in T."""
-        return self._public_codes(self._rewrite(family, a))
+        return P.linear_map(lambda a: self._public(self._rewrite(family, a)))
 
     def _rewrite(self, family, a: Index) -> dict:
         """The one-step image of a, in Y, as F_p[Y] code tuples."""
@@ -407,31 +404,25 @@ class Reducer:
         itself (trail: the cycle) or needs more than cap rewriting levels,
         or more levels than the interpreter's recursion limit allows.
         """
-        return self._reduce(family, P, cap, self._public)
-
-    def _reduce(self, family, P, cap=None, image=None):
-        """Sum of c * NF(a) over the terms c*a of P.
-
-        With image None, P is a homogeneous Y-form combination over F_p[Y]:
-        a dict from Index to code tuple (or to int, for a constant) or an
-        IndexPoly, and the sum is one Packed vector.  Otherwise P is an
-        IndexPoly and the sum is the IndexPoly of c * image(NF(a)), NF(a)
-        unpacked.
-        """
         family = _family(family)
-        cap = self.cap if cap is None else cap
-        if image is None and isinstance(P, IndexPoly):
-            P = {a: fp_codes(c, self.field.p) for a, c in P.terms.items()}
-        indices = P if image is None else P.terms
+        nf = self._normal_forms(family, P.terms, self.cap if cap is None else cap)
+        return P.linear_map(lambda a: self._public(self._packed.unpack(nf[a])))
+
+    def _normal_forms(self, family, indices, cap: int) -> dict:
+        """{a: NF(a) packed} over the indices; rewriting that nests deeper than
+        the interpreter's recursion limit raises ReductionDiverged."""
         try:
-            if image is not None:
-                return P.linear_map(
-                    lambda a: image(self._packed.unpack(self._normal_form(family, a, cap, [])[0])))
-            for a in indices:
-                self._normal_form(family, a, cap, [])
+            return {a: self._normal_form(family, a, cap, [])[0] for a in indices}
         except RecursionError:
             raise ReductionDiverged("rewriting nests deeper than the recursion limit",
                                     trail=sorted(indices)) from None
+
+    def _reduce(self, family, P: dict) -> Packed:
+        """Sum of c * NF(a) over a homogeneous Y-form combination P, a dict
+        from Index to F_p[Y] code tuple (or to an F_p code, for a constant),
+        as one packed vector."""
+        family = _family(family)
+        self._normal_forms(family, P, self.cap)
         weights = {a.weight for a in P}
         if len(weights) > 1:
             raise InvalidInput("a packed reduction needs a homogeneous combination")
@@ -581,10 +572,6 @@ class Reducer:
         out.sort(key=lambda t: (t[0].weight, t[0], t[1], t[2]))
         return out
 
-    def _in_ideal(self, w: int, v: Packed) -> bool:
-        """Whether a packed vector has class zero at weight w."""
-        return self._quotient(w).kills(v)
-
     def _involution_case(self, w: int) -> Case:
         """Whether iota^2 is the identity at weight w, as N N = Lambda^2 I in
         the Y-form: phi is an injective ring homomorphism, so the verdict is
@@ -600,7 +587,7 @@ class Reducer:
         cases = []
         for s, m, n in self._ideal_cases(w):
             gen = self._gen_A("li", s, m, n)
-            ok = self._in_ideal(w, self._reduce("li", self._dagger_linear("li", gen)))
+            ok = self._quotient(w).kills(self._reduce("li", self._dagger_linear("li", gen)))
             cases.append(Case(
                 input=f"A(li; s={s}; m={m}; n={n})",
                 status="pass" if ok else "fail",
@@ -639,7 +626,7 @@ class Reducer:
         if reduced.is_zero:
             status, detail = "pass", "exact zero before taking the quotient"
         else:
-            ok = self._in_ideal(w, reduced)
+            ok = self._quotient(w).kills(reduced)
             status = "pass" if ok else "fail"
             detail = "zero in the quotient" if ok else "nonzero class"
         return Report(check="keylemma",
@@ -662,7 +649,7 @@ class Reducer:
                            qshuffle, expr, p - dj)
         reduced = self._reduce("zeta", expr)
         exact_ok = reduced.is_zero
-        cong_ok = self._in_ideal(s + n, self._reduce("zeta", cong))
+        cong_ok = self._quotient(s + n).kills(self._reduce("zeta", cong))
         cases = [
             Case(input=f"exact s={s} n={n}", status="pass" if exact_ok else "fail",
                  detail="identity with carry correction holds exactly" if exact_ok
@@ -679,7 +666,7 @@ class Reducer:
         hyp = (s.is_empty or s[-1] < self.q) and n.depth <= 1
         gen = self._gen_A("zeta", s, 1, n)
         img = self._reduce("zeta", self._dagger_linear("zeta", gen))
-        ok = self._in_ideal(s.weight + self.q + n.weight, img)
+        ok = self._quotient(s.weight + self.q + n.weight).kills(img)
         if hyp:
             status = "pass" if ok else "fail"
             detail = "in ideal" if ok else "escapes the ideal under the stated hypotheses"

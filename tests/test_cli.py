@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from ffmzv.cli import parse_poly, parse_ratfunc, run
-from ffmzv import InvalidInput, Poly, RatFunc, field
+from ffmzv.cli import _build_parser, parse_poly, parse_ratfunc, run
+from ffmzv import Evaluator, InvalidInput, Poly, RatFunc, field
 
 
 def run_cli(argv):
@@ -278,6 +278,8 @@ _EVAL = ["--family", "li", "--index", "(1)"]
     ["verify", "--suite", "products", "--q", "2", "--max-weight", "0"],
     ["iota", "--q", "2", "--weight", "2", "--check", "foo"],
     ["iota", "--q", "2", "--weight", "2", "--check", "involution,foo"],
+    ["iota", "--q", "2", "--weight", "2", "--check", ","],
+    ["iota", "--q", "2", "--weight", "2", "--check", ""],
     ["reduce", "--q", "2", "--family", "li", "--index", "(2)", "--cap", "-1"],
     ["eval", "--q", "2", "--budget", "-1"] + _EVAL,
     ["eval", "--q", "3", "--budget", "2"] + _EVAL,
@@ -294,6 +296,25 @@ _EVAL = ["--family", "li", "--index", "(1)"]
 def test_malformed_flag_values_exit_2(argv):
     code, text = run_cli(argv)
     assert code == 2 and text.startswith("error: "), (argv, text)
+
+
+def test_runs_share_one_parser_and_no_values():
+    """One parser serves every run in a process; a flag given to one run
+    does not reach the next."""
+    assert _build_parser() is _build_parser()
+    argv = ["reduce", "--q", "2", "--family", "li", "--index", "(2)"]
+    assert run_cli(argv + ["--cap", "-1"])[0] == 2
+    assert run_cli(argv)[0] == 0
+
+
+def test_negative_deg_bound_is_refused_before_any_value(monkeypatch):
+    def no_eval(*args, **kwargs):
+        raise AssertionError("a value was evaluated")
+
+    monkeypatch.setattr(Evaluator, "eval_value", no_eval)
+    code, text = run_cli(["depend", "--q", "2", "--values", "li:(1);li:(2)",
+                          "--deg-bound", "-1"])
+    assert code == 2 and text.startswith("error: ") and "--deg-bound" in text, text
 
 
 @pytest.mark.parametrize("literal", [

@@ -156,12 +156,16 @@ def test_rewriting_cycle_raises_with_the_cycle(monkeypatch):
 
 
 def test_unbounded_rewriting_raises(monkeypatch):
-    """A chain deeper than the recursion limit is a ReductionDiverged, not a crash."""
+    """A chain deeper than the recursion limit is a ReductionDiverged, not a
+    crash, both in reduce_to_T and in the checkers' packed reduction."""
     R = Reducer(IndexAlgebra(field(2)))
     A = R.algebra
     monkeypatch.setattr(R, "_rewrite", lambda family, x: A.mono((x[0] + 1,)))
     with pytest.raises(ReductionDiverged) as err:
         R.reduce_to_T("li", A.mono((3,)))
+    assert err.value.trail == (Index((3,)),)
+    with pytest.raises(ReductionDiverged) as err:
+        R._reduce("li", {Index((3,)): 1})
     assert err.value.trail == (Index((3,)),)
 
 
@@ -732,7 +736,7 @@ class CopyAndAddReducer(CopyAndAdd):
             return self.A.mono(a)
         if (fam, a) not in self._nf:
             nf = self.sum([(self.normal_form(fam, b), c)
-                           for b, c in self.R._u_image(fam, a).terms.items()])
+                           for b, c in self.R._public(self.R._rewrite(fam, a)).terms.items()])
             # a packed normal form keeps no insertion order: it unpacks in
             # Thakur-basis order, and reduce_to_T's sums start from that
             self._nf[fam, a] = IndexPoly._of(nf.field, {
@@ -780,11 +784,11 @@ def test_reduction_sums_match_copy_and_add(q):
 def _memo_snapshot(R):
     """The terms of every memoised sum, in dict order, as strings: a coded
     product, D or dagger expansion by its codes, a packed normal form
-    through its unpacked IndexPoly."""
+    through its unpacked code tuples."""
     def terms(v):
         P = v[0] if isinstance(v, tuple) else v
         if isinstance(P, Packed):
-            P = R._packed.unpack(P).terms
+            P = R._packed.unpack(P)
         return [(str(s), str(c)) for s, c in P.items()]
 
     memos = {"prod": R.algebra._prod_memo, "d": R.algebra._d_memo,
@@ -824,7 +828,7 @@ class TFormReducer(Reducer):
     substitution where a result leaves it."""
 
     def _L1(self):
-        return RatFunc.of(carlitz_bracket(self.field, 1), self.field)
+        return carlitz_bracket(self.field, 1)
 
     def _phi(self, f):
         return f
@@ -936,11 +940,12 @@ def test_checkers_never_leave_Y(q, wmax, monkeypatch):
     for key, (nf, height) in R._nf_memo.items():
         ref_nf, ref_height = ref._nf_memo[key]
         nf, ref_nf = R._packed.unpack(nf), ref._packed.unpack(ref_nf)
-        assert height == ref_height and _terms(R._public(nf)) == _terms(ref_nf), key
-        for s, c in nf.terms.items():
-            t = ref_nf.terms[s]
-            assert (c.num.degree * q, c.den.degree * q) == (t.num.degree, t.den.degree)
-            lower += c.num.degree < t.num.degree
+        assert height == ref_height and _terms(R._public(nf)) == _terms(ref._public(ref_nf)), key
+        for s, c in nf.items():
+            t = ref_nf[s]
+            # code tuples are numerators: there is no denominator to compare
+            assert (len(c) - 1) * q == len(t) - 1
+            lower += len(c) < len(t)
     assert lower > 0
     assert R._dagger_memo.keys() == ref._dagger_memo.keys()
     for w, qs in R._quotients.items():
@@ -1041,7 +1046,7 @@ def _packed_all_top(R, w, degree):
     polynomial of the given degree, memoised under a key of its own."""
     F = R.field
     top = F.poly([F.p - 1] * (degree + 1))
-    v = R._reduce("li", IndexPoly(F, {t: RatFunc.of(top) for t in thakur_indices(R.q, w)}))
+    v = R._reduce("li", {t: top.c for t in thakur_indices(R.q, w)})
     key = ("li", Index((w + 1000,)))
     R._nf_memo[key] = (v, 0)
     return top, key
@@ -1069,21 +1074,19 @@ def test_packed_sum_slot_boundaries(q):
                 assert got.width == (width if n == most else 2 * width), (length, n)
                 want = F.poly(c) * top * n
                 assert got.degree == want.degree
-                assert R._packed.unpack(got).terms == ({} if want.is_zero else {
-                    t: RatFunc.of(want) for t in thakur_indices(q, w)}), (length, n)
+                assert R._packed.unpack(got) == ({} if want.is_zero else {
+                    t: want.c for t in thakur_indices(q, w)}), (length, n)
 
 
 @pytest.mark.parametrize("q", [4, 8, 9])
 def test_packing_a_genuine_F_q_code_raises(q):
     F = field(q)
     R = Reducer(IndexAlgebra(F))
-    u = F.poly([F.from_index(F.p)])  # the code p is u, outside F_p
     t = thakur_indices(q, 2)[0]
-    for c in (u, F.poly([1, 1]) * u):
+    # the code p is u, outside F_p: the codes of u and of (T + 1) u
+    for codes in ((F.p,), (F.p, F.p)):
         with pytest.raises(InvalidInput):
-            R._reduce("li", IndexPoly(F, {t: RatFunc.of(c)}))
-    with pytest.raises(InvalidInput):
-        R._reduce("li", IndexPoly(F, {t: RatFunc(F.poly([1]), F.poly([1, 1]))}))
+            R._reduce("li", {t: codes})
     # a generator packed by hand with the code of u survives the elimination
     n = len(thakur_indices(q, 2))
     gen = Packed(2, int.from_bytes(bytes([1] + [F.p] * (n - 1)), "little"), 1, 8, 0)
@@ -1118,12 +1121,15 @@ class PolyReference:
         return hit
 
     def reduce(self, fam, P):
-        """The sum of c * NF(a) over an IndexPoly or the coded terms the
-        Reducer sums."""
+        """The sum of c * NF(a) over the coded terms the Reducer sums."""
         out = {}
-        for a, c in (P.terms if isinstance(P, IndexPoly) else P).items():
+        for a, c in P.items():
             _accumulate(out, self.normal_form(fam, a), self.coeff(c))
         return out
+
+    def terms(self, codes):
+        """Unpacked code tuples as RatFunc terms."""
+        return {s: self.coeff(c) for s, c in codes.items()}
 
     def quotient(self, w):
         qs = self.R._quotient(w)
@@ -1132,8 +1138,8 @@ class PolyReference:
     def class_vector(self, w, terms):
         return self.quotient(w).class_vector(BasisVector(w, terms))
 
-    def in_ideal(self, w, terms):
-        return self.quotient(w).class_is_zero(BasisVector(w, terms))
+    def in_ideal(self, w, codes):
+        return self.quotient(w).class_is_zero(BasisVector(w, self.terms(codes)))
 
 
 @pytest.mark.parametrize("q,wmax", [(2, 8), (3, 6), (4, 6), (5, 5), (9, 4)])
@@ -1146,21 +1152,20 @@ def test_packed_kernel_matches_the_Poly_reference(q, wmax, monkeypatch):
     R = Reducer(IndexAlgebra(F))
     ref = PolyReference(R)
     sums, verdicts = [], []
-    reduce, in_ideal = R._reduce, R._in_ideal
+    reduce, kills = R._reduce, Quotient.kills
 
-    def recording_reduce(fam, P, cap=None, image=None):
-        out = reduce(fam, P, cap, image)
-        if image is None:
-            sums.append((fam, P, out))
+    def recording_reduce(fam, P):
+        out = reduce(fam, P)
+        sums.append((fam, P, out))
         return out
 
-    def recording_in_ideal(w, v):
-        out = in_ideal(w, v)
-        verdicts.append((w, v, out))
+    def recording_kills(qs, v):
+        out = kills(qs, v)
+        verdicts.append((qs.weight, v, out))
         return out
 
     monkeypatch.setattr(R, "_reduce", recording_reduce)
-    monkeypatch.setattr(R, "_in_ideal", recording_in_ideal)
+    monkeypatch.setattr(Quotient, "kills", recording_kills)
     if q == 2:
         for w in range(wmax + 1):
             R.check_theorem(w)
@@ -1169,19 +1174,21 @@ def test_packed_kernel_matches_the_Poly_reference(q, wmax, monkeypatch):
     monkeypatch.undo()
     assert sums and verdicts and R._iota_memo
     for fam, P, v in sums:
-        assert R._packed.unpack(v).terms == ref.reduce(fam, P), (fam, P)
+        assert ref.terms(R._packed.unpack(v)) == ref.reduce(fam, P), (fam, P)
     for (fam, a), (v, _) in R._nf_memo.items():
-        assert v.weight == a.weight and R._packed.unpack(v).terms == ref.normal_form(fam, a), a
+        assert v.weight == a.weight, a
+        assert ref.terms(R._packed.unpack(v)) == ref.normal_form(fam, a), a
     outside = 0
     for w, v, verdict in verdicts:
-        terms = R._packed.unpack(v).terms
+        terms = R._packed.unpack(v)
         assert verdict == ref.in_ideal(w, terms), (w, terms)
         qs = R._quotient(w)
         if qs.quotient_basis:
-            bumped = R._packed.unpack(v) + R.algebra.mono(qs.quotient_basis[-1])
+            last = qs.quotient_basis[-1]
+            bumped = {**terms, last: (F.poly(terms.get(last, ())) + F.poly([1])).c}
             packed = R._reduce("li", bumped)
-            assert R._in_ideal(w, packed) == ref.in_ideal(w, bumped.terms)
-            outside += not R._in_ideal(w, packed)
+            assert qs.kills(packed) == ref.in_ideal(w, bumped)
+            outside += not qs.kills(packed)
     assert outside > 0
     for w, N in R._iota_memo.items():
         qs = R._quotient(w)
@@ -1201,12 +1208,12 @@ def test_packed_layout_grows_and_repacks_memoised_forms():
     slots = R._packed.layout(w)[0]
     assert R._nf_memo["li", a][0].slots == slots
     t = thakur_indices(3, w)[0]
-    Y = RatFunc.of(F.poly([0] * (2 * slots) + [1]))
-    v = R._reduce("li", IndexPoly(F, {t: Y}))
+    Y = F.poly([0] * (2 * slots) + [1])
+    v = R._reduce("li", {t: Y.c})
     assert R._packed.layout(w)[0] > 2 * slots and R._nf_memo["li", a][0].slots == slots
-    assert R._packed.unpack(v).terms == {t: Y}
+    assert R._packed.unpack(v) == {t: Y.c}
     fitted = R._packed._fitted(R._nf_memo, ("li", a))
     assert fitted.slots > 2 * slots and R._nf_memo["li", a][0] is fitted
-    assert R._packed.unpack(fitted).terms == before.terms
-    got = R._packed.unpack(R._reduce("li", IndexPoly(F, {a: Y})))
-    assert got.terms == {s: c * Y for s, c in before.terms.items()}
+    assert R._packed.unpack(fitted) == before
+    got = R._packed.unpack(R._reduce("li", {a: Y.c}))
+    assert got == {s: (F.poly(c) * Y).c for s, c in before.items()}
