@@ -19,8 +19,9 @@ one layout, which grows (the slot count at least doubling) when a sum needs
 more; a memoised vector is repacked to it when next used.
 
 A ``Quotient`` packs Lambda times the class map of one weight's quotient
-the same way, one row per Thakur coordinate, so a class is one sum of
-big-int products; its generators enter the elimination as F_p[Y] rows.
+the same way, one row per pivot, so a class is one big-int product for the
+quotient coordinates plus one per pivot; its generators enter the
+elimination as F_p[Y] rows.
 Vectors come out as F_p[Y] code tuples and classes as Polys in Y: the
 Reducer builds RatFunc and IndexPoly only where a result leaves it.
 """
@@ -151,15 +152,15 @@ class Layouts:
 class Quotient:
     """One weight's quotient by the ideal of zeta(q-1): the packed generators
     gens, their reduced echelon form (``_linalg``), rows N_i with pivot
-    entries d_i = N_i[pc_i], Lambda the monic lcm of the d_i, and Lambda
-    times the class map as one packed row per Thakur coordinate t over the
-    quotient columns Q.  Row t is Lambda e_t when t is not a pivot column
-    and -(Lambda / d_i) N_i[Q] when it is row i's.  Then sum_t v_t row_t is
-    Lambda times the residual of v on Q: the class of v is zero exactly
-    when that sum is, and is the sum over Lambda.  The rows share one
-    width, which holds every query's slot sums (n coordinates, each entry
-    at most span codes), and are repacked with more slots when a query's
-    degree needs them.
+    entries d_i = N_i[pc_i], Lambda the monic lcm of the d_i, the quotient
+    columns Q (the non-pivot coordinates) and one packed row
+    -(Lambda / d_i) N_i[Q] per pivot.  Then Lambda v[Q] + sum_i v_{pc_i} row_i
+    is Lambda times the residual of v on Q: the class of v is zero exactly
+    when that sum is, and is the sum over Lambda.  Lambda v[Q] is one product
+    of Lambda's packed codes with v's runs at Q.  The rows share one width,
+    which holds every query's slot sums (rank + 1 terms, each entry and
+    Lambda at most span codes), and are repacked with more slots when a
+    query's degree needs them.
     """
 
     def __init__(self, layouts: Layouts, weight: int, gens: list):
@@ -170,21 +171,16 @@ class Quotient:
         self.echelon, self.pivots = echelon, pivots = _echelon(
             [_unpack_runs(spec, g.x, n, g.slots, g.width) for g in gens], n)
         self.lam = lam = _lcm(spec, [row[pc] for row, pc in zip(echelon, pivots)])
-        pivot_set = set(pivots)
-        quotient = [t for t in range(n) if t not in pivot_set]
+        self.columns = quotient = sorted(set(range(n)).difference(pivots))
         self.quotient_basis = [basis[t] for t in quotient]
         self.dim = len(quotient)
-        rows = [None] * n
-        for j, t in enumerate(quotient):
-            rows[t] = [lam.c if k == j else () for k in range(self.dim)]
-        for row, pc in zip(echelon, pivots):
-            f = lam // row[pc]
-            rows[pc] = [(-(f * row[t])).c for t in quotient]
-        if any(max(c) >= p for row in rows for c in row if c):
+        scales = [lam // row[pc] for row, pc in zip(echelon, pivots)]
+        self.entries = [[(-(f * row[t])).c for t in quotient] for row, f in zip(echelon, scales)]
+        if any(max(c) >= p for row in [[lam.c], *self.entries] for c in row if c):
             raise InvalidInput("an echelon entry lies outside F_p[Y]")
-        self.entries = rows
-        self.span = max((len(c) for row in rows for c in row), default=1)
-        self.width = _slot_width(n * (p - 1) ** 2 * self.span)
+        self.span = max([len(lam.c)] + [len(c) for row in self.entries for c in row])
+        self.width = _slot_width((len(pivots) + 1) * (p - 1) ** 2 * self.span)
+        self.lam_x = _pack_slots(lam.c, self.width)
         self.slots = 0
         self.rows = []
 
@@ -199,12 +195,15 @@ class Quotient:
         if need > self.slots:
             self.slots = max(need, 2 * self.slots)
             self.rows = [_pack_rows(entry, self.slots, self.width) for entry in self.entries]
-        x, n = v.x, len(self.rows)
+        x, n, size = v.x, len(self.basis), self.slots * self.width >> 3
         if v.width != self.width:
             x = _repack(x, n, v.slots, v.width, v.slots, self.width)
-        y = 0
-        for run, row in zip(_slot_runs(x, n, v.slots, self.width), self.rows):
-            c = int.from_bytes(run, "little")
+        runs = _slot_runs(x, n, v.slots, self.width)
+        # a run of v may have more slots than the rows, all past deg v zero
+        y = self.lam_x * int.from_bytes(
+            b"".join(runs[t][:size].ljust(size, b"\0") for t in self.columns), "little")
+        for pc, row in zip(self.pivots, self.rows):
+            c = int.from_bytes(runs[pc], "little")
             if c:
                 y += c * row
         return _reduce_slots(y, self.dim * self.slots, self.width, self.field.p)

@@ -106,7 +106,8 @@ def parse_poly(spec: FieldSpec, text: str) -> Poly:
 # -- context -------------------------------------------------------------------
 
 # the least meaningful value of each count flag
-_FLAG_FLOORS = {"cap": 0, "max_weight": 0, "max_d": 0, "prec": 0, "pairs": 1, "deg_bound": 0}
+_FLAG_FLOORS = {"cap": 0, "max_weight": 0, "weight": 0, "max_d": 0, "prec": 0, "pairs": 1,
+                "deg_bound": 0}
 
 
 class Context:
@@ -115,7 +116,7 @@ class Context:
 
     def __init__(self, args):
         for name, floor in _FLAG_FLOORS.items():
-            value = getattr(args, name)
+            value = getattr(args, name, None)
             if value is not None and value < floor:
                 raise InvalidInput(f"--{name.replace('_', '-')} must be >= {floor}")
         try:
@@ -412,10 +413,10 @@ def _cmd_iota(ctx: Context) -> Report:
             witness = R.dagger_expand("li", Index((1,))) - A.mono((1,))
             label = "class(dagger(1) - (1)) @ w=1"
         elif ctx.q >= 4 and w == 2:
-            witness = R.reduce_to_T("li", A.mono((2,)))
+            witness = A.mono((2,))
             label = "class((2)) @ w=2"
         elif ctx.q == 2 and w == 6:
-            witness = R.reduce_to_T("li", A.mono((6,)))
+            witness = A.mono((6,))
             label = "class((6)) @ w=6"
         if witness is None:
             cases.append(Case(input=f"nontrivial @ w={w}", status="observation",

@@ -598,8 +598,7 @@ class Reducer:
     def check_keylemma(self, s, n, cs) -> Report:
         """Congruence of a dagger value of (s, alpha-chain(n)) with its expansion."""
         A, harmonic = self.algebra, ProductKind.HARMONIC
-        s, n = Index(s), Index(n)
-        cs = list(cs)
+        s, n, cs = Index(s), Index(n), list(Index(cs))
         m = len(cs)
         if s.depth + n.depth + m < 1:
             raise InvalidInput("at least one of s, n, cs must be nonempty")

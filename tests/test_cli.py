@@ -289,6 +289,7 @@ _EVAL = ["--family", "li", "--index", "(1)"]
     ["verify", "--suite", "keylemma", "--q", "2", "--max-weight", "-1"],
     ["conjecture", "--q", "2", "--max-weight", "-1"],
     ["verify", "--suite", "theorem", "--q", "2", "--prec", "-1"],
+    ["iota", "--q", "2", "--weight", "-3", "--check", "nontrivial"],
     ["charzero", "--check", "example45", "--tol", "-1"],
     ["charzero", "--check", "example45", "--tol", "nan"],
     ["charzero", "--check", "example45", "--tol", "inf"],

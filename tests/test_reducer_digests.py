@@ -39,6 +39,8 @@ COMMANDS = {
     "conjecture_q4": ["conjecture", "--q", "4", "--max-weight", "5"],
     "keylemma_q2": ["verify", "--suite", "keylemma", "--q", "2"],
     "keylemma_q3": ["verify", "--suite", "keylemma", "--q", "3"],
+    "prop42_q5": ["verify", "--suite", "prop42", "--q", "5", "--max-weight", "5"],
+    "prop42_q9": ["verify", "--suite", "prop42", "--q", "9", "--max-weight", "3"],
     "theorem_q4": ["verify", "--suite", "theorem", "--q", "4", "--max-weight", "6"],
     "theorem_q9": ["verify", "--suite", "theorem", "--q", "9", "--max-weight", "7"],
 }

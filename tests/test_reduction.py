@@ -362,6 +362,9 @@ def test_check_keylemma(ctx2, ctx3):
     assert ctx3.reducer.check_keylemma(Index((1,)), Index((2,)), [1]).ok
     with pytest.raises(InvalidInput):
         ctx2.reducer.check_keylemma(EMPTY, EMPTY, [])
+    for cs in ([0], [-1]):
+        with pytest.raises(InvalidInput):
+            ctx2.reducer.check_keylemma(EMPTY, EMPTY, cs)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -1217,3 +1220,42 @@ def test_packed_layout_grows_and_repacks_memoised_forms():
     assert R._packed.unpack(fitted) == before
     got = R._packed.unpack(R._reduce("li", {a: Y.c}))
     assert got == {s: (F.poly(c) * Y).c for s, c in before.items()}
+
+
+def test_quotient_packs_one_row_per_pivot():
+    """At q = 9, w = 12 only 8 of the 2 036 Thakur coordinates are pivots;
+    the quotient stores and packs one row for each of them and no other."""
+    R = Reducer(IndexAlgebra(field(9)))
+    qs = R._quotient(12)
+    assert (len(qs.basis), len(qs.pivots)) == (2036, 8)
+    assert not qs.kills(R._packed.unit(qs.quotient_basis[0]))
+    assert len(qs.rows) == len(qs.entries) == len(qs.pivots)
+
+
+def test_quotient_cuts_the_runs_of_a_grown_layout():
+    """Vectors whose layout has more slots than the quotient's rows, in
+    another slot width, are cut to the rows' runs: every verdict and class
+    equals the residual over the echelon."""
+    F = field(3)
+    R = Reducer(IndexAlgebra(F))
+    ref = PolyReference(R)
+    w = 7
+    qs = R._quotient(w)
+
+    def vectors():
+        return ([R._reduce("li", R._packed.unpack(g)) for g in qs.gens]
+                + [R._reduce("li", {a: (1,)}) for a in compositions(w)])
+
+    for v in vectors():
+        qs.kills(v)
+    Y = F.poly([0] * qs.slots + [1])
+    R._reduce("li", {qs.basis[0]: Y.c})
+    verdicts = []
+    for v in vectors():
+        terms = R._packed.unpack(v)
+        verdicts.append(qs.kills(v))
+        assert verdicts[-1] == ref.in_ideal(w, terms), terms
+        classes = [RatFunc(c, qs.lam) for c in qs.classes(v)]
+        assert classes == ref.class_vector(w, ref.terms(terms)), terms
+        assert v.slots > qs.slots and v.width != qs.width
+    assert any(verdicts) and not all(verdicts)
