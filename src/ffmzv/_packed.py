@@ -13,15 +13,17 @@ Slot k of coordinate t of c * v is sum_{i+j=k} c_i v_tj, at most
 min(len c, deg v + 1) products of codes below p, so the slot bound of a sum
 is (p-1)^2 min(len c, deg v + 1) summed over its terms, and the slot count
 exceeds deg c + deg v for every term, so no coordinate runs into the next:
-one reduction per finished vector gives the exact sum over F_p.  Packing a
-code >= p, a genuine F_q element, raises; it never wraps.  Each weight has
-one layout, which grows (the slot count at least doubling) when a sum needs
-more; a memoised vector is repacked to it when next used.
+one reduction per finished vector gives the exact sum over F_p.  Its degree
+is the bound max(len c + deg v) - 1 from the terms, exact unless top
+coefficients cancel; it only sizes slots.  Packing a code >= p, a genuine
+F_q element, raises; it never wraps.  Each weight has one layout, which
+grows (the slot count at least doubling) when a sum needs more; a memoised
+vector is repacked to it when next used.
 
 A ``Quotient`` packs Lambda times the class map of one weight's quotient
-the same way, one row per pivot, so a class is one big-int product for the
-quotient coordinates plus one per pivot; its generators enter the
-elimination as F_p[Y] rows.
+the same way, one row per pivot held only packed, so a class is one big-int
+product for the quotient coordinates plus one per pivot; its generators
+enter the elimination as F_p[Y] rows.
 Vectors come out as F_p[Y] code tuples and classes as Polys in Y: the
 Reducer builds RatFunc and IndexPoly only where a result leaves it.
 """
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 from ._linalg import _echelon, _lcm
 from .algebra import (Poly, _pack_rows, _pack_slots, _reduce_slots, _repack, _slot_runs,
-                      _slot_width, _trim, _unpack_runs)
+                      _slot_width, _unpack_runs)
 from .errors import InvalidInput
 from .indices import thakur_indices
 
@@ -40,8 +42,9 @@ class Packed:
 
     Coordinate t, the t-th index of thakur_indices(q, weight), is the run of
     slots t*slots .. (t+1)*slots - 1, each width bits, holding its codes
-    lowest degree first, every one below p.  degree is the largest degree of
-    a coordinate, -1 for the zero vector (whose weight may be None).
+    lowest degree first, every one below p.  degree bounds the largest degree
+    of a coordinate from the terms of the sum (exact unless top coefficients
+    cancel), -1 for the zero vector (whose weight may be None).
     """
 
     __slots__ = ("weight", "x", "slots", "width", "degree")
@@ -129,15 +132,15 @@ class Layouts:
             return Packed(w, 0, 1, 8, -1)
         p = self.p
         bound = (p - 1) ** 2 * sum(min(len(c), d + 1) for c, _, d in live)
-        slots, width = self.layout(w, max(len(c) + d for c, _, d in live), _slot_width(bound))
+        top = max(len(c) + d for c, _, d in live)
+        slots, width = self.layout(w, top, _slot_width(bound))
         scalar, fitted = self._scalar, self._fitted
         x = 0
         for c, key, _ in live:
             x += scalar(c, width) * fitted(memo, key).x
         n = len(self.basis(w)[0])
         x = _reduce_slots(x, n * slots, width, p)
-        top = max(len(_trim(run, width)) for run in _slot_runs(x, n, slots, width))
-        return Packed(w, x, slots, width, top // (width >> 3) - 1)
+        return Packed(w, x, slots, width, top - 1 if x else -1)
 
     def unpack(self, v: Packed) -> dict:
         """The nonzero coordinates of a packed vector as {Thakur index: F_p[Y]
@@ -159,8 +162,8 @@ class Quotient:
     when that sum is, and is the sum over Lambda.  Lambda v[Q] is one product
     of Lambda's packed codes with v's runs at Q.  The rows share one width,
     which holds every query's slot sums (rank + 1 terms, each entry and
-    Lambda at most span codes), and are repacked with more slots when a
-    query's degree needs them.
+    Lambda at most span codes).  The rows are held once, packed with span
+    slots, and grown by ``_repack`` when a query's degree needs more.
     """
 
     def __init__(self, layouts: Layouts, weight: int, gens: list):
@@ -174,15 +177,16 @@ class Quotient:
         self.columns = quotient = sorted(set(range(n)).difference(pivots))
         self.quotient_basis = [basis[t] for t in quotient]
         self.dim = len(quotient)
-        scales = [lam // row[pc] for row, pc in zip(echelon, pivots)]
-        self.entries = [[(-(f * row[t])).c for t in quotient] for row, f in zip(echelon, scales)]
-        if any(max(c) >= p for row in [[lam.c], *self.entries] for c in row if c):
+        scales = [-(lam // row[pc]) for row, pc in zip(echelon, pivots)]
+        entries = [[(f * row[t]).c if row[t].c else () for t in quotient]
+                   for row, f in zip(echelon, scales)]
+        if any(max(c) >= p for row in [[lam.c], *entries] for c in row if c):
             raise InvalidInput("an echelon entry lies outside F_p[Y]")
-        self.span = max([len(lam.c)] + [len(c) for row in self.entries for c in row])
+        self.span = max([len(lam.c)] + [len(c) for row in entries for c in row])
         self.width = _slot_width((len(pivots) + 1) * (p - 1) ** 2 * self.span)
         self.lam_x = _pack_slots(lam.c, self.width)
-        self.slots = 0
-        self.rows = []
+        self.slots = self.span
+        self.rows = [_pack_rows(entry, self.slots, self.width) for entry in entries]
 
     def _numerators(self, v: Packed):
         """Lambda * class(v) packed as dim runs of slots slots, reduced mod p,
@@ -193,8 +197,9 @@ class Quotient:
             return None
         need = v.degree + self.span
         if need > self.slots:
-            self.slots = max(need, 2 * self.slots)
-            self.rows = [_pack_rows(entry, self.slots, self.width) for entry in self.entries]
+            old, self.slots = self.slots, max(need, 2 * self.slots)
+            self.rows = [_repack(row, self.dim, old, self.width, self.slots, self.width)
+                         for row in self.rows]
         x, n, size = v.x, len(self.basis), self.slots * self.width >> 3
         if v.width != self.width:
             x = _repack(x, n, v.slots, v.width, v.slots, self.width)

@@ -138,13 +138,11 @@ class FieldSpec:
             for b in range(q):
                 add[a][b] = self._encode([(x + y) % p for x, y in zip(digits[a], digits[b])])
         if e == 1:
-            upow = [1]
             mul = [[(a * b) % p for b in range(q)] for a in range(q)]
         else:
-            # F_q = F_p[u]/(modulus): products and u-powers reduce as polynomials over F_p
+            # F_q = F_p[u]/(modulus): products reduce as polynomials over F_p
             fp = field(p)
             m = fp.poly(self.modulus)
-            upow = [self._encode((fp.T ** t % m).c) for t in range(2 * e - 1)]
             ups = [fp.poly(d) for d in digits]
             mul = [[self._encode((x * y % m).c) for y in ups] for x in ups]
         neg = [self._encode([(-x) % p for x in digits[a]]) for a in range(q)]
@@ -152,7 +150,7 @@ class FieldSpec:
         def times(x, y):
             return mul[x][y]
 
-        self._add, self._mul, self._neg, self._upow = add, mul, neg, upow
+        self._add, self._mul, self._neg = add, mul, neg
         self._inv = [0] + [_power(times, 1, a, q - 2) for a in range(1, q)]
         self._frob = [_power(times, 1, a, p) for a in range(q)]
 
@@ -180,9 +178,6 @@ class FieldSpec:
 
     def frob_idx(self, a):
         return self._frob[a]
-
-    def upower_idx(self, t):
-        return self._upow[t]
 
     @property
     def vec(self) -> GFVec:

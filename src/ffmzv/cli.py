@@ -403,29 +403,9 @@ def _cmd_iota(ctx: Context) -> Report:
     if unknown:
         raise InvalidInput(f"unknown iota checks: {', '.join(sorted(unknown))}")
     R = ctx.reducer
-    cases = []
-    if "involution" in checks:
-        cases.append(R._involution_case(w))
+    cases = [R._involution_case(w)] if "involution" in checks else []
     if "nontrivial" in checks:
-        A = ctx.algebra
-        witness = None
-        if ctx.field.p != 2 and w == 1:
-            witness = R.dagger_expand("li", Index((1,))) - A.mono((1,))
-            label = "class(dagger(1) - (1)) @ w=1"
-        elif ctx.q >= 4 and w == 2:
-            witness = A.mono((2,))
-            label = "class((2)) @ w=2"
-        elif ctx.q == 2 and w == 6:
-            witness = A.mono((6,))
-            label = "class((6)) @ w=6"
-        if witness is None:
-            cases.append(Case(input=f"nontrivial @ w={w}", status="observation",
-                              detail=f"no non-triviality witness configured for q={ctx.q}, w={w}"))
-        else:
-            red = R.reduce_to_T("li", witness)
-            nz = not R.quotient_space(w).class_is_zero(R.to_vector(w, red))
-            cases.append(Case(input=label, status="pass" if nz else "fail",
-                              detail="nonzero class" if nz else "class vanished"))
+        cases.append(R._nontrivial_case(w))
     return Report("iota", {"q": ctx.q, "weight": w}, cases)
 
 

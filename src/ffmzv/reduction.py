@@ -25,8 +25,8 @@ test.  One substitution,
 phi: Y -> T^q - T, maps a result to F_q(T) where it leaves the Reducer
 through the public API (gen_A, u_step, reduce_to_T, dagger_expand,
 dagger_linear, quotient_space, iota_matrix, and the coefficients
-check_conjecture prints).  The checkers decide every case in Y and build
-no T-form value.  This is exact:
+check_conjecture prints).  The checkers and iota's non-triviality witness
+decide every case in Y and build no T-form value.  This is exact:
 
 * phi is an injective ring homomorphism F_q(Y) -> F_q(T), because
   T^q - T is transcendental over F_q.
@@ -581,6 +581,23 @@ class Reducer:
         return Case(input=f"iota^2 @ w={w}", status="pass" if ok else "fail",
                     detail=f"quotient dimension {qs.dim}")
 
+    def _nontrivial_case(self, w: int) -> Case:
+        """Whether iota is non-trivial at weight w, by a witness whose class
+        is nonzero, decided in the Y-form; an observation without a witness."""
+        p, q = self.field.p, self.q
+        if p != 2 and w == 1:
+            witness = dict(self._dagger("li", Index((1,))))
+            _add_codes(witness, {Index((1,)): 1}, p, p - 1)
+            label = "class(dagger(1) - (1)) @ w=1"
+        elif (q >= 4 and w == 2) or (q == 2 and w == 6):
+            witness, label = {Index((w,)): 1}, f"class(({w})) @ w={w}"
+        else:
+            return Case(input=f"nontrivial @ w={w}", status="observation",
+                        detail=f"no non-triviality witness configured for q={q}, w={w}")
+        nz = not self._quotient(w).kills(self._reduce("li", witness))
+        return Case(input=label, status="pass" if nz else "fail",
+                    detail="nonzero class" if nz else "class vanished")
+
     def check_theorem(self, w: int) -> Report:
         """Dagger images of all weight-w li-side generators land in the ideal,
         and the involution squares to the identity there."""
@@ -689,12 +706,12 @@ class Reducer:
         # Lambda^2 (iota(class) - class of the dagger) = N c - Lambda d
         c = qs.classes(self._reduce("zeta", {s: 1}))
         d = qs.classes(self._reduce("zeta", self._dagger("zeta", s)))
-        diff = []
+        diff, live = [], [(k, y) for k, y in enumerate(c) if y.c]
         for t, row, di in zip(qs.quotient_basis, self._iota(w), d):
             v = -(lam * di)
-            for x, y in zip(row, c):
-                if x.c and y.c:
-                    v = v + x * y
+            for k, y in live:
+                if row[k].c:
+                    v = v + row[k] * y
             if v.c:
                 diff.append(f"{t}: {self._phi(RatFunc(v, lam * lam))}")
         detail = "classes differ by " + " | ".join(diff) if diff else "classes equal"

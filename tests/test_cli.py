@@ -13,7 +13,7 @@ import time
 import pytest
 
 from ffmzv.cli import _build_parser, parse_poly, parse_ratfunc, run
-from ffmzv import Evaluator, InvalidInput, Poly, RatFunc, field
+from ffmzv import Evaluator, InvalidInput, Poly, RatFunc, Reducer, field
 
 
 def run_cli(argv):
@@ -104,6 +104,21 @@ def test_iota_command():
                           "--check", "involution,nontrivial"])
     assert code == 0
     assert "quotient dimension 3" in text
+
+
+@pytest.mark.parametrize("q,w", [(3, 1), (5, 2), (2, 6)])
+def test_iota_nontrivial_stays_in_Y(q, w, monkeypatch):
+    """Each non-triviality witness is decided on the packed Y-form quotient:
+    the T-form reduction and the public quotient are never built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("T-form path taken")
+
+    monkeypatch.setattr(Reducer, "quotient_space", refuse)
+    monkeypatch.setattr(Reducer, "reduce_to_T", refuse)
+    code, text = run_cli(["iota", "--q", str(q), "--weight", str(w), "--check", "nontrivial"])
+    assert code == 0, text
+    assert "[pass       ]" in text and "nonzero class" in text
 
 
 def test_depend_command(tmp_path):

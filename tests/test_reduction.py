@@ -341,6 +341,24 @@ def test_nontriviality_witnesses(ctx2, ctx3, ctx4):
     assert not R2.quotient_space(6).class_is_zero(R2.to_vector(6, wit))
 
 
+class PlainDaggerOneReducer(Reducer):
+    """A reducer whose li dagger expansion of (1) is (1) itself."""
+
+    def _dagger(self, family, s):
+        if family == "li" and s == Index((1,)):
+            return {s: 1}
+        return super()._dagger(family, s)
+
+
+def test_nontrivial_case_fails_when_the_witness_vanishes():
+    """With dagger(1) = (1) the w = 1 witness dagger(1) - (1) is zero, and the
+    Y-form check reports the vanished class as a failure."""
+    case = PlainDaggerOneReducer(IndexAlgebra(field(3)))._nontrivial_case(1)
+    assert (case.status, case.detail) == ("fail", "class vanished")
+    case = Reducer(IndexAlgebra(field(3)))._nontrivial_case(1)
+    assert (case.status, case.detail) == ("pass", "nonzero class")
+
+
 @pytest.mark.parametrize("q", [2, 3])
 def test_check_theorem(q, ctx2, ctx3):
     ctx = ctx2 if q == 2 else ctx3
@@ -1224,12 +1242,45 @@ def test_packed_layout_grows_and_repacks_memoised_forms():
 
 def test_quotient_packs_one_row_per_pivot():
     """At q = 9, w = 12 only 8 of the 2 036 Thakur coordinates are pivots;
-    the quotient stores and packs one row for each of them and no other."""
+    the quotient holds one packed row for each of them and no other copy,
+    also after a query grows the rows' slot count."""
     R = Reducer(IndexAlgebra(field(9)))
-    qs = R._quotient(12)
+    w = 12
+    qs = R._quotient(w)
     assert (len(qs.basis), len(qs.pivots)) == (2036, 8)
     assert not qs.kills(R._packed.unit(qs.quotient_basis[0]))
-    assert len(qs.rows) == len(qs.entries) == len(qs.pivots)
+    assert len(qs.rows) == len(qs.pivots) and not hasattr(qs, "entries")
+    slots, t = qs.slots, qs.basis[qs.pivots[0]]
+    Y = (0,) * slots + (1,)
+    qs.kills(R._reduce("li", {t: Y}))
+    assert qs.slots > slots
+    assert len(qs.rows) == len(qs.pivots) and not hasattr(qs, "entries")
+    ref = PolyReference(R)
+    v = R._reduce("li", {t: Y, qs.basis[qs.pivots[-1]]: (2, 1), qs.quotient_basis[1]: (1,)})
+    terms = ref.terms(R._packed.unpack(v))
+    assert [RatFunc(c, qs.lam) for c in qs.classes(v)] == ref.class_vector(w, terms)
+
+
+def test_packed_sum_whose_top_coefficients_cancel():
+    """(1 + Y) v + 2Y v = v at q = 3: the degree is a bound from the terms,
+    above the true one, while the codes, the verdict and the classes are
+    exact; a sum that cancels to 0 keeps the weight's layout."""
+    F = field(3)
+    R = Reducer(IndexAlgebra(F))
+    ref = PolyReference(R)
+    w, degree = 5, 2
+    top, key = _packed_all_top(R, w, degree)
+    got = R._packed.combine(w, [((1, 1), key), ((0, 2), key)], R._nf_memo)
+    assert got.degree >= degree
+    terms = R._packed.unpack(got)
+    assert terms == {t: top.c for t in thakur_indices(3, w)}
+    qs = R._quotient(w)
+    assert qs.kills(got) == ref.in_ideal(w, terms)
+    assert [RatFunc(c, qs.lam) for c in qs.classes(got)] == \
+        ref.class_vector(w, ref.terms(terms))
+    zero = R._packed.combine(w, [((1, 1), key), ((2, 2), key)], R._nf_memo)
+    assert zero.is_zero and zero.degree == -1
+    assert (zero.slots, zero.width) == R._packed.layout(w) == (got.slots, got.width)
 
 
 def test_quotient_cuts_the_runs_of_a_grown_layout():
