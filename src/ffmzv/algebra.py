@@ -446,10 +446,11 @@ def _pack_slots(codes, width: int) -> int:
 
 def _pack_rows(rows, slots: int, width: int) -> int:
     """Code sequences of at most slots codes each packed one after another
-    into runs of slots slots."""
+    into runs of slots slots, the empty ones as one shared zero run."""
     size = slots * width >> 3
-    return int.from_bytes(b"".join(_slot_bytes(c, width).ljust(size, b"\0") for c in rows),
-                          "little")
+    zero = bytes(size)
+    return int.from_bytes(b"".join(_slot_bytes(c, width).ljust(size, b"\0") if c else zero
+                                   for c in rows), "little")
 
 
 def _slot_runs(x: int, runs: int, slots: int, width: int) -> list:

@@ -244,63 +244,59 @@ def _random_index(rng, max_weight):
     return Index(entries)
 
 
-def _delivered(prec: int, *series) -> int | None:
-    """The precision the series deliver, or None when it reaches prec: a
-    comparison below the requested precision passes vacuously."""
-    got = min(v.prec for v in series)
-    return None if got >= prec else got
-
-
 def _suite_products(ctx: Context) -> Report:
     if ctx.args.max_weight < 1:
         raise InvalidInput("the products suite needs --max-weight >= 1")
-    rng = random.Random(ctx.args.seed)
-    prec = ctx.prec(ctx.args.max_weight)
+    rng, w = random.Random(ctx.args.seed), ctx.args.max_weight
+    prec = ctx.prec(w)
     E, A = ctx.evaluator, ctx.algebra
+    # packed ints compare at exactly the packing's precision
+    packing = E._packing(prec)
+    short = packing.prec if packing.prec < prec else None
     cases = []
     for k in range(ctx.args.pairs):
-        s = _random_index(rng, ctx.args.max_weight)
-        n = _random_index(rng, ctx.args.max_weight)
+        s, n = _random_index(rng, w), _random_index(rng, w)
         for fam, kind in ((ValueFamily.ZETA, ProductKind.QSHUFFLE),
                           (ValueFamily.LI, ProductKind.HARMONIC)):
-            lhs = E.eval_value(fam, A.mono(s), prec) * E.eval_value(fam, A.mono(n), prec)
-            rhs = E.eval_value(fam, A.product(A.mono(s), A.mono(n), kind), prec)
-            short = _delivered(prec, lhs, rhs)
+            # plain values carry no sign
+            lhs = packing.mul_add(0, E._value(fam, s, prec)[1], E._value(fam, n, prec)[1])
+            rhs = E._packed_sum(fam, A._prod_indices(s, n, kind), prec)
             ok = short is None and lhs == rhs
             cases.append(Case(
                 input=f"pair{k:03d} {kind.value} {s} x {n}",
                 status="pass" if ok else "fail",
                 detail=f"N={prec}" if short is None else f"N={prec}, delivered {short}"))
-    return Report("products", {"q": ctx.q, "pairs": ctx.args.pairs,
-                               "max_weight": ctx.args.max_weight, "prec": prec},
-                  cases)
+    return Report("products", {"q": ctx.q, "pairs": ctx.args.pairs, "max_weight": w,
+                               "prec": prec}, cases)
 
 
 def _suite_prodsum(ctx: Context) -> Report:
     prec = ctx.prec(ctx.args.max_weight)
     E, R = ctx.evaluator, ctx.reducer
+    packing = E._packing(prec)
+    short = packing.prec if packing.prec < prec else None
     cases = []
+
+    def value(fam, s):  # signed
+        return E._packed_sum(fam, {s: 1}, prec)
+
     for w in range(1, ctx.args.max_weight + 1):
         for s in compositions(w, max_depth=4):
             for fam in (ValueFamily.ZETA, ValueFamily.LI):
                 famd = fam.dagger
-                tot1 = tot2 = None
+                tot1 = tot2 = 0
                 for i in range(s.depth + 1):
-                    a = E.eval_value(fam, s.prefix(i), prec) * E.eval_value(famd, s.drop(i), prec)
-                    b = E.eval_value(famd, s.prefix(i), prec) * E.eval_value(fam, s.drop(i), prec)
-                    tot1 = a if tot1 is None else tot1 + a
-                    tot2 = b if tot2 is None else tot2 + b
-                dag = E.eval_value(famd, s, prec)
-                exp = E.eval_value(fam, R.dagger_expand(fam.side, s), prec)
-                short = _delivered(prec, tot1, tot2, dag, exp)
-                ok = (short is None and tot1.is_zero_to_prec and tot2.is_zero_to_prec
-                      and dag == exp)
+                    a, b = s.prefix(i), s.drop(i)
+                    tot1 = packing.mul_add(tot1, value(fam, a), value(famd, b))
+                    tot2 = packing.mul_add(tot2, value(famd, a), value(fam, b))
+                ok = (short is None and not tot1 and not tot2
+                      and value(famd, s) == E._packed_sum(fam, R._dagger(fam.side, s), prec))
                 cases.append(Case(
                     input=f"{fam.side} {s}",
                     status="pass" if ok else "fail",
                     detail="slice sums vanish; dagger expansion matches" if ok else
-                    f"residuals: {tot1}, {tot2}" if short is None else
-                    f"N={prec}, delivered {short}"))
+                    f"residuals: {packing.unpack(tot1)}, {packing.unpack(tot2)}"
+                    if short is None else f"N={prec}, delivered {short}"))
     return Report("prodsum", {"q": ctx.q, "max_weight": ctx.args.max_weight,
                               "prec": prec}, cases)
 
@@ -425,13 +421,18 @@ def _cmd_depend(ctx: Context) -> Report:
     if not sels:
         raise InvalidInput("no value selectors given")
     prec = ctx.args.prec if ctx.args.prec is not None else 40
-    series = []
-    for sel in sels:
-        fam, sep, idx = sel.partition(":")
-        if sep and fam in [f.value for f in ValueFamily]:
-            series.append(ctx.evaluator.eval_value(fam, parse_index(idx), prec))
-        else:
-            series.append(rat_to_laurent(parse_ratfunc(ctx.field, sel), prec))
+    E, picks = ctx.evaluator, []
+    try:
+        for sel in sels:
+            fam, sep, idx = sel.partition(":")
+            if sep and fam in [f.value for f in ValueFamily]:
+                picks.append((ValueFamily(fam), parse_index(idx)))
+            else:
+                picks.append((None, rat_to_laurent(parse_ratfunc(ctx.field, sel), prec)))
+    finally:  # values before a bad selector go first, one batch per family
+        for fam in ValueFamily:
+            E._dp_value(fam, [s for f, s in picks if f is fam], prec)
+    series = [E.eval_value(f, v, prec) if f else v for f, v in picks]
     prob = DependenceProblem(series, ctx.args.deg_bound)
     warning = precision_warning(prob)
     kernel = find_dependence(prob)

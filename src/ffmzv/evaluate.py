@@ -17,25 +17,15 @@ q(q^d - 1)/(q - 1); L_d itself is built only where a series or an exact
 numerator uses it.
 
 Truncation is conservative: a level factor is dropped only when its
-order provably exceeds the requested precision.  Both sides use one
-bound, max(f(s) deg L_d, s d) with f(s) = s on the li side and
-f(s) = 1 + sigma_q(s - 1) on the zeta side (sigma_q the base-q digit
-sum), proved from Carlitz's F_q-linear e_d in ``Evaluator._level_cutoff``.
-For a zeta entry s > q, f(s) >= 2, so the brute force runs at no level
-with 2 deg L_d > prec; the trivial bound s d alone would keep every
-level with s d <= prec.
+order provably exceeds the requested precision, by the bound
+max(f(s) deg L_d, s d) of ``Evaluator._level_cutoff``, which keeps the
+brute force of a zeta entry s > q off every level with 2 deg L_d > prec.
 
-The level DP runs on packed series (``SeriesPacking``).  Every level
-factor and every value lies in F_p((1/T)): 1/L_d^s has F_p coefficients,
-and S_d(s) is fixed by Frobenius.  Each has order >= 0, so at precision N
-it is one Python int whose slot j holds the F_p code of T^(j - N), and
-any two are aligned.  A DP update H_i + u H_(i-1) is one big-int product
-of the slots that reach T^-N, a shift and an add, reduced mod p once; a
-value sum over an IndexPoly adds k times each packed value for its F_p
-constant coefficient k and reduces once.  Only terms with a genuine F_q
-constant or a coefficient of positive degree take ``LaurentSeries``
-products, and a value becomes a ``LaurentSeries`` only when it is
-returned.
+The level DP runs on packed series (``SeriesPacking``): every level
+factor and value lies in F_p((1/T)) with order >= 0 (S_d(s) is fixed by
+Frobenius), one Python int at precision N.  A batch of indices shares
+the transient DP rows of common prefixes (``_dp_value``); a value sum
+with F_p coefficients is one ``_packed_sum``.
 
 The polylogarithm families are evaluated at the all-ones point only;
 that point lies inside the convergence domain of the underlying
@@ -192,6 +182,8 @@ class SeriesPacking:
     one ``reduce`` gives the exact result over F_p.  Packing a code >= p, a
     series of positive lead or one known below precision N raises; it
     never wraps.
+    A reduced packed int holds exactly T^-N..T^0, so packed ints compare at
+    exactly N, never at a smaller precision as ``LaurentSeries ==`` can.
     """
 
     __slots__ = ("spec", "prec", "width", "cap", "one")
@@ -211,7 +203,7 @@ class SeriesPacking:
         precision >= N."""
         if v.prec < self.prec:
             raise InvalidInput(f"cannot pack a series of precision {v.prec} < {self.prec}")
-        if v.is_zero_to_prec:
+        if v.is_zero_to_prec or v.lead < -self.prec:
             return 0
         if v.lead > 0:
             raise InvalidInput(f"cannot pack a series of positive lead {v.lead}")
@@ -256,11 +248,8 @@ class Evaluator:
         self.field = field
         self.q = field.q
         self.budget = budget if budget is not None else EvalBudget()
-        self._power_sums = {}
-        self._numerators = {}
-        self._packings = {}
-        self._level = {}
-        self._values = {}
+        self._power_sums, self._numerators, self._packings = {}, {}, {}
+        self._level, self._values = {}, {}
 
     # -- Carlitz factorials -------------------------------------------------
 
@@ -354,27 +343,21 @@ class Evaluator:
             hit = self._packings[prec] = SeriesPacking(self.field, prec)
         return hit
 
-    def _level_factor(self, side: str, s: int, d: int, prec: int) -> int:
-        """The packed level-d factor: 1/L_d^s on the li side, S_d(s) on the
-        zeta side.
-
-        Past the order bound of ``_level_cutoff`` the factor is zero to
-        precision, returned before L_d is built or any monic polynomial is
-        enumerated.
-        """
-        key = (side, s, d, prec)
+    def _level_factors(self, family: ValueFamily, s: int, prec: int) -> tuple:
+        """The packed level-d factors of the entry s for d up to its
+        ``_level_cutoff``: 1/L_d^s on the li side, S_d(s) on the zeta side."""
+        key = (family.side, s, prec)
         hit = self._level.get(key)
-        if hit is not None:
-            return hit
-        if self._order_bound(side, s, d) > prec:
-            out = 0
-        elif side == "li" or s <= self.q:
-            inv = RatFunc(self.field.poly([1]), self.L(d).power(s))
-            out = self._packing(prec).pack(rat_to_laurent(inv, prec))
-        else:
-            out = self._packing(prec).pack(self.power_sum(d, s, prec))
-        self._level[key] = out
-        return out
+        if hit is None:
+            packing, out = self._packing(prec), []
+            for d in range(self._level_cutoff(family, (s,), prec) + 1):
+                if family.side == "li" or s <= self.q:
+                    inv = RatFunc(self.field.poly([1]), self.L(d).power(s))
+                    out.append(packing.pack(rat_to_laurent(inv, prec)))
+                else:
+                    out.append(packing.pack(self.power_sum(d, s, prec)))
+            hit = self._level[key] = tuple(out)
+        return hit
 
     def _order_bound(self, side: str, s: int, d: int) -> int:
         """A lower bound on the order of the level-d factor; see ``_level_cutoff``."""
@@ -431,70 +414,83 @@ class Evaluator:
         return self._packing(prec).unpack(x, sign)
 
     def _value(self, family: ValueFamily, s: Index, prec: int):
-        """(sign, x): the value of s is sign times the packed series x, the
-        memoised level DP.  A star value's sign (-1)^depth cancels the sign
-        (-1)^depth of the dagger value of the reversed index."""
+        """(sign, x): the value of s is sign times the memoised packed x.  A star
+        value's sign (-1)^depth cancels that of the dagger value of reversed s."""
         if family.is_star:
             return 1, self._value(family.dagger, s.reversed(), prec)[1]
         key = (family, s, prec)
         x = self._values.get(key)
         if x is None:
-            x = self._values[key] = self._dp_value(family, s, prec)
+            self._dp_value(family, (s,), prec)
+            x = self._values[key]
         return (-1 if family.is_dagger and s.depth % 2 else 1), x
 
-    def _dp_value(self, family: ValueFamily, s: Index, prec: int) -> int:
-        """The level DP on packed series, without the dagger sign."""
+    def _dp_value(self, family: ValueFamily, batch, prec: int):
+        """Memoise the values of a batch of indices, without the dagger sign,
+        in one walk over the trie of their entry tuples."""
+        # Row i, H_i(d) = H_i(d-1) + u(d) H_(i-1)(d-1+weak), H_0 = 1, u the factor
+        # of entry i, depends only on the first i entries consumed: reversed s
+        # (plain, strict levels, weak = 0) or s (daggers, weak = 1); it is
+        # constant past the entry's level cutoff.  The walk visits the sorted
+        # entry tuples in preorder, computes each row once from its parent's
+        # and holds it only while below it.
+        if family.is_star:
+            family, batch = family.dagger, [s.reversed() for s in batch]
+        memo, weak = self._values, int(family.is_dagger)
+        todo = {s if weak else s[::-1]: s for s in batch
+                if (family, s, prec) not in memo}
         packing = self._packing(prec)
-        if s.is_empty:
-            return packing.one
-        r = s.depth
-        dmax = self._level_cutoff(family, s, prec)
-        side = family.side
-        # entries[i] multiplies H_{i+1}; plain families consume the index from
-        # the right (innermost level is the last entry), daggers from the left
-        entries = tuple(reversed(s)) if not family.is_dagger else tuple(s)
-        # ascending i lets H_i take H_{i-1} of the same level (weak, daggers);
-        # descending i takes it from earlier levels only (strict, plain)
-        order = range(1, r + 1) if family.is_dagger else range(r, 0, -1)
-        H = [packing.one] + [0] * r
-        mul_add = packing.mul_add
-        for d in range(0, dmax + 1):
-            for i in order:
-                H[i] = mul_add(H[i], self._level_factor(side, entries[i - 1], d, prec), H[i - 1])
-        return H[r]
+        level = {e: self._level_factors(family, e, prec) for e in set().union(*todo)}
+        stack, prev = [[packing.one]], ()
+        for entries, s in sorted(todo.items()):
+            k = 0
+            for a, b in zip(prev, entries):
+                if a != b:
+                    break
+                k += 1
+            del stack[k + 1:]
+            for e in entries[k:]:
+                # row[d] is H(d - 1); a row ends where it is constant
+                factors, up, x, row = level[e], stack[-1], 0, [0]
+                for u, h in zip(factors, up[weak:] + up[-1:] * len(factors)):
+                    if u and h:
+                        x = packing.mul_add(x, u, h)
+                    row.append(x)
+                stack.append(row)
+            memo[(family, s, prec)] = stack[-1][-1]
+            prev = entries
+
+    def _packed_sum(self, family: ValueFamily, terms: dict, prec: int) -> int:
+        """The reduced packed sum of k value(s) over the F_p codes {s: k} of
+        terms, one DP batch; reduced early where a slot could overflow."""
+        p, packing = self.field.p, self._packing(prec)
+        self._dp_value(family, terms, prec)
+        acc = bound = 0
+        for s, k in terms.items():
+            sign, x = self._value(family, s, prec)
+            k = k if sign > 0 else p - k
+            if bound + k * (p - 1) > packing.cap:
+                acc, bound = packing.reduce(acc), p - 1
+            acc += k * x
+            bound += k * (p - 1)
+        return packing.reduce(acc)
 
     def eval_value(self, family, P, prec: int) -> LaurentSeries:
         """F_q(T)-linear extension of the chosen family over an IndexPoly.
 
-        A term with an F_p constant coefficient k adds k times its packed
-        value to one packed sum, reduced mod p only when the next term could
-        overflow a slot.  A term with a genuine F_q constant or a
-        coefficient of positive degree is a series product, added to that
-        sum as a series."""
+        The terms with an F_p constant coefficient are one ``_packed_sum``;
+        any other is a series product, added to that sum as a series."""
         family = ValueFamily.parse(family)
-        if isinstance(P, Index):
-            return self.value_of_index(family, P, prec)
         if not isinstance(P, IndexPoly):
             return self.value_of_index(family, Index(P), prec)
-        spec = self.field
-        p, packing = spec.p, self._packing(prec)
-        acc, bound, rest = 0, 0, None
+        p, consts, rest = self.field.p, {}, None
         for s, c in P.terms.items():
-            if len(c.num.c) == 1 and c.den.c == (1,):  # denominators are monic
-                k = c.num.c[0]
-                if k < p:
-                    sign, x = self._value(family, s, prec)
-                    k = k if sign > 0 else p - k
-                    if bound + k * (p - 1) > packing.cap:
-                        acc, bound = packing.reduce(acc), p - 1
-                    acc += k * x
-                    bound += k * (p - 1)
-                    continue
-                v = self.value_of_index(family, s, prec).scale(spec.from_index(k))
-            else:
-                # a coefficient of degree g > 0 costs g coefficients of the value
-                ext = prec + max(c.num.degree - c.den.degree, 0)
-                v = self.value_of_index(family, s, ext) * rat_to_laurent(c, ext)
+            if len(c.num.c) == 1 and c.den.c == (1,) and c.num.c[0] < p:  # dens are monic
+                consts[s] = c.num.c[0]
+                continue
+            # a coefficient of degree g > 0 costs g coefficients of the value
+            ext = prec + max(c.num.degree - c.den.degree, 0)
+            v = self.value_of_index(family, s, ext) * rat_to_laurent(c, ext)
             rest = v if rest is None else rest + v
-        out = packing.unpack(packing.reduce(acc))
+        out = self._packing(prec).unpack(self._packed_sum(family, consts, prec))
         return out if rest is None else out + rest

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, JSON schema, determinism."""
 
 import ast
+import collections
 import io
 import json
 import os
@@ -12,8 +13,13 @@ import time
 
 import pytest
 
+from ffmzv import cli
+from ffmzv.algebra import LaurentSeries
 from ffmzv.cli import _build_parser, parse_poly, parse_ratfunc, run
-from ffmzv import Evaluator, InvalidInput, Poly, RatFunc, Reducer, field
+from ffmzv import (Evaluator, IndexAlgebra, IndexPoly, InvalidInput, Poly, ProductKind, RatFunc,
+                   Reducer, field, parse_index)
+from ffmzv.evaluate import SeriesPacking
+from test_reduction import DaggerBumpReducer
 
 
 def run_cli(argv):
@@ -217,11 +223,9 @@ def test_poly_literal_parser():
 
 def test_numeric_suites_fail_below_the_requested_precision(monkeypatch):
     """Truncated values used to pass vacuously, since == compares series at
-    the smaller precision; now a case needs the requested N on both sides."""
-    from ffmzv import Evaluator
-    orig = Evaluator.eval_value
-    monkeypatch.setattr(Evaluator, "eval_value",
-                        lambda self, fam, v, prec: orig(self, fam, v, prec).with_prec(5))
+    the smaller precision; now a case needs a packing of the requested N,
+    and a shorter one fails with its precision named."""
+    monkeypatch.setattr(Evaluator, "_packing", lambda self, prec: SeriesPacking(self.field, 5))
     for suite, extra in (("products", ["--pairs", "3"]), ("prodsum", [])):
         code, text = run_cli(["verify", "--suite", suite, "--q", "2", "--max-weight", "2",
                               "--prec", "30"] + extra)
@@ -233,6 +237,97 @@ def test_numeric_suites_fail_below_the_requested_precision(monkeypatch):
     code, text = run_cli(["verify", "--suite", "products", "--q", "2", "--max-weight", "2",
                           "--prec", "30", "--pairs", "3"])
     assert code == 0 and text.count("-- N=30\n") == 6
+
+
+def case_lines(text):
+    """The (status, input) of each case line of a text report."""
+    return [(line[3:14].strip(), line[16:].split(" -- ")[0])
+            for line in text.splitlines() if line.startswith("  [")]
+
+
+class ProductBumpAlgebra(IndexAlgebra):
+    """An algebra whose product of one pair of indices of one kind has the
+    code of its shallowest index raised by one mod p (a deep index may have
+    a value zero to precision)."""
+
+    def __init__(self, spec, at):
+        super().__init__(spec)
+        self.at = at
+
+    def _prod_indices(self, s, n, kind):
+        out = super()._prod_indices(s, n, kind)
+        if (s, n, kind) == self.at:
+            out = dict(out)  # the memoised dict is shared
+            t = min(out, key=lambda t: (len(t), t))
+            out[t] = (out[t] + 1) % self.p
+        return out
+
+
+@pytest.mark.parametrize("kind", list(ProductKind))
+def test_products_fail_exactly_at_a_changed_product(kind, monkeypatch):
+    """A pair of largest weight is a sub-product of no other drawn pair, so
+    one changed code of its product fails the cases of that pair and kind,
+    wherever it is drawn, and no other case."""
+    argv = ["verify", "--suite", "products", "--q", "3", "--max-weight", "3", "--pairs", "40"]
+    code, text = run_cli(argv)
+    cases = case_lines(text)
+    assert code == 0 and {status for status, _ in cases} == {"pass"}
+    pairs = [c.split(" ", 2)[2].split(" x ") for _, c in cases if f" {kind.value} " in c]
+    s, n = next((parse_index(a), parse_index(b)) for a, b in pairs
+                if parse_index(a).weight == parse_index(b).weight == 3)
+    monkeypatch.setattr(cli, "IndexAlgebra", lambda spec: ProductBumpAlgebra(spec, (s, n, kind)))
+    code, text = run_cli(argv)
+    failed = [c for status, c in case_lines(text) if status != "pass"]
+    assert code == 1 and failed
+    assert failed == [c for _, c in cases if c.endswith(f" {kind.value} {s} x {n}")]
+
+
+def test_prodsum_fails_at_a_changed_dagger_expansion(monkeypatch):
+    """The li dagger expansion of (1,2) gains the index (3): the prodsum
+    case of that index fails, and no other, as no composition of weight
+    <= 3 holds (1,2) as a proper tail."""
+    monkeypatch.setattr(cli, "Reducer",
+                        lambda algebra, cap: DaggerBumpReducer(algebra, (1, 2), (3,), "li"))
+    code, text = run_cli(["verify", "--suite", "prodsum", "--q", "2", "--max-weight", "3"])
+    assert code == 1
+    assert [c for status, c in case_lines(text) if status != "pass"] == ["li (1,2)"]
+
+
+def test_products_build_no_wrapper_per_case(monkeypatch):
+    """The products suite compares packed ints: IndexPoly, RatFunc and
+    LaurentSeries are built only for the level factors of the entries that
+    occur, so 400 pairs, drawing no entry that 200 do not, build no more."""
+    counts = collections.Counter()
+
+    def counting(cls, name):
+        real = getattr(cls, name)
+
+        def count(*args, **kwargs):
+            counts[cls.__name__] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cls, name, staticmethod(count)
+                            if isinstance(cls.__dict__[name], classmethod) else count)
+
+    for cls, names in ((IndexPoly, ("__init__", "_of")), (RatFunc, ("__init__", "_make")),
+                       (LaurentSeries, ("_set",))):
+        for name in names:
+            counting(cls, name)
+    levels = []
+    init = cli.Context.__init__
+
+    def recording(self, args):
+        init(self, args)
+        levels.append(self.evaluator._level)
+    monkeypatch.setattr(cli.Context, "__init__", recording)
+    made = []
+    for pairs in ("200", "400"):
+        counts.clear()
+        code, _ = run_cli(["verify", "--suite", "products", "--q", "3", "--max-weight", "4",
+                           "--pairs", pairs])
+        assert code == 0
+        made.append(dict(counts))
+    assert set(levels[0]) == set(levels[1])
+    assert made[0] == made[1] and made[0]["LaurentSeries"] > 0, made
 
 
 _IMPORT_GUARD = r"""

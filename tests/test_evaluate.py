@@ -193,8 +193,8 @@ def test_level_series_at_high_precision_match_exact(q, s):
     E = Evaluator(field(q))
     cut = E._level_cutoff(ValueFamily.ZETA, Index((s,)), N)
     assert cut == 2
-    for d in range(1, cut + 1):
-        got = E._packing(N).unpack(E._level_factor("zeta", s, d, N))
+    for d, x in enumerate(E._level_factors(ValueFamily.ZETA, s, N)[1:], 1):
+        got = E._packing(N).unpack(x)
         assert got == rat_to_laurent(E.power_sum_exact(d, s), N), d
         assert got.prec == N and (d > 1 or not got.is_zero_to_prec), d
 
@@ -748,6 +748,29 @@ def test_packed_values_match_the_series_reference(q):
                 assert same_series(got, want), (family, s, prec)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_batched_values_match_single_queries(q):
+    """One DP batch of every composition of weight <= 7, a trie walk that
+    shares prefix rows, memoises the values a fresh Evaluator gives one
+    index at a time, for every family at N = 0, 40 and 264, whichever of
+    the two runs first."""
+    F = field(q)
+    batch = [s for w in range(8) for s in compositions(w)]
+    random.Random(q).shuffle(batch)
+    for prec in (0, 40, 264):
+        for batch_first in (True, False):
+            many, single = Evaluator(F), Evaluator(F)
+            for family in ValueFamily:
+                if batch_first:
+                    many._dp_value(family, batch, prec)
+                want = [single._value(family, s, prec) for s in batch]
+                if not batch_first:
+                    many._dp_value(family, batch, prec)
+                memo = dict(many._values)
+                assert [many._value(family, s, prec) for s in batch] == want, (family, prec)
+                assert many._values == memo, (family, prec)  # the batch left no value out
+
+
 @pytest.mark.parametrize("q", EXACT_QS)
 def test_packed_sums_match_the_term_by_term_sum(q):
     """An IndexPoly with F_p constants, a genuine F_q constant (q = 4, 8, 9),
@@ -825,7 +848,8 @@ def test_packed_update_at_every_width_switch(p):
 
 def test_packing_checks_its_input():
     """A code >= p, a positive lead or a precision below N raises; the zero
-    series packs to 0 and unpacks at the packing's precision."""
+    series, and one of order > N known beyond N, pack to 0 and unpack at
+    the packing's precision."""
     F4 = field(4)
     packing = SeriesPacking(F4, 10)
     with pytest.raises(InvalidInput, match="outside F_p"):
@@ -835,6 +859,7 @@ def test_packing_checks_its_input():
     with pytest.raises(InvalidInput, match="precision 9"):
         packing.pack(LaurentSeries._make(F4, 0, [1], 9))
     assert packing.pack(LaurentSeries.zero(F4, 12)) == 0
+    assert packing.pack(LaurentSeries._make(F4, -11, [1], 30)) == 0
     assert same_series(packing.unpack(0), LaurentSeries.zero(F4, 10))
     v = LaurentSeries._make(F4, -2, [1, 1, 0, 1], 12)
     assert same_series(packing.unpack(packing.pack(v)), v.with_prec(10))
