@@ -1,73 +1,146 @@
-"""Vectorized GF(q) coefficient kernels.
+"""Packed GF(q) kernels of the numeric oracle, on the slot codec of ``algebra``.
 
-Internal module.  Field elements are encoded as integers 0..q-1 (base-p
-digit encoding of the residue class modulo the field modulus); arrays of
-such codes are manipulated with numpy through the q x q addition and
-multiplication tables.  For prime fields the code equals the residue, so
-sums and products reduce mod p directly.  Polynomial products are not
-here: they go through ``algebra._mul_codes``.
+Internal module, standard library only.  An element of GF(p^e) is held as
+its e base-p digits (its digit planes), each in a slot of its own, so a sum
+of elements is an integer sum followed by a reduction of every slot mod p,
+and c x for a constant c is the F_p-linear map of c on the planes.  Each
+kernel states the largest slot sum it lets build up and packs at the
+``_slot_width`` that holds it.  Polynomial products are not here: they go
+through ``algebra._mul_codes``.
 
 Every brute-force power sum over the monic polynomials of degree d goes
 through one kernel, ``monic_quotient_sum``: a synthetic division of one
-numerator by a^s for every monic a at once, vectorised over row blocks
-of the enumeration, whose quotients are summed.  The evaluator picks the
-numerator: a power of T for the series, a power of L_d for the exact sums.
-a^s is built by square-and-multiply, each product cut to the coefficients
-that reach the quotient.  The division holds the dividend as one int16
-column per divisor, so each step is one contiguous row slice, and holds
-only a window of _WINDOW quotient digits at a time.  Over F_p a cell is
-reduced mod p only when it is read as a quotient digit, which is safe
-while d (p-1)^2 + p < 2^15 for a divisor of degree d, and at every step
-past that bound.
+numerator by a^s for every monic a at once, whose quotients are summed.
+The evaluator picks the numerator: a power of T for the series, a power of
+L_d for the exact sums.  a^s is built per divisor by square-and-multiply,
+each product cut to the coefficients that reach the quotient.  The division
+holds its window of s d cells for all q^d divisors as one int of lanes, one
+lane per divisor and plane, and each quotient digit costs a fixed handful of
+big-int operations (``_divide_rows``).
 
-``kernel``, the elimination behind ``dependence.find_dependence``, clears
-one pivot column from every row at once, in int16 arithmetic mod p over
-F_p while (p-1)^2 + p < 2^15.
+``kernel``, the elimination behind ``dependence.find_dependence``, packs
+each matrix row into one int, with the planes of column c in slots
+c e .. c e + e - 1, and clears a pivot column from a row by one multiply-add
+and one reduction.
 """
 
 from __future__ import annotations
 
-# divisors x dividend coefficients of one row block of the division
-_BLOCK_CELLS = 1 << 21
-# quotient digits of one window of the division
-_WINDOW = 64
-# int16 holds every integer below this
-_INT16_LIMIT = 1 << 15
+from itertools import chain, islice, product
+
+from .algebra import (_mul_codes, _pack_slots, _read_slots, _reduce_slots, _slot_bytes,
+                      _slot_codes, _slot_ones, _slot_width)
+
+
+# steps of the division between two moves of its window
+_CHUNK = 8
+# window cells, divisors x (D + _CHUNK), of one division: more divisors are
+# divided in blocks
+_CELLS = 1 << 20
+
+
+def _repeat(x: int, n: int, step: int) -> int:
+    """x, of at most step bits, in n consecutive runs of step bits."""
+    have = 1
+    while 2 * have <= n:
+        x |= x << step * have
+        have *= 2
+    if have < n:
+        x |= (x & (1 << step * (n - have)) - 1) << step * have
+    return x
 
 
 class GFVec:
-    """Array arithmetic bound to one ``FieldSpec``."""
+    """Packed arithmetic bound to one ``FieldSpec``."""
 
     def __init__(self, spec):
-        global np  # bound for every method; loaded by the first GFVec, not at import
-        import numpy as np
         self.spec = spec
-        self.p = spec.p
+        self.p = p = spec.p
         self.e = spec.e
         self.q = spec.q
-        self.add_t = np.array(spec._add, dtype=np.int64)
-        self.mul_t = np.array(spec._mul, dtype=np.int64)
-        self.neg_t = np.array(spec._neg, dtype=np.int64)
-        # digit planes: dig[a, i] = i-th base-p digit of code a
-        self.dig_t = np.array([spec._digits(a) for a in range(spec.q)], dtype=np.int64)
-        self.pow_p = np.array([spec.p ** i for i in range(spec.e)], dtype=np.int64)
+        # the digit planes of each code, lowest first
+        self._planes = [tuple(spec._digits(a)) for a in range(spec.q)]
+        # reduces 8-bit slots
+        self._mod = bytes(i % p for i in range(256))
+        # a quotient digit is masked bit by bit: 2^t for t < bits, and at
+        # most pop bits of a digit below p are set
+        self._bits = (p - 1).bit_length()
+        self._pop = max(bin(v).count("1") for v in range(1, p))
+        self._maps = {}
+
+    # -- digit planes --------------------------------------------------------
+
+    def _pack(self, codes, width: int) -> int:
+        """The int of a code sequence with the e planes of code j in slots
+        j e .. j e + e - 1, each width bits."""
+        if self.e == 1:
+            return _pack_slots(codes, width)
+        return _pack_slots(list(chain.from_iterable(map(self._planes.__getitem__, codes))), width)
+
+    def _codes(self, x: int, n: int, width: int) -> list:
+        """The n codes of a packed int whose slots are reduced."""
+        slots = _read_slots(x, n * self.e, width)
+        if self.e == 1:
+            return slots
+        codes = slots[::self.e]
+        for k in range(1, self.e):
+            pk = self.p ** k
+            codes = [a + b * pk for a, b in zip(codes, slots[k::self.e])]
+        return codes
+
+    def _reduce(self, x: int, slots: int, width: int) -> int:
+        """x, an int of the given number of slots, with each slot reduced mod p."""
+        if width == 8:
+            return int.from_bytes(x.to_bytes(slots, "little").translate(self._mod), "little")
+        return _reduce_slots(x, slots, width, self.p)
+
+    def _map(self, c: int):
+        """The planes of c u^l for each l: plane i of c x is the sum over l
+        of plane i of c u^l times plane l of x."""
+        m = self._maps.get(c)
+        if m is None:
+            m = self._maps[c] = [self._planes[self.spec._mul[c][self.p ** l]]
+                                 for l in range(self.e)]
+        return m
+
+    def _scale(self, x: int, c: int, n: int, width: int) -> int:
+        """c x for x packed of n reduced codes: each slot is a sum of at most
+        e products of digits, so it stays within e (p - 1)^2."""
+        if self.e == 1:
+            return c * x
+        ones = _slot_ones(n, self.e * width) * ((1 << width) - 1)
+        out = 0
+        for l, col in enumerate(self._map(c)):
+            xl = x & ones << l * width  # plane l of every code
+            for i, m in enumerate(col):
+                if m:
+                    out += m * (xl << (i - l) * width if i >= l else xl >> (l - i) * width)
+        return out
 
     # -- power sums over the monic polynomials ----------------------------
 
-    def _monic_codes(self, d):
-        """The q^d monic polynomials of degree d as a (q^d, d+1) code matrix.
+    def _monic_codes(self, d: int) -> list:
+        """The q^d monic polynomials of degree d as code tuples, low degree
+        first; tuple r holds the base-q digits of r below the leading 1."""
+        return [t[::-1] + (1,) for t in product(range(self.q), repeat=d)]
 
-        Low degree first; row r holds the base-q digits of r below the
-        leading 1.  int16 holds every code, since the q x q tables bound q.
-        """
-        q = self.q
-        out = np.ones((q ** d, d + 1), dtype=np.int16)
-        digits = np.arange(q, dtype=np.int16)
-        for j in range(d):
-            out[:, j] = np.tile(np.repeat(digits, q ** j), q ** (d - 1 - j))
+    def _rows_power(self, rows, s: int, keep: int) -> list:
+        """The top keep coefficients of a^s for every code tuple a, low first,
+        by square-and-multiply on the reversed codes: O(log s) products, each
+        cut to its first keep coefficients, which depend only on the first
+        keep of each factor."""
+        spec, out = self.spec, []
+        for a in rows:
+            r = a[::-1][:keep]
+            x = r
+            for bit in bin(s)[3:]:
+                x = _mul_codes(spec, x, x, keep)
+                if bit == "1":
+                    x = _mul_codes(spec, x, r, keep)
+            out.append(tuple(x[::-1]))
         return out
 
-    def monic_quotient_sum(self, num, d, s):
+    def monic_quotient_sum(self, num, d: int, s: int):
         """Codes of the sum over monic degree-d a of num // a^s, and whether
         some a^s leaves a nonzero remainder.
 
@@ -75,171 +148,193 @@ class GFVec:
         so a^s is built to that many and the lower ones, with as many low
         coefficients of num, are cut; the remainder is then that of the cut
         division.  Nothing is cut when num is longer than 2 s d, as L_d^s is.
-        The monic polynomials are taken in row blocks of about _BLOCK_CELLS
-        dividend cells; a^s is built per block and the blocks' quotient sums
-        are added as field codes.
         """
         m = s * d
         cut = max(0, 2 * m + 1 - len(num))
-        num = num[cut:]
-        codes = self._monic_codes(d)
-        block = max(1, _BLOCK_CELLS // len(num))
-        total, rem = 0, False
-        for lo in range(0, len(codes), block):
-            div = self._rows_power(codes[lo:lo + block], s, m + 1 - cut)
-            quo, r = self._divide_rows(num, div[:, :-1])
-            total = self.add_t[total, quo]
-            rem = rem or bool(r.any())
-        return [int(c) for c in total], rem
+        keep = m + 1 - cut
+        monics = product(range(self.q), repeat=d)
+        block = max(1, _CELLS // (keep + _CHUNK))
+        add, total, rem = self.spec._add, None, False
+        while True:
+            rows = [t[::-1] + (1,) for t in islice(monics, block)]
+            if not rows:
+                return total, rem
+            quo, r = self._divide_rows(num[cut:], [a[:-1] for a in self._rows_power(rows, s, keep)])
+            total = quo if total is None else [add[x][y] for x, y in zip(total, quo)]
+            rem = rem or any(map(any, r))
 
-    def _rows_power(self, rows, s, keep):
-        """Codes of the top keep coefficients of a^s for every code row a,
-        by square-and-multiply: O(log s) products, each cut to its top keep
-        coefficients, which depend only on the top keep of each factor."""
-        a = rows[:, -keep:].astype(np.int64)
-        out = a
-        for bit in bin(s)[3:]:
-            out = self._rows_mul(out, out, keep)
-            if bit == "1":
-                out = self._rows_mul(out, a, keep)
-        return out
+    def _divide_rows(self, num, rows):
+        """Divide num, of length above D, by each monic polynomial of degree D
+        whose D coefficients below the leading 1 are a code tuple of rows;
+        returns the codes of the sum of the quotients and the remainders, one
+        code list per divisor.
 
-    def _rows_mul(self, x, y, keep):
-        """Codes of the top keep coefficients of the row-wise products x y,
-        one array update per column of the narrower factor."""
-        if x.shape[1] < y.shape[1]:
-            x, y = y, x
-        n, k = x.shape[1], y.shape[1]
-        # column j of acc is coefficient lo + j of the full product
-        lo = max(n + k - 1 - keep, 0)
-        acc = np.zeros((len(x), n + k - 1 - lo), dtype=np.int64)
-        for j in range(k):
-            i = max(lo - j, 0)  # first column of x that reaches the kept part
-            if i >= n:
-                continue
-            cols = acc[:, j + i - lo:j + n - lo]
-            if self.e == 1:
-                cols += x[:, i:] * y[:, j, None]
-            else:
-                cols[:] = self.add_t[cols, self.mul_t[x[:, i:], y[:, j, None]]]
-        return acc % self.p if self.e == 1 else acc
+        A synthetic division on every divisor at once.  The window holds the
+        cells of the division as blocks, the lowest first; a block is e
+        planes of one lane per divisor.  Step i reads quotient digit i off
+        the block of cell i + D, reduced by translate, and counts its digits
+        with bytes.count; it adds the lane-wise product of the digit with -a
+        to cells i .. i + D - 1: for each plane k and bit t, the lanes whose
+        digit k has bit t set, repeated over the D blocks, select the blocks
+        of -(2^t u^k) a_j computed in advance.  The window spans D + c cells,
+        c = min(D, _CHUNK), and moves down by c cells once per c steps; in
+        between, each plane's product is shifted to its cells.
 
-    def _divide_rows(self, num, low):
-        """Divide num, of length above d, by each monic polynomial whose d
-        coefficients below the leading 1 are a row of low; returns the codes
-        of the sum of the quotients and the remainders, one int16 row per
-        divisor.
-
-        A synthetic division on the dividend tiled as one column per divisor:
-        step i reads quotient digit i from one contiguous row and updates the
-        d rows below it.  It runs top down through windows of _WINDOW digits,
-        so only _WINDOW + d rows are held: the cells below a window are still
-        the dividend's, the d cells at its foot carry into the next window,
-        and its digits are summed when it closes.  Over a prime field a cell
-        takes c + (p - a_j) q_i and is reduced mod p only where read as a
-        quotient digit, and once more at the end: it takes at most d updates
-        between two reductions, so int16 holds it while d (p-1)^2 + p < 2^15.
-        Past that bound every step reduces.  Over GF(p^e) a step is two
-        gathers from the flat tables (twice as fast as the 2-D fancy index
-        at q = 8 and 9), and each digit is counted per code; the counts
-        become digit-plane sums.
+        A cell enters at most p - 1 and grows by at most G = e pop (p - 1) a
+        step, pop the most bits set in a digit below p, so lanes of the
+        narrowest width over p - 1 + G (8 bits for p <= 43) hold it for
+        (cap - (p - 1)) // G steps; the window is reduced that often, when D
+        is longer.
         """
-        d = low.shape[1]
-        n = len(num) - d  # quotient digits
-        p, q, prime = self.p, self.q, self.e == 1
-        num = np.asarray(num, dtype=np.int16)
-        if prime:
-            lazy = d * (p - 1) ** 2 + p < _INT16_LIMIT
-            neg_low = ((-low.T) % p).astype(np.int16 if lazy else np.int64)
-        else:
-            # flat indices x q + y into the (symmetric) tables
-            mul_f, add_f = self.mul_t.ravel(), self.add_t.ravel()
-            neg_low = self.neg_t[low.T] * q
-        # sums[i]: quotient digit i summed over the divisors, or its count
-        # per nonzero code over GF(p^e)
-        sums = np.zeros((n, 1 if prime else q - 1), dtype=np.int64)
-        buf = np.empty((_WINDOW + d, len(low)), dtype=np.int16)
-        buf[_WINDOW:] = num[n:, None]
-        for hi in range(n, 0, -_WINDOW):
-            lo = max(hi - _WINDOW, 0)
-            # R[j] is cell lo + j; its top d rows carry from the last window
-            R = buf[_WINDOW - (hi - lo):]
-            R[:hi - lo] = num[lo:hi, None]
-            for i in range(hi - lo - 1, -1, -1):
-                if prime:
-                    top = R[i + d]
-                    top %= p  # quotient digit lo + i
-                    if lazy:
-                        R[i:i + d] += neg_low * top
-                    else:
-                        R[i:i + d] = (R[i:i + d] + neg_low * top) % p
-                else:
-                    R[i:i + d] = add_f.take(mul_f.take(neg_low + R[i + d]) * q + R[i:i + d])
-            if prime:
-                sums[lo:hi, 0] = R[d:].sum(axis=1)
-            else:
-                for c in range(1, q):
-                    sums[lo:hi, c - 1] = (R[d:] == c).sum(axis=1)
-            buf[_WINDOW:] = R[:d]
-        rem = buf[_WINDOW:]
-        if prime:
-            rem %= p
-            return sums[:, 0] % p, rem.T
-        return sums @ self.dig_t[1:] % p @ self.pow_p, rem.T
+        spec, p, e, lanes = self.spec, self.p, self.e, len(rows)
+        D = len(rows[0])
+        n = len(num) - D
+        if D == 0:
+            row = spec._mul[lanes % p]
+            return [row[c] for c in num], [() for _ in rows]
+        grow = e * self._pop * (p - 1)
+        width = _slot_width(p - 1 + grow)
+        cap = (1 << width) - 1
+        period = (cap - (p - 1)) // grow
+        plane = lanes * width >> 3  # bytes of one plane of a block
+        block = e * plane
+        bits, pbits, reps = 8 * block, 8 * plane, e * D
+        planes, mul = self._planes, spec._mul
+        chunk = min(D, _CHUNK)
+        # the blocks of -(2^t u^k) a_j for every lane, plane k and bit t
+        flat = list(chain.from_iterable(zip(*rows)))
+        steps = []
+        for k in range(e):
+            steps.append([])
+            for t in range(self._bits):
+                row = mul[(p - (1 << t)) * p ** k]
+                cells = [_slot_bytes([planes[row[b]][i] for b in flat], width) for i in range(e)]
+                if e > 1:
+                    cells = [b"".join(c[j * plane:(j + 1) * plane] for j in range(D)
+                                      for c in cells)]
+                steps[k].append(int.from_bytes(cells[0], "little"))
+        if width == 8:
+            tests = [bytes(255 if v % p >> t & 1 else 0 for v in range(256))
+                     for t in range(self._bits)]
+        # the lanes of two bits of one digit plane are disjoint when no digit
+        # below p has two bits set
+        disjoint = self._pop == 1
+        entered = {}
+
+        def enter(codes):
+            out = []
+            for c in codes:
+                x = entered.get(c)
+                if x is None:
+                    x = entered[c] = b"".join(_slot_bytes([v], width) * lanes for v in planes[c])
+                out.append(x)
+            return int.from_bytes(b"".join(out), "little")
+
+        window = enter(num[n:])
+        quo = [0] * n
+        for hi in range(n, 0, -chunk):
+            lo = max(hi - chunk, 0)
+            # block o holds cell lo + o
+            window = (window << bits * (hi - lo)) + enter(num[lo:hi])
+            for i in range(hi - 1, lo - 1, -1):
+                o = i - lo
+                top = window >> bits * (o + D) & (1 << bits) - 1
+                if top:
+                    top = top.to_bytes(block, "little")
+                    sums = [0] * e
+                    for k, products in enumerate(steps):
+                        digits = top[k * plane:(k + 1) * plane]
+                        if width > 8:
+                            digits = [v % p for v in _slot_codes(digits, width)]
+                        part = 0
+                        for t, cells in enumerate(products):
+                            if width == 8:
+                                mask = digits.translate(tests[t])
+                                count = mask.count(255)
+                            else:
+                                sel = [v >> t & 1 for v in digits]
+                                count = sum(sel)
+                                mask = _slot_bytes([cap * v for v in sel], width)
+                            if count:
+                                sums[k] += count << t
+                                x = _repeat(int.from_bytes(mask, "little"), reps, pbits) & cells
+                                part = part | x if disjoint else part + x
+                        window += part << bits * o
+                    quo[i] = spec._encode(sums)
+                if D > period and i % period == 0:
+                    window = self._reduce(window, (hi - lo + D) * e * lanes, width)
+            window &= (1 << bits * D) - 1
+        slots = _read_slots(self._reduce(window, reps * lanes, width), reps * lanes, width)
+        if e > 1:
+            # the codes of each block from its planes
+            codes = []
+            for j in range(0, reps * lanes, e * lanes):
+                blk = slots[j:j + lanes]
+                for k in range(1, e):
+                    pk = p ** k
+                    blk = [a + b * pk for a, b in zip(blk, slots[j + k * lanes:j + (k + 1) * lanes])]
+                codes += blk
+            slots = codes
+        return quo, [slots[r::lanes] for r in range(lanes)]
 
     # -- exact linear algebra over GF(q) -----------------------------------
 
-    def kernel(self, mat):
-        """Basis of the right null space of a code matrix, as a list of rows.
+    def kernel(self, rows):
+        """Basis of the right null space of a matrix given as a list of rows
+        of codes (lists, tuples or arrays), as a list of code lists.
 
-        Gauss-Jordan elimination column by column: the pivot is the first
-        nonzero at or below the rows placed so far, and the column is cleared
-        from every other row that is nonzero there by one array update over
-        the columns from c on, where the pivot row is zero to the left of c.
-        Over a prime field that update is integer arithmetic mod p, in int16
-        when (p-1)^2 + p < 2^15 bounds every intermediate value; over
-        GF(p^e) it goes through the tables.  Each free column gives one basis
-        vector, with 1 there and the negated column of the reduced echelon
-        form at the pivot columns.
+        Gauss-Jordan elimination column by column on rows packed one int
+        each: the pivot is the first nonzero at or below the rows placed so
+        far, and the column is cleared from every other row that is nonzero
+        there by adding -f times the pivot row, where the pivot row is zero
+        to the left of c, and reducing.  A slot then holds at most
+        (p - 1) + e (p - 1)^2.  Each free column gives one basis vector, with
+        1 there and the negated column of the reduced echelon form at the
+        pivot columns.
         """
-        m = np.asarray(mat)
-        if m.ndim != 2:
+        if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("matrix expected")
-        p, prime = self.p, self.e == 1
-        m = m.astype(np.int16 if prime and (p - 1) ** 2 + p < _INT16_LIMIT else np.int64)
-        rows, cols = m.shape
+        spec, p, e = self.spec, self.p, self.e
+        cols = len(rows[0])
+        width = _slot_width(p - 1 + e * (p - 1) ** 2)
+        group = e * width
+        cell = (1 << group) - 1
+        m = [self._pack(list(r), width) for r in rows]
         piv_cols = []
         rank = 0
         for c in range(cols):
-            if rank == rows:
+            if rank == len(m):
                 break
-            nz = np.flatnonzero(m[rank:, c])
-            if not len(nz):
+            shift = c * group
+            sel = next((r for r in range(rank, len(m)) if m[r] >> shift & cell), None)
+            if sel is None:
                 continue
-            sel = rank + int(nz[0])
-            if sel != rank:
-                m[[rank, sel]] = m[[sel, rank]]
-            pivot = m[rank, c:]
-            inv = self.spec.inv_idx(int(pivot[0]))
-            pivot[:] = pivot * inv % p if prime else self.mul_t[inv, pivot]
-            others = np.flatnonzero(m[:, c])
-            others = others[others != rank]
-            if len(others):
-                block = m[others, c:]
-                f = block[:, :1]
-                if prime:
-                    m[others, c:] = (block - f * pivot) % p
-                else:
-                    m[others, c:] = self.add_t[block, self.neg_t[self.mul_t[f, pivot]]]
+            m[rank], m[sel] = m[sel], m[rank]
+            pivot = m[rank]
+            lead = self._codes(pivot >> shift & cell, 1, width)[0]
+            if lead != 1:
+                pivot = m[rank] = self._reduce(
+                    self._scale(pivot, spec.inv_idx(lead), cols, width), cols * e, width)
+            negs = {}
+            for r, x in enumerate(m):
+                f = x >> shift & cell
+                if f and r != rank:
+                    t = negs.get(f)
+                    if t is None:
+                        t = negs[f] = self._scale(
+                            pivot, spec._neg[self._codes(f, 1, width)[0]], cols, width)
+                    m[r] = self._reduce(x + t, cols * e, width)
             piv_cols.append(c)
             rank += 1
-        is_free = np.ones(cols, dtype=bool)
-        is_free[piv_cols] = False
+        echelon = [self._codes(x, cols, width) for x in m[:rank]]
+        neg, pivots = spec._neg, set(piv_cols)
         basis = []
-        for fc in np.flatnonzero(is_free):
-            v = np.zeros(cols, dtype=np.int64)
+        for fc in range(cols):
+            if fc in pivots:
+                continue
+            v = [0] * cols
             v[fc] = 1
-            col = m[:rank, fc].astype(np.int64)
-            v[piv_cols] = -col % p if prime else self.neg_t[col]
+            for pc, row in zip(piv_cols, echelon):
+                v[pc] = neg[row[fc]]
             basis.append(v)
         return basis

@@ -29,7 +29,6 @@ import sys
 from array import array
 from functools import lru_cache
 
-from ._gfnum import GFVec
 from .errors import DivisionByZero, InsufficientPrecision, InvalidInput
 
 # Irreducible monic moduli (coefficients low to high) for the small
@@ -180,8 +179,9 @@ class FieldSpec:
         return self._frob[a]
 
     @property
-    def vec(self) -> GFVec:
+    def vec(self) -> "GFVec":
         if self._vec is None:
+            from ._gfnum import GFVec  # imports the slot codec below; loaded on first use
             self._vec = GFVec(self)
         return self._vec
 

@@ -289,14 +289,18 @@ def _suite_prodsum(ctx: Context) -> Report:
                     a, b = s.prefix(i), s.drop(i)
                     tot1 = packing.mul_add(tot1, value(fam, a), value(famd, b))
                     tot2 = packing.mul_add(tot2, value(famd, a), value(fam, b))
-                ok = (short is None and not tot1 and not tot2
-                      and value(famd, s) == E._packed_sum(fam, R._dagger(fam.side, s), prec))
+                if short is not None:
+                    failed = [f"N={prec}, delivered {short}"]
+                else:
+                    failed = [] if not tot1 and not tot2 else [
+                        f"slice sums do not vanish, residuals: {packing.unpack(tot1)}, "
+                        f"{packing.unpack(tot2)}"]
+                    if value(famd, s) != E._packed_sum(fam, R._dagger(fam.side, s), prec):
+                        failed.append("dagger expansion does not match")
                 cases.append(Case(
                     input=f"{fam.side} {s}",
-                    status="pass" if ok else "fail",
-                    detail="slice sums vanish; dagger expansion matches" if ok else
-                    f"residuals: {packing.unpack(tot1)}, {packing.unpack(tot2)}"
-                    if short is None else f"N={prec}, delivered {short}"))
+                    status="fail" if failed else "pass",
+                    detail="; ".join(failed) or "slice sums vanish; dagger expansion matches"))
     return Report("prodsum", {"q": ctx.q, "max_weight": ctx.args.max_weight,
                               "prec": prec}, cases)
 

@@ -2,17 +2,21 @@
 
 Solves sum_j a_j(T) v_j = 0 through the known coefficient range, with
 polynomial unknowns of bounded degree, by exact F_q Gaussian
-elimination.  Results are candidates valid to the working precision
-only; every returned tuple is re-verified against the inputs before it
-is emitted.  An independent probe for the symbolic reduction pipeline,
+elimination (``GFVec.kernel``, on packed rows).  The matrix is laid out
+column by column from the series codes, each column a shifted input, and
+read off row by row as strided slices.  Results are candidates valid to
+the working precision only; every returned tuple is re-verified against
+the inputs, each packed once into digit-plane slots, before it is
+emitted.  An independent probe for the symbolic reduction pipeline,
 and a way to hunt for relations outside the proven families.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
-from .algebra import LaurentSeries, Poly
+from .algebra import LaurentSeries, Poly, _slot_width
 from .errors import InvalidInput
 
 
@@ -65,7 +69,6 @@ def find_dependence(problem: DependenceProblem) -> list:
     to the working precision says nothing about the values and is not
     returned.
     """
-    import numpy as np
     spec = problem.spec
     D = problem.deg_bound
     vals = problem.values
@@ -77,21 +80,21 @@ def find_dependence(problem: DependenceProblem) -> list:
     if high < low:
         high = low
     nrows = high - low + 1
-    ncols = m * (D + 1)
-    mat = np.zeros((nrows, ncols), dtype=np.int64)
-    for j, v in enumerate(vals):
-        if v.is_zero_to_prec:
-            continue
+    # the matrix column by column, then each row as one strided slice: row r
+    # of column j (D + 1) + t is the coefficient of T^(high - r) in T^t v_j
+    typecode = "B" if spec.q <= 256 else "H"
+    zeros = array(typecode, bytes(nrows * array(typecode).itemsize))
+    data = array(typecode)
+    for v in vals:
+        codes = array(typecode, () if v.is_zero_to_prec else v.c[:nrows])
         for t in range(D + 1):
-            # row r is the coefficient of T^(high - r) in T^t v, i.e. v.c[r - top]
-            top = high - v.lead - t
-            seg = v.c[:max(nrows - top, 0)]
-            mat[top:top + len(seg), j * (D + 1) + t] = seg
-    kernel = spec.vec.kernel(mat)
-    arrays = [np.array(v.c, dtype=np.int64) for v in vals]
+            top = min(high - v.lead - t, nrows) if codes else nrows
+            col = codes[:nrows - top]
+            data += zeros[:top] + col + zeros[top + len(col):]
+    kernel = spec.vec.kernel([data[r::nrows] for r in range(nrows)])
+    inputs = _pack_inputs(spec, vals, D)
     out = []
-    for vec in kernel:
-        codes = vec.tolist()
+    for codes in kernel:
         polys = [Poly._make(spec, tuple(codes[j * (D + 1):(j + 1) * (D + 1)]))
                  for j in range(m)]
         # skip candidates that rest only on inputs zero to precision
@@ -102,40 +105,44 @@ def find_dependence(problem: DependenceProblem) -> list:
         inv = lead.leading().inverse()
         polys = [p.scale(inv) for p in polys]
         # re-verify against the inputs at their common precision
-        if _combination_vanishes(spec, polys, vals, arrays):
+        if _combination_vanishes(spec, polys, vals, inputs):
             out.append(tuple(polys))
     return out
 
 
-def _combination_vanishes(spec, polys, vals, arrays) -> bool:
+def _pack_inputs(spec, vals, deg_bound: int):
+    """(width, packed codes of each input) for ``_combination_vanishes``:
+    width holds a sum of len(vals) (deg_bound + 1) inputs, each times a
+    constant, so each slot is at most that many times e (p - 1)^2."""
+    vec = spec.vec
+    width = _slot_width(len(vals) * (deg_bound + 1) * vec.e * (spec.p - 1) ** 2)
+    return width, [vec._pack(v.c, width) for v in vals]
+
+
+def _combination_vanishes(spec, polys, vals, inputs) -> bool:
     """Whether sum_j p_j v_j is zero to its precision, prec - max deg p_j.
 
     Built from the input series, not from the kernel's matrix, so that the
-    check is independent of the elimination; arrays[j] holds the codes of
-    v_j as int64.  Over a prime field the codes are residues: c v is
-    accumulated in int64 and reduced mod p once.
+    check is independent of the elimination; inputs is ``_pack_inputs`` of
+    the values at a degree bound of at least max deg p_j.  The sum of the
+    shifted, scaled packed inputs is reduced once.
     """
-    import numpy as np
+    width, packed = inputs
+    vec = spec.vec
     floor = max(max(p.degree, 0) for p in polys) - vals[0].prec
-    terms = [(p, v, vc) for p, v, vc in zip(polys, vals, arrays)
+    terms = [(p, v, x) for p, v, x in zip(polys, vals, packed)
              if not p.is_zero and not v.is_zero_to_prec]
     if not terms:
         return True
     high = max(v.lead + p.degree for p, v, _ in terms)
-    # acc[r] is the coefficient of T^(high - r), down to T^floor
-    acc = np.zeros(max(high - floor + 1, 0), dtype=np.int64)
-    vec = spec.vec
-    for p, v, vc in terms:
+    # slot group r is the coefficient of T^(high - r), down to T^floor
+    n = high - floor + 1
+    if n <= 0:
+        return True
+    group = vec.e * width
+    acc = 0
+    for p, v, x in terms:
         for t, c in enumerate(p.c):
             if c:
-                top = high - v.lead - t
-                n = min(len(vc), len(acc) - top)
-                if n <= 0:
-                    continue
-                if vec.e == 1:
-                    acc[top:top + n] += c * vc[:n]
-                else:
-                    acc[top:top + n] = vec.add_t[acc[top:top + n], vec.mul_t[c, vc[:n]]]
-    if vec.e == 1:
-        acc %= spec.p
-    return not acc.any()
+                acc += vec._scale(x, c, len(v.c), width) << group * (high - v.lead - t)
+    return not vec._reduce(acc & (1 << group * n) - 1, n * vec.e, width)

@@ -6,9 +6,10 @@ weakly ascending levels with the sign (-1)^depth for the dagger
 families.  Power sums S_d(s) are brute-forced over the q^d monic
 polynomials of degree d (budgeted); for s <= q the closed form 1/L_d^s
 is used, which the test suite cross-checks against the brute force.
-One brute-force kernel (``GFVec.monic_quotient_sum``) serves both the
-series and the exact power sums: it divides a numerator num by a^s for
-every monic a of degree d at once and sums the quotients.  The series
+One brute-force kernel (``GFVec.monic_quotient_sum``, standard library
+only, on the slot codec of ``algebra``) serves both the series and the
+exact power sums: it divides a numerator num by a^s for every monic a of
+degree d at once and sums the quotients.  The series
 takes num = T^(M + s d - 1), whose quotients hold the first M
 coefficients of T^(s d) a^(-s); the exact numerator takes num = L_d^s0,
 whose quotients are (L_d / a)^s0, with a Frobenius for the p-power part
@@ -103,12 +104,13 @@ class EvalBudget:
     s0 deg L_d with deg L_d = q(q^d - 1)/(q - 1), by a^s0 for each of them,
     so its cost follows the q^d * s0 * deg L_d cells of that division (one
     cell a row and a quotient digit): ``MAX_DIVISION_CELLS`` caps them at
-    2^24, where an s0 = 1 numerator takes 0.6-1.2 s on a 2-vCPU Xeon VM
-    (Python 3.11, numpy 2.4).  L_5 at q = 9 needs 3.9e9 cells, L_4 4.8e7.
+    2^24, where an s0 = 1 numerator takes 0.2-0.35 s at (q, d) = (2, 11),
+    (3, 7) and (5, 5) on a 2-vCPU Xeon VM (Python 3.11, the packed
+    ``_gfnum`` division).  L_5 at q = 9 needs 3.9e9 cells, L_4 4.8e7.
 
     Each cell also updates the s0 d coefficients of a^s0 below its lead, so
-    a wide divisor costs cells * s0 d updates, 0.2-1.2e-8 s each:
-    ``MAX_DIVISION_UPDATES`` caps them at 2^27, 0.3-1.4 s at (q, d, s0) =
+    a wide divisor costs cells * s0 d updates, 0.2-7e-9 s each:
+    ``MAX_DIVISION_UPDATES`` caps them at 2^27, 0.02-0.9 s at (q, d, s0) =
     (2, 1, 5791), (8, 1, 1447), (9, 2, 95) and (9, 3, 8).  It never binds
     at s0 = 1: there cells <= 2^24 leaves d <= 7, or d <= 11 and
     cells <= 2^23 at q = 2, so cells * d stays within 2^27.
@@ -300,6 +302,8 @@ class Evaluator:
             codes, rem = self.field.vec.monic_quotient_sum(self.L(d).power(s0).c, d, s0)
             if rem:
                 raise InvalidInput("internal: L_d must be divisible by every monic a")
+            while codes and not codes[-1]:  # the top digits of the sum often cancel
+                codes.pop()
             num = Poly._make(self.field, tuple(codes))
             self._numerators[(d, s0)] = num
         return num.frobenius(k)

@@ -46,7 +46,7 @@ def test_field_axioms_random(q):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 25])
 def test_field_tables_and_powers(q):
     """The inverse and Frobenius tables, FieldElem powers and the GFVec
-    arrays against repeated multiplication and the FieldSpec lookups."""
+    digit planes against repeated multiplication and the FieldSpec tables."""
     F = field(q, modulus=(2, 0, 1)) if q == 25 else field(q)
     p = F.p
 
@@ -66,15 +66,17 @@ def test_field_tables_and_powers(q):
         assert (a * a.inverse()) == F.one
         for n in (-1, -2):
             assert a ** n == repeated(a.inverse(), -n), (a, n)
-    vec = F.vec
-    for a in range(q):
-        assert vec.neg_t[a] == F.neg_idx(a)
-        assert vec.dig_t[a].tolist() == F._digits(a)
-        assert int(vec.dig_t[a] @ vec.pow_p) == a
-        for b in range(q):
-            assert vec.add_t[a, b] == F.add_idx(a, b)
-            assert vec.mul_t[a, b] == F.mul_idx(a, b)
-    assert vec.pow_p.tolist() == [p ** i for i in range(F.e)]
+    vec, codes = F.vec, list(range(q))
+    width = _slot_width(p - 1 + F.e * (p - 1) ** 2)
+    every = vec._pack(codes, width)
+    assert [vec._planes[a] for a in codes] == [tuple(F._digits(a)) for a in codes]
+    assert vec._codes(every, q, width) == codes
+    for b in codes:
+        # b + a and b a for every a, on the packed digit planes
+        plus = vec._pack([b] * q, width) + every
+        assert vec._codes(vec._reduce(plus, q * F.e, width), q, width) == F._add[b]
+        times = vec._scale(every, b, q, width)
+        assert vec._codes(vec._reduce(times, q * F.e, width), q, width) == F._mul[b]
     assert _p_split(0, p) == (0, 0)
     assert _p_split(1, p) == (1, 0)
     for k in range(4):

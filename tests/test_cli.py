@@ -285,12 +285,15 @@ def test_products_fail_exactly_at_a_changed_product(kind, monkeypatch):
 def test_prodsum_fails_at_a_changed_dagger_expansion(monkeypatch):
     """The li dagger expansion of (1,2) gains the index (3): the prodsum
     case of that index fails, and no other, as no composition of weight
-    <= 3 holds (1,2) as a proper tail."""
+    <= 3 holds (1,2) as a proper tail; its detail names the dagger check."""
     monkeypatch.setattr(cli, "Reducer",
                         lambda algebra, cap: DaggerBumpReducer(algebra, (1, 2), (3,), "li"))
     code, text = run_cli(["verify", "--suite", "prodsum", "--q", "2", "--max-weight", "3"])
     assert code == 1
     assert [c for status, c in case_lines(text) if status != "pass"] == ["li (1,2)"]
+    # the detail names the failed check, not the slice sums that vanish
+    failed = [line for line in text.splitlines() if line.startswith("  [") and "li (1,2)" in line]
+    assert len(failed) == 1 and failed[0].endswith(" -- dagger expansion does not match"), failed
 
 
 def test_products_build_no_wrapper_per_case(monkeypatch):
@@ -347,10 +350,20 @@ for argv in (["verify", "--suite", "theorem", "--q", "2", "--max-weight", "4"],
              ["verify", "--suite", "prop42", "--q", "3", "--max-weight", "3"]):
     assert cli.run(argv, out=io.StringIO()) == 0, argv
 assert "numpy" not in sys.modules, "a symbolic command loaded numpy"
+assert "ffmzv._gfnum" not in sys.modules, "a symbolic command loaded the numeric kernels"
 assert len(made) == 2, made
-assert cli.run(["depend", "--q", "2", "--values", "li:(2);li:(1,1)", "--deg-bound", "2",
-                "--prec", "30"], out=io.StringIO()) == 0
-assert "numpy" in sys.modules, "depend ran without numpy"
+for argv in (["verify", "--suite", "products", "--q", "3", "--max-weight", "4", "--pairs", "40"],
+             ["verify", "--suite", "prodsum", "--q", "3", "--max-weight", "4"],
+             ["verify", "--suite", "fundamental", "--q", "3", "--max-d", "3"],
+             ["eval", "--q", "3", "--family", "zeta", "--index", "(5,4)", "--prec", "60"],
+             ["depend", "--q", "2", "--values", "li:(2);li:(1,1)", "--deg-bound", "2",
+              "--prec", "30"]):
+    assert cli.run(argv, out=io.StringIO()) == 0, argv
+assert "ffmzv._gfnum" in sys.modules, "the numeric commands ran without their kernels"
+assert "numpy" not in sys.modules, "a numeric command loaded numpy"
+assert cli.run(["charzero", "--check", "duality", "--index", "(2,3)", "--terms", "1000"],
+               out=io.StringIO()) == 0
+assert "numpy" in sys.modules, "charzero ran without numpy"
 missing = [n for n in sys.argv[1:] if not hasattr(ffmzv, n)]
 assert not missing, missing
 print("ok")
@@ -359,8 +372,9 @@ print("ok")
 
 def test_symbolic_commands_do_not_load_numpy():
     """In a fresh interpreter, importing the package and the CLI and running
-    the symbolic verify suites leave numpy unloaded; depend loads it, and
-    every name the package's __init__ imports resolves."""
+    the symbolic verify suites leave numpy and the numeric kernels unloaded;
+    the numeric suites, eval and depend leave numpy unloaded, charzero loads
+    it, and every name the package's __init__ imports resolves."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     tree = ast.parse((src / "ffmzv" / "__init__.py").read_text())
     names = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)

@@ -173,9 +173,9 @@ def test_level_zero_power_sum_takes_log_s_products(monkeypatch):
     import time
     F = field(5)
     calls = []
-    rows_mul = ffmzv._gfnum.GFVec._rows_mul
-    monkeypatch.setattr(ffmzv._gfnum.GFVec, "_rows_mul",
-                        lambda self, *args: calls.append(args[2]) or rows_mul(self, *args))
+    mul_codes = ffmzv._gfnum._mul_codes
+    monkeypatch.setattr(ffmzv._gfnum, "_mul_codes",
+                        lambda spec, a, b, n: calls.append(n) or mul_codes(spec, a, b, n))
     t0 = time.perf_counter()
     for s in (3999, 4000, 4096):
         assert Evaluator(F).power_sum(0, s, 60) == LaurentSeries.one(F, 60), s
@@ -207,25 +207,25 @@ def _codes_poly(F, codes):
 def test_divide_rows_matches_divmod(q, monkeypatch):
     """Dividing by one monic polynomial gives num divmod it; dividing by all
     of degree d at once gives the sum of their quotients and each remainder.
-    Windows of 1 and 3 quotient digits put a window edge at every step and
-    windows shorter than d."""
+    Windows that move every 1 and 3 quotient digits put a move at every step
+    and moves shorter than d."""
     F = field(q)
     rng = random.Random(q)
     for d in range(5):
         num = F.poly([F.from_index(rng.randrange(q)) for _ in range(8)] + [F.one])
-        low = F.vec._monic_codes(d)[:, :d]
+        rows = [row[:-1] for row in F.vec._monic_codes(d)]
         want = [num.divmod(a) for a in all_monic(F, d)]
         total = sum((quo for quo, _ in want), F.poly([]))
-        for window in (1, 3, 64):
-            monkeypatch.setattr(ffmzv._gfnum, "_WINDOW", window)
+        for chunk in (1, 3, 8):
+            monkeypatch.setattr(ffmzv._gfnum, "_CHUNK", chunk)
             for row, (want_q, want_r) in enumerate(want):
                 if row < 20 or row % 97 == 0:
-                    quo, rem = F.vec._divide_rows(num.c, low[row:row + 1])
-                    assert _codes_poly(F, quo) == want_q, (window, d, row)
-                    assert _codes_poly(F, rem[0]) == want_r, (window, d, row)
-            quo, rem = F.vec._divide_rows(num.c, low)
-            assert _codes_poly(F, quo) == total, (window, d)
-            assert all(_codes_poly(F, r) == want_r for r, (_, want_r) in zip(rem, want)), (window, d)
+                    quo, rem = F.vec._divide_rows(num.c, rows[row:row + 1])
+                    assert _codes_poly(F, quo) == want_q, (chunk, d, row)
+                    assert _codes_poly(F, rem[0]) == want_r, (chunk, d, row)
+            quo, rem = F.vec._divide_rows(num.c, rows)
+            assert _codes_poly(F, quo) == total, (chunk, d)
+            assert all(_codes_poly(F, r) == want_r for r, (_, want_r) in zip(rem, want)), (chunk, d)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9])
@@ -262,12 +262,15 @@ def test_series_below_twice_the_divisor_degree_match_exact():
 
 
 def test_exact_numerators_in_row_blocks(monkeypatch):
-    """Blocks of a few rows give the same numerators as one block."""
+    """Blocks of a few divisors, and windows that move every 1 or 3
+    quotient digits, give the same numerators as one block."""
     want = {(q, d, s): Evaluator(field(q))._power_sum_numerator(d, s)
             for q in (3, 4) for d in (2, 3) for s in (1, q - 1, q + 1)}
-    monkeypatch.setattr(ffmzv._gfnum, "_BLOCK_CELLS", 200)
-    for (q, d, s), num in want.items():
-        assert Evaluator(field(q))._power_sum_numerator(d, s) == num, (q, d, s)
+    monkeypatch.setattr(ffmzv._gfnum, "_CELLS", 200)
+    for chunk in (1, 3, 8):
+        monkeypatch.setattr(ffmzv._gfnum, "_CHUNK", chunk)
+        for (q, d, s), num in want.items():
+            assert Evaluator(field(q))._power_sum_numerator(d, s) == num, (chunk, q, d, s)
 
 
 def test_monic_codes_enumerate_every_monic_once():
