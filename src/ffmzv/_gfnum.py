@@ -119,10 +119,11 @@ class GFVec:
 
     # -- power sums over the monic polynomials ----------------------------
 
-    def _monic_codes(self, d: int) -> list:
-        """The q^d monic polynomials of degree d as code tuples, low degree
-        first; tuple r holds the base-q digits of r below the leading 1."""
-        return [t[::-1] + (1,) for t in product(range(self.q), repeat=d)]
+    def _monic_codes(self, d: int):
+        """An iterator over the q^d monic polynomials of degree d as code
+        tuples, low degree first; tuple r holds the base-q digits of r below
+        the leading 1."""
+        return (t[::-1] + (1,) for t in product(range(self.q), repeat=d))
 
     def _rows_power(self, rows, s: int, keep: int) -> list:
         """The top keep coefficients of a^s for every code tuple a, low first,
@@ -148,18 +149,20 @@ class GFVec:
         so a^s is built to that many and the lower ones, with as many low
         coefficients of num, are cut; the remainder is then that of the cut
         division.  Nothing is cut when num is longer than 2 s d, as L_d^s is.
+        The divisors are taken in blocks of at most _CELLS window cells, and
+        the blocks' quotient sums are added as field codes.
         """
         m = s * d
         cut = max(0, 2 * m + 1 - len(num))
-        keep = m + 1 - cut
-        monics = product(range(self.q), repeat=d)
+        num, keep = num[cut:], m + 1 - cut
+        monics = self._monic_codes(d)
         block = max(1, _CELLS // (keep + _CHUNK))
         add, total, rem = self.spec._add, None, False
         while True:
-            rows = [t[::-1] + (1,) for t in islice(monics, block)]
+            rows = list(islice(monics, block))
             if not rows:
                 return total, rem
-            quo, r = self._divide_rows(num[cut:], [a[:-1] for a in self._rows_power(rows, s, keep)])
+            quo, r = self._divide_rows(num, [a[:-1] for a in self._rows_power(rows, s, keep)])
             total = quo if total is None else [add[x][y] for x, y in zip(total, quo)]
             rem = rem or any(map(any, r))
 

@@ -213,7 +213,7 @@ def test_rows_power_matches_the_product_loop(q):
     every cut, for exponents with one and with several binary digits."""
     F = field(q)
     for d in range(4 if q <= 4 else 3):
-        rows = F.vec._monic_codes(d)
+        rows = list(F.vec._monic_codes(d))
         for s in (1, 2, 3, 7, 8, 11, 13, 22):
             for keep in sorted({1, 2, s * d + 1, max(1, s * d // 2)}):
                 want = reference_rows_power(F, rows, s, keep)
