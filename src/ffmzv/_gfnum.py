@@ -185,7 +185,7 @@ class GFVec:
 
         A cell enters at most p - 1 and grows by at most G = e pop (p - 1) a
         step, pop the most bits set in a digit below p, so lanes of the
-        narrowest width over p - 1 + G (8 bits for p <= 43) hold it for
+        narrowest width over p - 1 + G (8 bits for prime p <= 43) hold it for
         (cap - (p - 1)) // G steps; the window is reduced that often, when D
         is longer.
         """

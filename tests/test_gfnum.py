@@ -165,7 +165,6 @@ def test_divide_rows_on_both_sides_of_the_lazy_bound(p):
     most bits there are; its 70 quotient digits span several moves of the
     window."""
     F = field(p)
-    d = 2
     assert (_slot_width((p - 1) * (1 + _most_bits(p))) == 8) == (p == 43)
     rng = random.Random(p)
     rows = [(1, 1), (1, p - 1), (p - 1, 1), (0, 0)] + [(rng.randrange(p), rng.randrange(p))
@@ -185,7 +184,6 @@ def test_divide_rows_on_both_sides_of_the_lazy_bound(p):
         quo, rem = F.vec._divide_rows(num.c, rows)
         assert _codes_poly(F, quo) == total
         assert all(_codes_poly(F, r) == num % a for r, a in zip(rem, divisors))
-    assert len(rows[0]) == d
     assert _codes_poly(F, F.vec._divide_rows(worst.c, rows[:1])[0]) == quotient
 
 
