@@ -1,12 +1,12 @@
 """Packed GF(q) kernels of the numeric oracle, on the slot codec of ``algebra``.
 
-Internal module, standard library only.  An element of GF(p^e) is held as
-its e base-p digits (its digit planes), each in a slot of its own, so a sum
-of elements is an integer sum followed by a reduction of every slot mod p,
-and c x for a constant c is the F_p-linear map of c on the planes.  Each
-kernel states the largest slot sum it lets build up and packs at the
-``_slot_width`` that holds it.  Polynomial products are not here: they go
-through ``algebra._mul_codes``.
+Internal module, standard library only, and the one that knows the digit
+planes: an element of GF(p^e) is held as its e base-p digits, each in a slot
+of its own, so a sum of elements is an integer sum followed by
+``_reduce_slots``, and c x for a constant c is the F_p-linear map of c on
+the planes.  Each kernel states the largest slot sum it lets build up and
+packs at the ``_slot_width`` that holds it.  Polynomial products go through
+``algebra._mul_codes``.
 
 Every brute-force power sum over the monic polynomials of degree d goes
 through one kernel, ``monic_quotient_sum``: a synthetic division of one
@@ -18,10 +18,11 @@ holds its window of s d cells for all q^d divisors as one int of lanes, one
 lane per divisor and plane, and each quotient digit costs a fixed handful of
 big-int operations (``_divide_rows``).
 
-``kernel``, the elimination behind ``dependence.find_dependence``, packs
-each matrix row into one int, with the planes of column c in slots
-c e .. c e + e - 1, and clears a pivot column from a row by one multiply-add
-and one reduction.
+``kernel``, the elimination of ``dependence.find_dependence``, packs each
+matrix row into one int, with the planes of column c in slots
+c e .. c e + e - 1, and clears a pivot column from a row by one
+multiply-add and one reduction; ``combination_vanishes`` re-checks its
+candidates on the inputs.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ class GFVec:
         self.q = spec.q
         # the digit planes of each code, lowest first
         self._planes = [tuple(spec._digits(a)) for a in range(spec.q)]
-        # reduces 8-bit slots
-        self._mod = bytes(i % p for i in range(256))
         # a quotient digit is masked bit by bit: 2^t for t < bits, and at
         # most pop bits of a digit below p are set
         self._bits = (p - 1).bit_length()
@@ -87,12 +86,6 @@ class GFVec:
             pk = self.p ** k
             codes = [a + b * pk for a, b in zip(codes, slots[k::self.e])]
         return codes
-
-    def _reduce(self, x: int, slots: int, width: int) -> int:
-        """x, an int of the given number of slots, with each slot reduced mod p."""
-        if width == 8:
-            return int.from_bytes(x.to_bytes(slots, "little").translate(self._mod), "little")
-        return _reduce_slots(x, slots, width, self.p)
 
     def _map(self, c: int):
         """The planes of c u^l for each l: plane i of c x is the sum over l
@@ -265,9 +258,9 @@ class GFVec:
                         window += part << bits * o
                     quo[i] = spec._encode(sums)
                 if D > period and i % period == 0:
-                    window = self._reduce(window, (hi - lo + D) * e * lanes, width)
+                    window = _reduce_slots(window, (hi - lo + D) * e * lanes, width, p)
             window &= (1 << bits * D) - 1
-        slots = _read_slots(self._reduce(window, reps * lanes, width), reps * lanes, width)
+        slots = _read_slots(window, reps * lanes, width, p)
         if e > 1:
             # the codes of each block from its planes
             codes = []
@@ -316,8 +309,8 @@ class GFVec:
             pivot = m[rank]
             lead = self._codes(pivot >> shift & cell, 1, width)[0]
             if lead != 1:
-                pivot = m[rank] = self._reduce(
-                    self._scale(pivot, spec.inv_idx(lead), cols, width), cols * e, width)
+                pivot = m[rank] = _reduce_slots(
+                    self._scale(pivot, spec.inv_idx(lead), cols, width), cols * e, width, p)
             negs = {}
             for r, x in enumerate(m):
                 f = x >> shift & cell
@@ -326,7 +319,7 @@ class GFVec:
                     if t is None:
                         t = negs[f] = self._scale(
                             pivot, spec._neg[self._codes(f, 1, width)[0]], cols, width)
-                    m[r] = self._reduce(x + t, cols * e, width)
+                    m[r] = _reduce_slots(x + t, cols * e, width, p)
             piv_cols.append(c)
             rank += 1
         echelon = [self._codes(x, cols, width) for x in m[:rank]]
@@ -341,3 +334,28 @@ class GFVec:
                 v[pc] = neg[row[fc]]
             basis.append(v)
         return basis
+
+    def pack_series(self, series, count: int):
+        """(width, (packed int, length) of each code sequence) for
+        ``combination_vanishes``; a slot holds count e (p - 1)^2."""
+        width = _slot_width(count * self.e * (self.p - 1) ** 2)
+        return width, [(self._pack(c, width), len(c)) for c in series]
+
+    def combination_vanishes(self, packed, terms, floor: int) -> bool:
+        """Whether sum_j a_j(T) v_j is zero down to T^floor, for terms
+        (j, codes of a_j, lead of v_j) over the series packed by
+        ``pack_series``, its count at least the number of nonzero a_j codes."""
+        width, series = packed
+        high = max((lead + len(a) - 1 for _, a, lead in terms), default=floor - 1)
+        # slot group r is the coefficient of T^(high - r), down to T^floor
+        n = high - floor + 1
+        if n <= 0:
+            return True
+        group = self.e * width
+        acc = 0
+        for j, a, lead in terms:
+            x, length = series[j]
+            for t, c in enumerate(a):
+                if c:
+                    acc += self._scale(x, c, length, width) << group * (high - lead - t)
+        return not _reduce_slots(acc & (1 << group * n) - 1, n * self.e, width, self.p)

@@ -43,10 +43,12 @@ def _lcm(spec, polys) -> Poly:
 
 def _clear(vec):
     """(polynomial numerators, monic common denominator) of a nonempty RatFunc vector."""
-    den = _lcm(vec[0].spec, [v.den for v in vec])
+    dens = set(v.den for v in vec)
+    den = _lcm(vec[0].spec, dens)
     if den.degree == 0:
         return [v.num for v in vec], den
-    return [v.num * (den // v.den) for v in vec], den
+    cofactor = {d: den // d for d in dens}
+    return [v.num * cofactor[v.den] for v in vec], den
 
 
 def _primitive(row):

@@ -400,8 +400,12 @@ _SLOT_TYPECODES = {w: next(t for t in "BHILQ" if array(t).itemsize == w >> 3)
                    for w in (8, 16, 32, 64)}
 # arrays are in the host's byte order and the slots little-endian
 _SWAP = sys.byteorder != "little"
-# a slot bound of at least (p-1)^2 fits 8 bits only for p < 17
-_MOD_BYTES = {p: bytes(i % p for i in range(256)) for p in (2, 3, 5, 7, 11, 13)}
+
+
+@lru_cache(maxsize=None)
+def _mod_bytes(p: int) -> bytes:
+    """The translate table that reduces 8-bit slots mod p."""
+    return bytes(i % p for i in range(256))
 
 
 def _slot_width(bound: int) -> int:
@@ -494,7 +498,7 @@ def _read_slots(x: int, n: int, width: int, p: int = 0, m: int = 0) -> list:
     size = width >> 3
     data = x.to_bytes(max(n, m) * size, "little")[:n * size]
     if size == 1:
-        return list(data.translate(_MOD_BYTES[p]) if p else data)
+        return list(data.translate(_mod_bytes(p)) if p else data)
     codes = _slot_codes(data, width)
     return [v % p for v in codes] if p else codes
 
@@ -502,7 +506,7 @@ def _read_slots(x: int, n: int, width: int, p: int = 0, m: int = 0) -> list:
 def _reduce_slots(x: int, n: int, width: int, p: int) -> int:
     """x, an int of n slots, with every slot reduced mod p."""
     if width == 8:
-        return int.from_bytes(x.to_bytes(n, "little").translate(_MOD_BYTES[p]), "little")
+        return int.from_bytes(x.to_bytes(n, "little").translate(_mod_bytes(p)), "little")
     if p == 2:
         return x & _slot_ones(n, width)
     codes = _slot_codes(x.to_bytes(n * width >> 3, "little"), width)

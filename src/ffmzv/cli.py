@@ -543,6 +543,10 @@ class _CharzeroContext:
     def __init__(self, args):
         if not (math.isfinite(args.tol) and args.tol >= 0):
             raise InvalidInput("--tol must be finite and >= 0")
+        try:
+            import numpy
+        except ImportError:
+            raise InvalidInput("charzero needs numpy: pip install 'ffmzv[charzero]'") from None
         self.args = args
 
 

@@ -6,9 +6,10 @@ elimination (``GFVec.kernel``, on packed rows).  The matrix is laid out
 column by column from the series codes, each column a shifted input, and
 read off row by row as strided slices.  Results are candidates valid to
 the working precision only; every returned tuple is re-verified against
-the inputs, each packed once into digit-plane slots, before it is
-emitted.  An independent probe for the symbolic reduction pipeline,
-and a way to hunt for relations outside the proven families.
+the input series before it is emitted (``GFVec.combination_vanishes``,
+which packs each input once).  An independent probe for the symbolic
+reduction pipeline, and a way to hunt for relations outside the proven
+families.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .algebra import LaurentSeries, Poly, _slot_width
+from .algebra import LaurentSeries, Poly
 from .errors import InvalidInput
 
 
@@ -77,8 +78,6 @@ def find_dependence(problem: DependenceProblem) -> list:
     # down to -(prec - D)
     low = -(problem.prec - D)
     high = max((v.lead if not v.is_zero_to_prec else low) for v in vals) + D
-    if high < low:
-        high = low
     nrows = high - low + 1
     # the matrix column by column, then each row as one strided slice: row r
     # of column j (D + 1) + t is the coefficient of T^(high - r) in T^t v_j
@@ -91,8 +90,9 @@ def find_dependence(problem: DependenceProblem) -> list:
             top = min(high - v.lead - t, nrows) if codes else nrows
             col = codes[:nrows - top]
             data += zeros[:top] + col + zeros[top + len(col):]
-    kernel = spec.vec.kernel([data[r::nrows] for r in range(nrows)])
-    inputs = _pack_inputs(spec, vals, D)
+    vec = spec.vec
+    kernel = vec.kernel([data[r::nrows] for r in range(nrows)])
+    inputs = vec.pack_series([v.c for v in vals], m * (D + 1))
     out = []
     for codes in kernel:
         polys = [Poly._make(spec, tuple(codes[j * (D + 1):(j + 1) * (D + 1)]))
@@ -104,45 +104,9 @@ def find_dependence(problem: DependenceProblem) -> list:
         lead = next(p for p in polys if not p.is_zero)
         inv = lead.leading().inverse()
         polys = [p.scale(inv) for p in polys]
-        # re-verify against the inputs at their common precision
-        if _combination_vanishes(spec, polys, vals, inputs):
+        # re-verify on the input series, independently of the elimination
+        terms = [(j, p.c, v.lead) for j, (p, v) in enumerate(zip(polys, vals))
+                 if not p.is_zero and not v.is_zero_to_prec]
+        if vec.combination_vanishes(inputs, terms, max(p.degree for p in polys) - problem.prec):
             out.append(tuple(polys))
     return out
-
-
-def _pack_inputs(spec, vals, deg_bound: int):
-    """(width, packed codes of each input) for ``_combination_vanishes``:
-    width holds a sum of len(vals) (deg_bound + 1) inputs, each times a
-    constant, so each slot is at most that many times e (p - 1)^2."""
-    vec = spec.vec
-    width = _slot_width(len(vals) * (deg_bound + 1) * vec.e * (spec.p - 1) ** 2)
-    return width, [vec._pack(v.c, width) for v in vals]
-
-
-def _combination_vanishes(spec, polys, vals, inputs) -> bool:
-    """Whether sum_j p_j v_j is zero to its precision, prec - max deg p_j.
-
-    Built from the input series, not from the kernel's matrix, so that the
-    check is independent of the elimination; inputs is ``_pack_inputs`` of
-    the values at a degree bound of at least max deg p_j.  The sum of the
-    shifted, scaled packed inputs is reduced once.
-    """
-    width, packed = inputs
-    vec = spec.vec
-    floor = max(max(p.degree, 0) for p in polys) - vals[0].prec
-    terms = [(p, v, x) for p, v, x in zip(polys, vals, packed)
-             if not p.is_zero and not v.is_zero_to_prec]
-    if not terms:
-        return True
-    high = max(v.lead + p.degree for p, v, _ in terms)
-    # slot group r is the coefficient of T^(high - r), down to T^floor
-    n = high - floor + 1
-    if n <= 0:
-        return True
-    group = vec.e * width
-    acc = 0
-    for p, v, x in terms:
-        for t, c in enumerate(p.c):
-            if c:
-                acc += vec._scale(x, c, len(v.c), width) << group * (high - v.lead - t)
-    return not vec._reduce(acc & (1 << group * n) - 1, n * vec.e, width)

@@ -71,7 +71,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ._linalg import _clear, _echelon, _lcm, _residual
+from ._linalg import _clear, _echelon, _residual
 from ._packed import Layouts, Packed, Quotient
 from .algebra import Poly, RatFunc, carlitz_bracket
 from .errors import InvalidInput, ReductionDiverged
@@ -229,10 +229,11 @@ class IotaMatrix:
     def squared_is_identity(self) -> bool:
         """Whether iota^2 is the identity: N N = D^2 I for N = D iota, D the
         monic lcm of the denominators."""
-        dens = {c.den for row in self.rows for c in row}
-        D = _lcm(self.field, dens)
-        cofactor = {den: D // den for den in dens}
-        return _is_involution([[c.num * cofactor[c.den] for c in row] for row in self.rows], D)
+        n = self.dim
+        if not n:
+            return True
+        nums, D = _clear([c for row in self.rows for c in row])
+        return _is_involution([nums[i:i + n] for i in range(0, n * n, n)], D)
 
 
 def _is_involution(N, D: Poly) -> bool:

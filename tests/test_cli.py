@@ -387,6 +387,51 @@ def test_symbolic_commands_do_not_load_numpy():
     assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr[-2000:]
 
 
+def test_charzero_without_numpy_exits_2():
+    """With numpy unimportable, charzero exits 2 before any work, with an
+    error line naming the extra that installs it."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    script = "import sys; sys.modules['numpy'] = None; from ffmzv.cli import main; main()"
+    proc = subprocess.run([sys.executable, "-c", script, "charzero", "--check", "example45"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert proc.stdout.startswith("error: ") and "ffmzv[charzero]" in proc.stdout, proc.stdout
+
+
+def test_verify_all_runs_every_suite_in_order(monkeypatch):
+    """--suite all makes one report per suite, in _SUITE_FN order, and
+    --json - prints them after the text as one JSON list; it exits 0 while
+    every suite passes and 1 once one fails: a changed li dagger of (1,2)
+    fails the suites that use it and no other."""
+    argv = ["verify", "--suite", "all", "--q", "2", "--max-weight", "3", "--max-d", "2",
+            "--pairs", "5", "--json", "-"]
+    for bump, failing in ((None, []), ((3,), ["prodsum", "theorem", "keylemma"])):
+        monkeypatch.setattr(cli, "Reducer",
+                            lambda algebra, cap: DaggerBumpReducer(algebra, (1, 2), bump, "li"))
+        code, text = run_cli(argv)
+        assert code == (1 if failing else 0)
+        plain, _, payload = text.partition("\n[")
+        heads = [line.split()[1] for line in plain.splitlines() if line.startswith("== ")]
+        assert heads == list(cli._SUITE_FN)
+        data = json.loads("[" + payload)
+        assert [r["check"] for r in data] == heads
+        assert [r["check"] for r in data if r["summary"]["fail"]] == failing
+
+
+def test_json_dash_prints_one_report_on_stdout():
+    """--json - prints the report as one JSON object after the text, which
+    is the text of the same command without it."""
+    argv = ["eval", "--q", "2", "--family", "li", "--index", "(1,1)", "--prec", "20"]
+    _, plain = run_cli(argv)
+    code, text = run_cli(argv + ["--json", "-"])
+    assert code == 0 and text.startswith(plain)
+    data = json.loads(text[len(plain):])
+    assert data["check"] == "eval" and data["params"]["index"] == "(1,1)"
+    assert data["cases"][0]["detail"] in plain
+
+
 _EVAL = ["--family", "li", "--index", "(1)"]
 
 

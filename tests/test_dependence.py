@@ -8,7 +8,7 @@ from ffmzv import (DependenceProblem, Evaluator, Index, InvalidInput,
                    LaurentSeries, carlitz_l, field, find_dependence,
                    recommended_precision)
 from ffmzv._gfnum import GFVec
-from ffmzv.dependence import _combination_vanishes, _pack_inputs, precision_warning
+from ffmzv.dependence import precision_warning
 from ffmzv.indices import EMPTY
 
 
@@ -196,5 +196,7 @@ def test_combination_vanishes_matches_series(q):
         vals.append(LaurentSeries._make(F, top, codes, N))
         want = bump < floor
         assert combination_reference(polys, vals).is_zero_to_prec == want
-        inputs = _pack_inputs(F, vals, 4)
-        assert _combination_vanishes(F, polys, vals, inputs) == want
+        inputs = F.vec.pack_series([v.c for v in vals], len(vals) * 5)
+        terms = [(j, p.c, v.lead) for j, (p, v) in enumerate(zip(polys, vals))
+                 if not p.is_zero and not v.is_zero_to_prec]
+        assert F.vec.combination_vanishes(inputs, terms, floor) == want

@@ -184,11 +184,12 @@ def test_level_zero_power_sum_takes_log_s_products(monkeypatch):
     assert len(calls) <= 3 * 2 * (4096).bit_length() and set(calls) == {1}
 
 
-@pytest.mark.parametrize("q, s", [(9, 28), (8, 16)])
+@pytest.mark.parametrize("q, s", [(9, 28), (8, 15)])
 def test_level_series_at_high_precision_match_exact(q, s):
     """zeta (s) at N = 1000 keeps levels 1 and 2, where the order bound
-    (1 + sigma_q(s - 1)) deg L_d is 360 (q=9) and 648 (q=8); their series
-    are the exact power sums expanded to N."""
+    (1 + sigma_q(s - 1)) deg L_d is 360 (q=9) and 576 (q=8); their series
+    are the exact power sums expanded to N.  (zeta (16) at q=8 keeps level 1
+    only: see ``test_frobenius_floor_drops_level_2_of_zeta_16_at_q8``.)"""
     N = 1000
     E = Evaluator(field(q))
     cut = E._level_cutoff(ValueFamily.ZETA, Index((s,)), N)
@@ -370,6 +371,42 @@ def test_power_sum_order_bound(q):
             assert S.lead is None or S.lead == -bound, (d, s, S.lead, bound)
             if s <= q + 1:
                 assert S.lead == -bound, (d, s)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_power_sum_frobenius_order_floor(q):
+    """The brute-force S_d(s) has order >= ``_order_bound`` for q < s <= q^3,
+    at each d the default budget enumerates, up to order 300.  For p | s the
+    bound p^k (1 + sigma_q(s' - 1)) deg L_d of S_d(s) = S_d(s')^(p^k) lies
+    above 1 + sigma_q(s - 1) and is reached: at q=2, s=8, d=2 the lead is
+    48 against 24, and at q=3, s=9, d=1, 27 against 15."""
+    F = field(q)
+    E, p = Evaluator(F), F.p
+    raised = set()
+    for s in range(q + 1, q ** 3 + 1):
+        for d in range(1, 64):
+            bound = E._order_bound("zeta", s, d)
+            if bound > MAX_CHECKED_ORDER or q ** d > E.budget.max_bruteforce:
+                break
+            lead = E.power_sum(d, s, bound).lead
+            assert lead is None or lead == -bound, (s, d, lead, bound)
+            if bound > max((1 + digit_sum(s - 1, q)) * carlitz_l_degree(q, d), s * d):
+                assert s % p == 0, (s, d)
+                if lead == -bound:
+                    raised.add((s, d, bound))
+    assert raised
+    examples = {2: (8, 2, 48), 3: (9, 1, 27)}
+    if q in examples:
+        assert examples[q] in raised
+
+
+def test_frobenius_floor_drops_level_2_of_zeta_16_at_q8():
+    """S_2(16) = S_2(1)^16 = 1/L_2^16 at q=8 has order 16 deg L_2 = 1152, so
+    zeta (16) at N = 1000 keeps level 1 only (the bound 1 + sigma_8(15)
+    gave 648 and kept level 2)."""
+    E = Evaluator(field(8))
+    assert E._order_bound("zeta", 16, 2) == 16 * carlitz_l_degree(8, 2) == 1152
+    assert E._level_cutoff(ValueFamily.ZETA, Index((16,)), 1000) == 1
 
 
 @pytest.mark.parametrize("q", sorted(BOUND_LEVELS))
