@@ -366,8 +366,7 @@ class Evaluator:
     def _order_bound(self, side: str, s: int, d: int) -> int:
         """A lower bound on the order of the level-d factor; see ``_level_cutoff``."""
         s0 = _p_split(s, self.field.p)[0]
-        f = s if side == "li" else max(1 + _digit_sum(s - 1, self.q),
-                                        s // s0 * (1 + _digit_sum(s0 - 1, self.q)))
+        f = s if side == "li" else s // s0 * (1 + _digit_sum(s0 - 1, self.q))
         return max(f * carlitz_l_degree(self.q, d), s * d)
 
     def _level_cutoff(self, family: ValueFamily, s: Index, prec: int) -> int:
@@ -376,14 +375,13 @@ class Evaluator:
 
         Orders are at infinity, v(T^-k) = k.  The factor of the entry s at
         level d has order at least max(f(s) deg L_d, s d), with f(s) = s on
-        the li side and, on the zeta side, with s = p^k s' and p not dividing
-        s', f(s) = max(1 + sigma_q(s - 1), p^k (1 + sigma_q(s' - 1))), sigma_q
-        the base-q digit sum.  On the li side the factor is 1/L_d^s, of
-        order exactly s deg L_d >= s d.  On the zeta side S_d(s) is a sum of
-        1/a^s of order s d each; the other bound comes from Carlitz's
-        F_q-linear e_d(x) = prod over deg b < d of (x - b) (Goss, *Basic
-        Structures of Function Field Arithmetic*, ch. 3; Thakur, *Function
-        Field Arithmetic*, ch. 5):
+        the li side and f(s) = p^k (1 + sigma_q(s' - 1)) on the zeta side,
+        s = p^k s' with p prime to s' and sigma_q the base-q digit sum.  On
+        the li side the factor is 1/L_d^s, of order exactly s deg L_d >= s d.
+        On the zeta side S_d(s) is a sum of 1/a^s of order s d each; the
+        other bound comes from Carlitz's F_q-linear e_d(x) = prod over
+        deg b < d of (x - b) (Goss, *Basic Structures of Function Field
+        Arithmetic*, ch. 3; Thakur, *Function Field Arithmetic*, ch. 5):
 
             e_d(x) = sum_{i<=d} D_d / (D_i L_{d-i}^(q^i)) x^(q^i),
 
@@ -402,8 +400,9 @@ class Evaluator:
         deg L_d = q + ... + q^d by the sum over 1 <= j <= i of
         q^i - q^j >= 0 (equality at i = 0, 1).  So every product has order
         >= (1 + m) deg L_d >= (1 + sigma_q(s - 1)) deg L_d.  For s <= q this
-        is s deg L_d, the order of the closed form 1/L_d^s.  And S_d(s) is
-        S_d(s')^(p^k), of p^k times its order, the p-th power being additive.
+        is s deg L_d, the order of the closed form 1/L_d^s.  And S_d(s) =
+        S_d(s')^(p^k), the p-th power being additive.  (f(s) >= 1 +
+        sigma_q(s - 1), sigma_q being subadditive and submultiplicative.)
 
         Both bounds grow with d, so the cutoff is one scan per entry.  The
         value DP multiplies factors of order >= 0, so dropping a factor of
