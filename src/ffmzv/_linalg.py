@@ -43,7 +43,7 @@ def _lcm(spec, polys) -> Poly:
 
 def _clear(vec):
     """(polynomial numerators, monic common denominator) of a nonempty RatFunc vector."""
-    dens = set(v.den for v in vec)
+    dens = {v.den for v in vec}
     den = _lcm(vec[0].spec, dens)
     if den.degree == 0:
         return [v.num for v in vec], den
