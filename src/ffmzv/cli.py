@@ -17,17 +17,24 @@ import random
 import re
 import sys
 import time
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from . import charzero
 from .algebra import FieldSpec, Poly, RatFunc, field, rat_to_laurent
-from .dependence import DependenceProblem, find_dependence, precision_warning
 from .errors import DivisionByZero, FFMZVError, InvalidInput, NotAdmissible
 from .evaluate import EvalBudget, Evaluator, ValueFamily, default_precision
 from .indices import (EMPTY, Index, IndexAlgebra, ProductKind, compositions,
                       parse_index)
-from .reduction import Reducer
 from .reports import Case, Report, merge
+
+
+def __getattr__(name):
+    """``cli.Reducer`` is imported from ``reduction`` the first time it is
+    read; ``Context.reducer`` reads it here, so a monkeypatch takes effect."""
+    if name != "Reducer":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .reduction import Reducer
+    return Reducer
+
 
 _SUITES = ("fundamental", "products", "prodsum", "theorem", "prop41", "prop42",
            "keylemma", "all")
@@ -140,8 +147,13 @@ class Context:
         self.budget = EvalBudget(max_bruteforce=budget)
         self.evaluator = Evaluator(self.field, self.budget)
         self.algebra = IndexAlgebra(self.field)
-        self.reducer = Reducer(self.algebra, cap=args.cap)
         self.args = args
+
+    @cached_property
+    def reducer(self):
+        """The rewriting stack, imported on first use: the numeric commands
+        never read it."""
+        return sys.modules[__name__].Reducer(self.algebra, cap=self.args.cap)
 
     @property
     def q(self):
@@ -421,6 +433,8 @@ def _cmd_conjecture(ctx: Context):
 
 
 def _cmd_depend(ctx: Context) -> Report:
+    from .dependence import DependenceProblem, find_dependence, precision_warning
+
     sels = [s.strip() for s in ctx.args.values.split(";") if s.strip()]
     if not sels:
         raise InvalidInput("no value selectors given")
@@ -458,6 +472,8 @@ def _cmd_depend(ctx: Context) -> Report:
 
 
 def _cmd_charzero(ctx: Context):
+    from . import charzero
+
     args = ctx.args
     if args.check == "duality":
         corpus = ([parse_index(args.index)] if args.index else

@@ -26,7 +26,8 @@ The level DP runs on packed series (``SeriesPacking``): every level
 factor and value lies in F_p((1/T)) with order >= 0 (S_d(s) is fixed by
 Frobenius), one Python int at precision N.  A batch of indices shares
 the transient DP rows of common prefixes (``_dp_value``); a value sum
-with F_p coefficients is one ``_packed_sum``.
+with F_p coefficients is one ``_packed_sum``, and where every value is
+memoised, one probe of the memo per term and no DP walk.
 
 The polylogarithm families are evaluated at the all-ones point only;
 that point lies inside the convergence domain of the underlying
@@ -469,13 +470,25 @@ class Evaluator:
 
     def _packed_sum(self, family: ValueFamily, terms: dict, prec: int) -> int:
         """The reduced packed sum of k value(s) over the F_p codes {s: k} of
-        terms, one DP batch; reduced early where a slot could overflow."""
-        p, packing = self.field.p, self._packing(prec)
-        self._dp_value(family, terms, prec)
+        terms; reduced early where a slot could overflow.
+
+        Each term is first one probe of the memoised values; only the misses
+        go to ``_dp_value``, as one batch.  A star value is the dagger value
+        of the reversed index, the signs (-1)^depth cancelling; a dagger
+        value carries the sign (-1)^depth."""
+        p, packing, memo = self.field.p, self._packing(prec), self._values
+        if family.is_star:
+            family, keys, odd = family.dagger, [s.reversed() for s in terms], False
+        else:
+            keys, odd = list(terms), family.is_dagger
+        xs = [memo.get((family, s, prec)) for s in keys]
+        if None in xs:
+            self._dp_value(family, [s for s, x in zip(keys, xs) if x is None], prec)
+            xs = [memo[(family, s, prec)] for s in keys]
         acc = bound = 0
-        for s, k in terms.items():
-            sign, x = self._value(family, s, prec)
-            k = k if sign > 0 else p - k
+        for s, k, x in zip(keys, terms.values(), xs):
+            if odd and s.depth % 2:
+                k = p - k
             if bound + k * (p - 1) > packing.cap:
                 acc, bound = packing.reduce(acc), p - 1
             acc += k * x

@@ -335,8 +335,15 @@ def test_products_build_no_wrapper_per_case(monkeypatch):
 
 _IMPORT_GUARD = r"""
 import io, sys
-import ffmzv, ffmzv.cli
+import ffmzv
+lazy = ("ffmzv.reduction", "ffmzv._packed", "ffmzv._linalg", "ffmzv.dependence",
+        "ffmzv.charzero")
+loaded = [m for m in lazy if m in sys.modules]
+assert not loaded, f"import ffmzv loaded {loaded}"
+import ffmzv.cli
 from ffmzv import cli
+loaded = [m for m in lazy if m in sys.modules]
+assert not loaded, f"importing the CLI loaded {loaded}"
 
 made = []
 
@@ -351,6 +358,8 @@ for argv in (["verify", "--suite", "theorem", "--q", "2", "--max-weight", "4"],
     assert cli.run(argv, out=io.StringIO()) == 0, argv
 assert "numpy" not in sys.modules, "a symbolic command loaded numpy"
 assert "ffmzv._gfnum" not in sys.modules, "a symbolic command loaded the numeric kernels"
+loaded = [m for m in ("ffmzv.dependence", "ffmzv.charzero") if m in sys.modules]
+assert not loaded, f"a symbolic command loaded {loaded}"
 assert len(made) == 2, made
 for argv in (["verify", "--suite", "products", "--q", "3", "--max-weight", "4", "--pairs", "40"],
              ["verify", "--suite", "prodsum", "--q", "3", "--max-weight", "4"],
@@ -369,22 +378,75 @@ assert not missing, missing
 print("ok")
 """
 
+_NUMERIC_GUARD = r"""
+import io, sys
+import ffmzv
+from ffmzv import cli
+for argv in (["verify", "--suite", "products", "--q", "3", "--max-weight", "4", "--pairs", "40"],
+             ["verify", "--suite", "fundamental", "--q", "3", "--max-d", "3"],
+             ["eval", "--q", "3", "--family", "zeta-star", "--index", "(5,4)", "--prec", "60"],
+             ["product", "--q", "3", "--kind", "qshuffle", "--left", "(2,1)", "--right", "(3)"],
+             ["depend", "--q", "2", "--values", "li:(2);li:(1,1)", "--deg-bound", "2",
+              "--prec", "30"]):
+    assert cli.run(argv, out=io.StringIO()) == 0, argv
+loaded = [m for m in ("ffmzv.reduction", "ffmzv._packed", "ffmzv._linalg", "ffmzv.charzero")
+          if m in sys.modules]
+assert not loaded, f"a numeric command loaded {loaded}"
+assert "numpy" not in sys.modules, "a numeric command loaded numpy"
+names = sys.argv[1:]
+assert sorted(ffmzv.__all__) == sorted(names), sorted(set(ffmzv.__all__) ^ set(names))
+missing = [n for n in names if n not in dir(ffmzv)]
+assert not missing, f"missing from dir(ffmzv): {missing}"
+star = {}
+exec("from ffmzv import *", star)
+missing = [n for n in names if n not in star]
+assert not missing, f"not bound by from ffmzv import *: {missing}"
+assert star["Reducer"] is ffmzv.reduction.Reducer and cli.Reducer is ffmzv.Reducer
+missing = [n for n in names if not hasattr(ffmzv, n)]
+assert not missing, missing
+print("ok")
+"""
 
-def test_symbolic_commands_do_not_load_numpy():
-    """In a fresh interpreter, importing the package and the CLI and running
-    the symbolic verify suites leave numpy and the numeric kernels unloaded;
-    the numeric suites, eval and depend leave numpy unloaded, charzero loads
-    it, and every name the package's __init__ imports resolves."""
-    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+def _public_names(src):
+    """The names __init__ imports, eagerly or through its table of lazy names."""
     tree = ast.parse((src / "ffmzv" / "__init__.py").read_text())
     names = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
              for a in node.names]
-    assert len(names) > 30
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "_LAZY":
+            names += [n for group in ast.literal_eval(node.value).values() for n in group]
+    return names
+
+
+def _run_guard(script, *argv):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD, *names], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0 and proc.stdout.strip() == "ok", proc.stderr[-2000:]
+
+
+def test_symbolic_commands_do_not_load_numpy():
+    """In a fresh interpreter, importing the package and the CLI loads none
+    of the rewriting stack, depend or charzero; the symbolic verify suites
+    leave numpy, the numeric kernels, depend and charzero unloaded; the
+    numeric suites, eval and depend leave numpy unloaded, charzero loads
+    it, and every public name of the package resolves."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    names = _public_names(src)
+    assert len(names) > 40
+    _run_guard(_IMPORT_GUARD, *names)
+
+
+def test_numeric_commands_do_not_load_the_rewriting_stack():
+    """In a fresh interpreter, the products and fundamental suites, eval,
+    product and depend leave reduction, its packed vectors and elimination,
+    charzero and numpy unloaded; then every public name is in __all__ and
+    dir(ffmzv), and resolves through hasattr and through a star import."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    _run_guard(_NUMERIC_GUARD, *_public_names(src))
 
 
 def test_charzero_without_numpy_exits_2():

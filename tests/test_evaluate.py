@@ -864,6 +864,44 @@ def test_packed_sums_that_cancel_to_zero(q):
         assert mixed, family
 
 
+@pytest.mark.parametrize("q", [3, 5, 9])
+def test_packed_sums_of_memoised_values_run_no_walk(q, monkeypatch):
+    """For the plain, dagger and star families, codes 1..p-1 and indices of
+    odd and even depth: a value sum on an Evaluator that memoised every
+    value one at a time equals the sum on a cold Evaluator and the series
+    reference, and runs no DP walk; adding two new indices runs exactly
+    one walk, over those two alone."""
+    F = field(q)
+    p, prec = F.p, 30
+    pool = [Index(t) for t in ((1,), (2, 1), (q + 1,), (1, q + 1, 2), (2, 1, 1, 1), (1, 2))]
+    terms = {s: 1 + i % (p - 1) for i, s in enumerate(pool)}
+    assert set(terms.values()) == set(range(1, p))
+    assert {s.depth % 2 for s in pool} == {0, 1}
+    new = {Index((3, 2, 1)): p - 1, Index((2, 2)): 1}
+    packing = SeriesPacking(F, prec)
+    levels, walks = {}, []
+    dp_value = Evaluator._dp_value
+
+    def spy(self, family, batch, prec):
+        walks.append((family, sorted(batch)))
+        return dp_value(self, family, batch, prec)
+
+    monkeypatch.setattr(Evaluator, "_dp_value", spy)
+    for family in ValueFamily:
+        warm = Evaluator(F)
+        for s in terms:
+            warm.value_of_index(family, s, prec)
+        for batch in (terms, {**terms, **new}):
+            want = Evaluator(F)._packed_sum(family, batch, prec)
+            ref = reference_eval_value(warm, family, IndexPoly(F, batch), prec, levels)
+            assert same_series(packing.unpack(want), ref), (family, len(batch))
+            del walks[:]
+            assert warm._packed_sum(family, batch, prec) == want, (family, len(batch))
+            base = family.dagger if family.is_star else family
+            missed = sorted(s.reversed() if family.is_star else s for s in new)
+            assert walks == ([] if batch is terms else [(base, missed)]), family
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
 def test_packed_update_at_every_width_switch(p):
     """x + u h with every code p - 1 fills slot N of the product with
