@@ -478,15 +478,15 @@ class Evaluator:
         value carries the sign (-1)^depth."""
         p, packing, memo = self.field.p, self._packing(prec), self._values
         if family.is_star:
-            family, keys, odd = family.dagger, [s.reversed() for s in terms], False
+            family, idx, odd = family.dagger, [s.reversed() for s in terms], False
         else:
-            keys, odd = list(terms), family.is_dagger
-        xs = [memo.get((family, s, prec)) for s in keys]
+            idx, odd = list(terms), family.is_dagger
+        xs = [memo.get((family, s, prec)) for s in idx]
         if None in xs:
-            self._dp_value(family, [s for s, x in zip(keys, xs) if x is None], prec)
-            xs = [memo[(family, s, prec)] for s in keys]
+            self._dp_value(family, [s for s, x in zip(idx, xs) if x is None], prec)
+            xs = [memo[(family, s, prec)] for s in idx]
         acc = bound = 0
-        for s, k, x in zip(keys, terms.values(), xs):
+        for s, k, x in zip(idx, terms.values(), xs):
             if odd and s.depth % 2:
                 k = p - k
             if bound + k * (p - 1) > packing.cap:
