@@ -21,7 +21,10 @@ big-int operations (``_divide_rows``).
 ``kernel``, the elimination of ``dependence.find_dependence``, packs each
 matrix row into one int, with the planes of column c in slots
 c e .. c e + e - 1, and clears a pivot column from a row by one
-multiply-add and one reduction; ``combination_vanishes`` re-checks its
+multiply-add.  A row is reduced lazily: only after the
+(2^w - 1 - (p - 1)) // (e (p - 1)^2) updates its w-bit slots hold (254 at
+p = 2 on 8 bits), before it becomes the pivot row, and once at the end;
+cells are read mod p in between.  ``combination_vanishes`` re-checks the
 candidates on the inputs.
 """
 
@@ -282,47 +285,78 @@ class GFVec:
         Gauss-Jordan elimination column by column on rows packed one int
         each: the pivot is the first nonzero at or below the rows placed so
         far, and the column is cleared from every other row that is nonzero
-        there by adding -f times the pivot row, where the pivot row is zero
-        to the left of c, and reducing.  A slot then holds at most
-        (p - 1) + e (p - 1)^2.  Each free column gives one basis vector, with
-        1 there and the negated column of the reduced echelon form at the
+        there by adding -f times the pivot row, which is zero to the left of
+        c.  Rows are reduced lazily.  A reduced slot is at most p - 1 and an
+        update adds at most e (p - 1)^2 to it, so a row of w-bit slots takes
+        (2^w - 1 - (p - 1)) // (e (p - 1)^2) updates between reductions: 254
+        at p = 2 and 63 at p = 3 on 8 bits, 1 at p = 13.  A row is reduced
+        when it has taken that many, before it becomes the pivot row (whose
+        lead is normalised and which ``_scale`` reads), and once at the end
+        for the echelon; the pivot search and the clearing read a cell plane
+        by plane mod p.  Each free column gives one basis vector, with 1
+        there and the negated column of the reduced echelon form at the
         pivot columns.
         """
         if not rows or any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("matrix expected")
         spec, p, e = self.spec, self.p, self.e
         cols = len(rows[0])
-        width = _slot_width(p - 1 + e * (p - 1) ** 2)
-        group = e * width
+        grow = e * (p - 1) ** 2
+        width = _slot_width(p - 1 + grow)
+        # updates a reduced row takes; one of age last is reduced with its next
+        period = ((1 << width) - p) // grow
+        last = period - 1
+        group, n = e * width, cols * e
         cell = (1 << group) - 1
+        if e == 1:
+            read = p.__rmod__  # inlined in the clearing loop
+        else:
+            low, planes = (1 << width) - 1, [(k * width, p ** k) for k in range(e)]
+
+            def read(f):
+                """The code of a cell whose planes may be unreduced."""
+                code = 0
+                for s, pk in planes:
+                    code += (f >> s & low) % p * pk
+                return code
         m = [self._pack(list(r), width) for r in rows]
+        age = [0] * len(m)  # updates of each row since its last reduction
         piv_cols = []
         rank = 0
         for c in range(cols):
             if rank == len(m):
                 break
             shift = c * group
-            sel = next((r for r in range(rank, len(m)) if m[r] >> shift & cell), None)
+            sel = next((r for r in range(rank, len(m)) if read(m[r] >> shift & cell)), None)
             if sel is None:
                 continue
-            m[rank], m[sel] = m[sel], m[rank]
-            pivot = m[rank]
-            lead = self._codes(pivot >> shift & cell, 1, width)[0]
+            pivot = m[sel]
+            if age[sel]:
+                pivot = _reduce_slots(pivot, n, width, p)
+            m[sel], age[sel] = m[rank], age[rank]
+            lead = read(pivot >> shift & cell)
             if lead != 1:
-                pivot = m[rank] = _reduce_slots(
-                    self._scale(pivot, spec.inv_idx(lead), cols, width), cols * e, width, p)
+                pivot = _reduce_slots(self._scale(pivot, spec.inv_idx(lead), cols, width),
+                                      n, width, p)
+            m[rank], age[rank] = pivot, 0
             negs = {}
             for r, x in enumerate(m):
                 f = x >> shift & cell
                 if f and r != rank:
-                    t = negs.get(f)
-                    if t is None:
-                        t = negs[f] = self._scale(
-                            pivot, spec._neg[self._codes(f, 1, width)[0]], cols, width)
-                    m[r] = _reduce_slots(x + t, cols * e, width, p)
+                    f = f % p if e == 1 else read(f)
+                    if f:
+                        t = negs.get(f)
+                        if t is None:
+                            t = negs[f] = self._scale(pivot, spec._neg[f], cols, width)
+                        a = age[r]
+                        if a < last:
+                            m[r], age[r] = x + t, a + 1
+                        else:
+                            m[r], age[r] = _reduce_slots(x + t, n, width, p), 0
             piv_cols.append(c)
             rank += 1
-        echelon = [self._codes(x, cols, width) for x in m[:rank]]
+        echelon = [self._codes(_reduce_slots(x, n, width, p) if a else x, cols, width)
+                   for x, a in zip(m, age[:rank])]
         neg, pivots = spec._neg, set(piv_cols)
         basis = []
         for fc in range(cols):

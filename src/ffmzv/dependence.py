@@ -31,11 +31,11 @@ class DependenceProblem:
             raise InvalidInput("need at least one value")
         if self.deg_bound < 0:
             raise InvalidInput("degree bound must be >= 0")
+        if not all(isinstance(v, LaurentSeries) for v in self.values):
+            raise InvalidInput("values must be Laurent series")
         spec = self.values[0].spec
         prec = self.values[0].prec
         for v in self.values:
-            if not isinstance(v, LaurentSeries):
-                raise InvalidInput("values must be Laurent series")
             if v.spec != spec:
                 raise InvalidInput("values must share one field")
             if v.prec != prec:
@@ -93,20 +93,24 @@ def find_dependence(problem: DependenceProblem) -> list:
     vec = spec.vec
     kernel = vec.kernel([data[r::nrows] for r in range(nrows)])
     inputs = vec.pack_series([v.c for v in vals], m * (D + 1))
+    w, zero = D + 1, Poly._make(spec, ())
     out = []
     for codes in kernel:
-        polys = [Poly._make(spec, tuple(codes[j * (D + 1):(j + 1) * (D + 1)]))
-                 for j in range(m)]
+        live = [j for j in range(m) if any(codes[j * w:(j + 1) * w])]
         # skip candidates that rest only on inputs zero to precision
-        if all(v.is_zero_to_prec for p, v in zip(polys, vals) if not p.is_zero):
+        if all(vals[j].is_zero_to_prec for j in live):
             continue
-        # normalize: first nonzero polynomial monic
-        lead = next(p for p in polys if not p.is_zero)
-        inv = lead.leading().inverse()
-        polys = [p.scale(inv) for p in polys]
+        # normalize: first nonzero polynomial monic, by one row of the table
+        lead = next(c for c in reversed(codes[live[0] * w:(live[0] + 1) * w]) if c)
+        if lead != 1:
+            row = spec._mul[spec.inv_idx(lead)]
+            codes = [row[c] for c in codes]
+        polys = [zero] * m
+        for j in live:
+            polys[j] = Poly._make(spec, tuple(codes[j * w:(j + 1) * w]))
         # re-verify on the input series, independently of the elimination
-        terms = [(j, p.c, v.lead) for j, (p, v) in enumerate(zip(polys, vals))
-                 if not p.is_zero and not v.is_zero_to_prec]
-        if vec.combination_vanishes(inputs, terms, max(p.degree for p in polys) - problem.prec):
+        terms = [(j, polys[j].c, vals[j].lead) for j in live if not vals[j].is_zero_to_prec]
+        top = max(polys[j].degree for j in live)
+        if vec.combination_vanishes(inputs, terms, top - problem.prec):
             out.append(tuple(polys))
     return out

@@ -54,6 +54,7 @@ class ValueFamily(enum.Enum):
     LI_DAGGER = "li-dagger"
     ZETA_STAR = "zeta-star"
     LI_STAR = "li-star"
+    __hash__ = object.__hash__  # memo keys hash by identity, in C
 
     @classmethod
     def parse(cls, text):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from ffmzv import (DependenceProblem, Evaluator, Index, InvalidInput,
-                   LaurentSeries, carlitz_l, field, find_dependence,
+                   LaurentSeries, Poly, carlitz_l, field, find_dependence,
                    recommended_precision)
 from ffmzv._gfnum import GFVec
 from ffmzv.dependence import precision_warning
@@ -102,6 +102,9 @@ def test_input_validation(e2):
     c = e3.eval_value("li", Index((1,)), 30)
     with pytest.raises(InvalidInput):
         DependenceProblem([a, c], 2)  # mixed fields
+    for values in ([1, 2], [a, 2], [2, a]):
+        with pytest.raises(InvalidInput, match="Laurent series"):
+            DependenceProblem(values, 1)
 
 
 def test_precision_recommendation():
@@ -159,6 +162,72 @@ def test_reverification_reaches_below_the_matrix():
     one = LaurentSeries(F, 0, [1], N)
     bumped = LaurentSeries(F, 0, [1] + [0] * (N - 1) + [1], N)
     assert find_dependence(DependenceProblem([one, bumped], 1)) == []
+
+
+def normalised_reference(problem, kernel):
+    """The candidates of ``find_dependence`` from its kernel basis, by a Poly
+    per block, each scaled by the inverse lead of the first nonzero one;
+    also the leads."""
+    F, vals, w = problem.spec, problem.values, problem.deg_bound + 1
+    inputs = F.vec.pack_series([v.c for v in vals], len(vals) * w)
+    out, leads = [], []
+    for codes in kernel:
+        polys = [Poly._make(F, tuple(codes[j * w:(j + 1) * w])) for j in range(len(vals))]
+        if all(v.is_zero_to_prec for p, v in zip(polys, vals) if not p.is_zero):
+            continue
+        lead = next(p for p in polys if not p.is_zero).leading()
+        leads.append(lead.i)
+        polys = [p.scale(lead.inverse()) for p in polys]
+        terms = [(j, p.c, v.lead) for j, (p, v) in enumerate(zip(polys, vals))
+                 if not p.is_zero and not v.is_zero_to_prec]
+        if F.vec.combination_vanishes(inputs, terms, max(p.degree for p in polys) - problem.prec):
+            out.append(tuple(polys))
+    return out, leads
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_candidates_normalised_from_leads_other_than_1(q, monkeypatch):
+    """Over GF(4) and GF(9) the first nonzero block of a kernel vector need
+    not lead with 1: the inputs (u v, v) give -u^-1, (v, (g + h T) v) give
+    -(g + h T), whose lead is -h, and random relations give random leads.
+    Each candidate, normalised through one row of the multiplication
+    table, is the candidate of the Poly-then-scale reference, with an input
+    zero to precision and a failing re-verification among the problems."""
+    F = field(q)
+    rng = random.Random(q)
+    seen = []
+    real = GFVec.kernel
+
+    def recording(self, rows):
+        seen.append(real(self, rows))
+        return seen[-1]
+
+    monkeypatch.setattr(GFVec, "kernel", recording)
+    N, leads = 20, set()
+    for _ in range(6):
+        v, w = (LaurentSeries._make(F, rng.randint(-2, 1), [rng.randrange(q) for _ in range(N + 2)],
+                                    N) for _ in range(2))
+        a, b = (F.poly([F.from_index(rng.randrange(q)) for _ in range(2)]) for _ in range(2))
+        g, h = rng.sample(range(1, q), 2)
+        rel = combination_reference([a, b], [v, w])
+        gh = combination_reference([F.poly([F.from_index(g), F.from_index(h)])], [v])
+        M = min(rel.prec, gh.prec)
+        zero = LaurentSeries.zero(F, M)
+        bumped = LaurentSeries._make(F, 0, [1] + [0] * (M - 1) + [1], M)
+        problems = [([v.scale(F.gen), v], 0),
+                    ([v, gh], 1),
+                    ([rel, v, w, zero], 1),
+                    ([bumped, LaurentSeries._make(F, 0, [1], M)], 1)]
+        for vals, D in problems:
+            vals = [x.with_prec(M) for x in vals]
+            prob = DependenceProblem(vals, D)
+            seen.clear()
+            got = find_dependence(prob)
+            want, first = normalised_reference(prob, seen[0])
+            assert got == want, vals
+            assert bool(got) != (vals[0] is bumped), vals
+            leads.update(first)
+    assert leads - {1}
 
 
 def combination_reference(polys, vals):

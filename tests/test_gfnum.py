@@ -146,6 +146,75 @@ def test_kernel_on_both_sides_of_each_slot_width(p):
         assert F.vec.kernel(big) == reference_kernel(F, big)
 
 
+def _kernel_period(F):
+    """Updates a reduced row of the kernel takes between reductions."""
+    p, e = F.p, F.e
+    grow = e * (p - 1) ** 2
+    return ((1 << _slot_width(p - 1 + grow)) - 1 - (p - 1)) // grow
+
+
+def _lazy_matrix(F, k, f, tail):
+    """k pivot rows, row i the unit vector at column i followed by tail and
+    q - 1; a row with f at each of those k columns, so that clearing them
+    adds -f times a pivot row to it k times; and the unit vector at column
+    k.  The second row's tail starts at k f tail, so that it ends zero in
+    GF(q), and its last cell at q - 1."""
+    add, mul = F._add, F._mul
+    tail = tail + [F.q - 1]
+    rows = [[int(i == j) for j in range(k)] + tail for i in range(k)]
+    start = [0] * len(tail)
+    for _ in range(k):
+        start = [add[a][mul[f][b]] for a, b in zip(start, tail)]
+    start[-1] = F.q - 1
+    return rows + [[f] * k + start, [0] * k + [1] + [0] * (len(tail) - 1)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 13, 17, 4, 9])
+def test_kernel_across_the_lazy_period(q, monkeypatch):
+    """A row takes (2^w - 1 - (p - 1)) // (e (p - 1)^2) updates between
+    reductions on w-bit slots: 254 at p = 2, 63 at p = 3, 1 at p = 13 on
+    8 bits and 255 at p = 17 on 16 bits, 127 at q = 4 and 31 at q = 9.
+    The row of f's of ``_lazy_matrix`` takes k updates, k on both sides of
+    the period, and is reduced once a period.  Its tail cells that end zero
+    in GF(q) are nonzero ints unless it was just reduced; they are neither
+    taken as pivots nor cleared, the first when the last row is the pivot
+    row there.  Its last cell starts at q - 1, so a slot that skips a
+    reduction overflows (over GF(4) and GF(9) every nonzero f is taken, and
+    some -f (q - 1) sets e (p - 1)^2 in a plane).  Every basis matches the
+    reference, and the kernel reduces no row more often than that."""
+    from ffmzv import _gfnum
+    F = field(q)
+    add, mul, neg = F._add, F._mul, F._neg
+    period = _kernel_period(F)
+    assert period == {2: 254, 3: 63, 13: 1, 17: 255, 4: 127, 9: 31}[q]
+    reduce, calls = _gfnum._reduce_slots, []
+
+    def counting(*args):
+        calls.append(args)
+        return reduce(*args)
+
+    monkeypatch.setattr(_gfnum, "_reduce_slots", counting)
+    for f in range(1, q) if F.e > 1 else [1]:
+        for k in sorted({max(period - 1, 1), period, period + 1, 2 * period + 1}):
+            for tail in ([q - 1], [q - 1, 1]):
+                mat = _lazy_matrix(F, k, f, tail)
+                del calls[:]
+                assert F.vec.kernel(mat) == reference_kernel(F, mat), (f, k, tail)
+                # the row of f's ends at lead in its last cell.  Each pivot
+                # row takes an update at column k and one more if lead is
+                # not 0; the row of f's is then reduced as it becomes the
+                # pivot row unless it just was, and once more to normalise
+                # a lead other than 1
+                lead = q - 1
+                for _ in range(k):
+                    lead = add[lead][neg[mul[f][q - 1]]]
+                u = 1 + (lead != 0)
+                want = k // period + k * (u // period + (u % period > 0))
+                if lead:
+                    want += (k % period > 0) + (lead != 1)
+                assert len(calls) == want, (f, k, tail)
+
+
 def _codes_poly(F, codes):
     return F.poly([F.from_index(int(c)) for c in codes])
 
