@@ -18,7 +18,7 @@ is the bound max(len c + deg v) - 1 from the terms, exact unless top
 coefficients cancel; it only sizes slots.  Packing a code >= p, a genuine
 F_q element, raises; it never wraps.  Each weight has one layout, which
 grows (the slot count at least doubling) when a sum needs more; a memoised
-vector is repacked to it when next used.
+vector is repacked in place by ``combine``.
 
 A ``Quotient`` packs Lambda times the class map of one weight's quotient
 the same way, one row per pivot held only packed, so a class is one big-int
@@ -97,17 +97,15 @@ class Layouts:
         pos = self.basis(s.weight)[1][s]
         return Packed(s.weight, 1 << width * slots * pos, slots, width, 0)
 
-    def _fitted(self, memo: dict, key) -> Packed:
-        """memo[key][0] in the current layout of its weight; a repacked
-        vector is stored back in place of the old one.  A wider slot
-        re-encodes the codes; more slots only zero-pad each coordinate's run."""
-        v, *rest = memo[key]
+    def _fit(self, v: Packed) -> Packed:
+        """v repacked in place to the current layout of its weight: a wider
+        slot re-encodes the codes; more slots only zero-pad each coordinate's
+        run.  Its value stays the same."""
         slots, width = self._layouts[v.weight]
         if v.slots != slots or v.width != width:
             n = len(self.basis(v.weight)[0])
-            x = _repack(v.x, n, v.slots, v.width, slots, width)
-            v = Packed(v.weight, x, slots, width, v.degree)
-            memo[key] = (v, *rest)
+            v.x = _repack(v.x, n, v.slots, v.width, slots, width)
+            v.slots, v.width = slots, width
         return v
 
     def _scalar(self, codes: tuple, width: int) -> int:
@@ -121,23 +119,22 @@ class Layouts:
             x = self._scalars[key] = _pack_slots(codes, width)
         return x
 
-    def combine(self, w, terms, memo: dict) -> Packed:
-        """The reduced sum of c * memo[key][0] over the (codes of c, key)
-        pairs, all of weight w, in a layout sized as the module docstring
-        says: slots > deg c + deg v, and a width that holds the sum over the
-        terms of (p-1)^2 min(len c, deg v + 1)."""
-        live = [(c, key, memo[key][0].degree) for c, key in terms]
-        live = [t for t in live if t[2] >= 0]
+    def combine(self, w, terms) -> Packed:
+        """The reduced sum of c * v over the (codes of c, Packed v) pairs, all
+        of weight w, in a layout sized as the module docstring says: slots >
+        deg c + deg v, and a width that holds the sum over the terms of
+        (p-1)^2 min(len c, deg v + 1)."""
+        live = [(c, v) for c, v in terms if v.degree >= 0]
         if not live:
             return Packed(w, 0, 1, 8, -1)
         p = self.p
-        bound = (p - 1) ** 2 * sum(min(len(c), d + 1) for c, _, d in live)
-        top = max(len(c) + d for c, _, d in live)
+        bound = (p - 1) ** 2 * sum(min(len(c), v.degree + 1) for c, v in live)
+        top = max(len(c) + v.degree for c, v in live)
         slots, width = self.layout(w, top, _slot_width(bound))
-        scalar, fitted = self._scalar, self._fitted
+        scalar, fit = self._scalar, self._fit
         x = 0
-        for c, key, _ in live:
-            x += scalar(c, width) * fitted(memo, key).x
+        for c, v in live:
+            x += scalar(c, width) * fit(v).x
         n = len(self.basis(w)[0])
         x = _reduce_slots(x, n * slots, width, p)
         return Packed(w, x, slots, width, top - 1 if x else -1)

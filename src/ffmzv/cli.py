@@ -270,8 +270,8 @@ def _suite_products(ctx: Context) -> Report:
         s, n = _random_index(rng, w), _random_index(rng, w)
         for fam, kind in ((ValueFamily.ZETA, ProductKind.QSHUFFLE),
                           (ValueFamily.LI, ProductKind.HARMONIC)):
-            # plain values carry no sign
-            lhs = packing.mul_add(0, E._value(fam, s, prec)[1], E._value(fam, n, prec)[1])
+            lhs = packing.mul_add(0, E._packed_sum(fam, {s: 1}, prec),
+                                  E._packed_sum(fam, {n: 1}, prec))
             rhs = E._packed_sum(fam, A._prod_indices(s, n, kind), prec)
             ok = short is None and lhs == rhs
             cases.append(Case(

@@ -27,7 +27,8 @@ factor and value lies in F_p((1/T)) with order >= 0 (S_d(s) is fixed by
 Frobenius), one Python int at precision N.  A batch of indices shares
 the transient DP rows of common prefixes (``_dp_value``); a value sum
 with F_p coefficients is one ``_packed_sum``, and where every value is
-memoised, one probe of the memo per term and no DP walk.
+memoised, one probe of the memo per term and no DP walk.  It is the one
+path that signs a value: ``value_of_index`` is a sum of one term.
 
 The polylogarithm families are evaluated at the all-ones point only;
 that point lies inside the convergence domain of the underlying
@@ -56,6 +57,11 @@ class ValueFamily(enum.Enum):
     LI_STAR = "li-star"
     __hash__ = object.__hash__  # memo keys hash by identity, in C
 
+    def __init__(self, value):
+        # side: "zeta" (power sums) or "li" (Carlitz factorials)
+        self.side, _, variant = value.partition("-")
+        self.is_dagger, self.is_star = variant == "dagger", variant == "star"
+
     @classmethod
     def parse(cls, text):
         if isinstance(text, cls):
@@ -64,20 +70,6 @@ class ValueFamily(enum.Enum):
             return cls(text)
         except ValueError:
             raise InvalidInput(f"unknown value family {text!r}") from None
-
-    @property
-    def is_dagger(self) -> bool:
-        return self in (ValueFamily.ZETA_DAGGER, ValueFamily.LI_DAGGER)
-
-    @property
-    def is_star(self) -> bool:
-        return self in (ValueFamily.ZETA_STAR, ValueFamily.LI_STAR)
-
-    @property
-    def side(self) -> str:
-        """"zeta" (power sums) or "li" (Carlitz factorials)."""
-        return "zeta" if self in (ValueFamily.ZETA, ValueFamily.ZETA_DAGGER,
-                                  ValueFamily.ZETA_STAR) else "li"
 
     @property
     def dagger(self) -> "ValueFamily":
@@ -234,14 +226,10 @@ class SeriesPacking:
         """x with every slot reduced mod p."""
         return _reduce_slots(x, self.prec + 1, self.width, self.spec.p)
 
-    def unpack(self, x: int, sign: int = 1) -> LaurentSeries:
-        """The LaurentSeries of sign times a reduced packed int."""
+    def unpack(self, x: int) -> LaurentSeries:
+        """The LaurentSeries of a reduced packed int."""
         codes = _read_slots(x, self.prec + 1, self.width)
-        codes.reverse()
-        if sign < 0:
-            neg = self.spec._neg
-            codes = [neg[v] for v in codes]
-        return LaurentSeries._make(self.spec, 0, codes, self.prec)
+        return LaurentSeries._make(self.spec, 0, codes[::-1], self.prec)
 
 
 class Evaluator:
@@ -417,22 +405,9 @@ class Evaluator:
         return cut
 
     def value_of_index(self, family: ValueFamily, s: Index, prec: int) -> LaurentSeries:
-        """Value of one index; a star value is (-1)^depth times the dagger value
-        of the reversed index."""
-        sign, x = self._value(ValueFamily.parse(family), s, prec)
-        return self._packing(prec).unpack(x, sign)
-
-    def _value(self, family: ValueFamily, s: Index, prec: int):
-        """(sign, x): the value of s is sign times the memoised packed x.  A star
-        value's sign (-1)^depth cancels that of the dagger value of reversed s."""
-        if family.is_star:
-            return 1, self._value(family.dagger, s.reversed(), prec)[1]
-        key = (family, s, prec)
-        x = self._values.get(key)
-        if x is None:
-            self._dp_value(family, (s,), prec)
-            x = self._values[key]
-        return (-1 if family.is_dagger and s.depth % 2 else 1), x
+        """Value of one index, a ``_packed_sum`` of one term."""
+        family = ValueFamily.parse(family)
+        return self._packing(prec).unpack(self._packed_sum(family, {s: 1}, prec))
 
     def _dp_value(self, family: ValueFamily, batch, prec: int):
         """Memoise the values of a batch of indices, without the dagger sign,
@@ -471,17 +446,19 @@ class Evaluator:
 
     def _packed_sum(self, family: ValueFamily, terms: dict, prec: int) -> int:
         """The reduced packed sum of k value(s) over the F_p codes {s: k} of
-        terms; reduced early where a slot could overflow.
+        terms; reduced early where a slot could overflow.  This is the one
+        path that signs a value: a dagger value carries the sign (-1)^depth,
+        and a star value is the dagger value of the reversed index, the
+        signs cancelling.
 
         Each term is first one probe of the memoised values; only the misses
-        go to ``_dp_value``, as one batch.  A star value is the dagger value
-        of the reversed index, the signs (-1)^depth cancelling; a dagger
-        value carries the sign (-1)^depth."""
+        go to ``_dp_value``, as one batch."""
         p, packing, memo = self.field.p, self._packing(prec), self._values
+        odd = family.is_dagger
         if family.is_star:
-            family, idx, odd = family.dagger, [s.reversed() for s in terms], False
+            family, idx = family.dagger, [s.reversed() for s in terms]
         else:
-            idx, odd = list(terms), family.is_dagger
+            idx = list(terms)
         xs = [memo.get((family, s, prec)) for s in idx]
         if None in xs:
             self._dp_value(family, [s for s, x in zip(idx, xs) if x is None], prec)
@@ -494,7 +471,8 @@ class Evaluator:
                 acc, bound = packing.reduce(acc), p - 1
             acc += k * x
             bound += k * (p - 1)
-        return packing.reduce(acc)
+        # a bound below p is one term with k = 1, already reduced
+        return acc if bound < p else packing.reduce(acc)
 
     def eval_value(self, family, P, prec: int) -> LaurentSeries:
         """F_q(T)-linear extension of the chosen family over an IndexPoly.

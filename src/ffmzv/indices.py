@@ -238,6 +238,7 @@ def thakur_indices(q: int, w: int):
 class ProductKind(enum.Enum):
     HARMONIC = "harmonic"
     QSHUFFLE = "qshuffle"
+    __hash__ = object.__hash__  # memo keys hash by identity, in C
 
     @classmethod
     def parse(cls, text):

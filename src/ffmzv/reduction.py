@@ -276,9 +276,9 @@ class Reducer:
         """L_1 = T - T^q, which is -Y."""
         return self.field.poly([0, -1])
 
-    def _phi(self, f: RatFunc) -> RatFunc:
-        """Y -> T^q - T: the one way a coefficient leaves the Reducer."""
-        return _phi(f)
+    # Y -> T^q - T, the one way a coefficient leaves the Reducer; an attribute
+    # so that a test can substitute the identity (the T-form reference)
+    _phi = staticmethod(_phi)
 
     def _public(self, terms: dict) -> IndexPoly:
         """The phi-image of Y-form terms held as F_p[Y] code tuples, as they
@@ -387,10 +387,11 @@ class Reducer:
                         f"rewriting {path[0]} needs more than {cap} levels", trail=path)
                 terms, height = [], 0
                 for b, c in self._rewrite(family, a).items():
-                    height = max(height, self._normal_form(family, b, cap, path)[1])
-                    terms.append((c, (family, b)))
+                    v, h = self._normal_form(family, b, cap, path)
+                    height = max(height, h)
+                    terms.append((c, v))
                 path.pop()
-                hit = (self._packed.combine(a.weight, terms, self._nf_memo), height + 1)
+                hit = (self._packed.combine(a.weight, terms), height + 1)
             self._nf_memo[key] = hit
         if len(path) + hit[1] > cap:
             trail = path + [a]
@@ -423,14 +424,13 @@ class Reducer:
         from Index to F_p[Y] code tuple (or to an F_p code, for a constant),
         as one packed vector."""
         family = _family(family)
-        self._normal_forms(family, P, self.cap)
+        nf = self._normal_forms(family, P, self.cap)
         weights = {a.weight for a in P}
         if len(weights) > 1:
             raise InvalidInput("a packed reduction needs a homogeneous combination")
         return self._packed.combine(
             weights.pop() if weights else None,
-            [(c if type(c) is tuple else (c,), (family, a)) for a, c in P.items()],
-            self._nf_memo)
+            [(c if type(c) is tuple else (c,), nf[a]) for a, c in P.items()])
 
     # -- dagger expansion ------------------------------------------------------------
 

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, JSON schema, determinism."""
 
+import argparse
 import ast
 import collections
 import io
@@ -16,8 +17,8 @@ import pytest
 from ffmzv import cli
 from ffmzv.algebra import LaurentSeries
 from ffmzv.cli import _build_parser, parse_poly, parse_ratfunc, run
-from ffmzv import (Evaluator, IndexAlgebra, IndexPoly, InvalidInput, Poly, ProductKind, RatFunc,
-                   Reducer, field, parse_index)
+from ffmzv import (Evaluator, Index, IndexAlgebra, IndexPoly, InvalidInput, Poly, ProductKind,
+                   RatFunc, Reducer, ValueFamily, field, parse_index)
 from ffmzv.evaluate import SeriesPacking
 from test_reduction import DaggerBumpReducer
 
@@ -294,6 +295,68 @@ def test_prodsum_fails_at_a_changed_dagger_expansion(monkeypatch):
     # the detail names the failed check, not the slice sums that vanish
     failed = [line for line in text.splitlines() if line.startswith("  [") and "li (1,2)" in line]
     assert len(failed) == 1 and failed[0].endswith(" -- dagger expansion does not match"), failed
+
+
+class ValueBumpEvaluator(Evaluator):
+    """An evaluator whose signed value of one index in one family, a
+    ``_packed_sum`` of that one term, gains the constant 1."""
+
+    def __init__(self, spec, budget, family, at):
+        super().__init__(spec, budget)
+        self.family, self.at = family, Index(at)
+
+    def _packed_sum(self, family, terms, prec):
+        out = super()._packed_sum(family, terms, prec)
+        if family is self.family and terms == {self.at: 1}:
+            packing = self._packing(prec)
+            out = packing.reduce(out + packing.one)
+        return out
+
+
+def test_prodsum_reports_slice_sums_that_do_not_vanish(monkeypatch):
+    """li (1) gains 1 at q = 3: both slice sums of the case li (1) are
+    li(1) + 1 + li-dagger(1) = 1, and its dagger expansion, the code 2 on
+    (1), is no one-term query, so it still matches; the zeta case passes."""
+    monkeypatch.setattr(cli, "Evaluator", lambda spec, budget: ValueBumpEvaluator(
+        spec, budget, ValueFamily.LI, (1,)))
+    code, text = run_cli(["verify", "--suite", "prodsum", "--q", "3", "--max-weight", "1"])
+    assert code == 1
+    assert [line for line in text.splitlines() if line.startswith("  [")] == [
+        "  [fail       ] li (1) -- slice sums do not vanish, residuals: "
+        "1 + O(T^-28), 1 + O(T^-28)",
+        "  [pass       ] zeta (1) -- slice sums vanish; dagger expansion matches"]
+
+
+def test_prop41_reports_a_nonzero_reduction_and_class(monkeypatch):
+    """The zeta dagger of (1), the code 2 on (1), bumped by (1) loses its
+    only term at q = 3: of the 32 prop41 cases, the exact identity and the
+    congruence of s = n = 1 fail, each with its detail."""
+    monkeypatch.setattr(cli, "Reducer",
+                        lambda algebra, cap: DaggerBumpReducer(algebra, (1,), (1,), "zeta"))
+    code, text = run_cli(["verify", "--suite", "prop41", "--q", "3"])
+    assert code == 1
+    cases = [line for line in text.splitlines() if line.startswith("  [")]
+    assert len(cases) == 32
+    assert [line for line in cases if not line.startswith("  [pass")] == [
+        "  [fail       ] congruence s=1 n=1 -- nonzero class",
+        "  [fail       ] exact s=1 n=1 -- nonzero reduction"]
+
+
+@pytest.mark.parametrize("s, n", [((2,), ()), ((), (1, 1))])
+def test_prop42_observes_an_image_outside_the_ideal(s, n):
+    """Beyond the hypotheses (s ends in q, or n has depth 2) at q = 2, the
+    dagger of the generator's leading index bumped by a quotient basis index
+    takes the image out of the ideal: an observation, which exits 0.  The
+    prop42 suite runs only cases within the hypotheses, so the report goes
+    through the printer directly."""
+    s, n = Index(s), Index(n)
+    w, lead = s.weight + 2 + n.weight, s.cat(Index((2,)), n)
+    term = Reducer(IndexAlgebra(field(2))).quotient_space(w).quotient_basis[0]
+    rep = DaggerBumpReducer(IndexAlgebra(field(2)), lead, term).check_prop42(s, n)
+    out = io.StringIO()
+    assert cli._emit(rep, argparse.Namespace(json=None), 0, out=out) == 0
+    assert out.getvalue().splitlines()[1] == (
+        f"  [observation] s={s} n={n} -- beyond proven hypotheses: NOT in ideal")
 
 
 def test_products_build_no_wrapper_per_case(monkeypatch):

@@ -1091,7 +1091,7 @@ def test_packed_sum_slot_boundaries(q):
             for n in (most, most + 1):
                 R = Reducer(IndexAlgebra(F))
                 top, key = _packed_all_top(R, w, degree)
-                got = R._packed.combine(w, [(c, key)] * n, R._nf_memo)
+                got = R._packed.combine(w, [(c, R._nf_memo[key][0])] * n)
                 assert got.width == (width if n == most else 2 * width), (length, n)
                 want = F.poly(c) * top * n
                 assert got.degree == want.degree
@@ -1233,7 +1233,7 @@ def test_packed_layout_grows_and_repacks_memoised_forms():
     v = R._reduce("li", {t: Y.c})
     assert R._packed.layout(w)[0] > 2 * slots and R._nf_memo["li", a][0].slots == slots
     assert R._packed.unpack(v) == {t: Y.c}
-    fitted = R._packed._fitted(R._nf_memo, ("li", a))
+    fitted = R._packed._fit(R._nf_memo["li", a][0])
     assert fitted.slots > 2 * slots and R._nf_memo["li", a][0] is fitted
     assert R._packed.unpack(fitted) == before
     got = R._packed.unpack(R._reduce("li", {a: Y.c}))
@@ -1270,7 +1270,8 @@ def test_packed_sum_whose_top_coefficients_cancel():
     ref = PolyReference(R)
     w, degree = 5, 2
     top, key = _packed_all_top(R, w, degree)
-    got = R._packed.combine(w, [((1, 1), key), ((0, 2), key)], R._nf_memo)
+    v = R._nf_memo[key][0]
+    got = R._packed.combine(w, [((1, 1), v), ((0, 2), v)])
     assert got.degree >= degree
     terms = R._packed.unpack(got)
     assert terms == {t: top.c for t in thakur_indices(3, w)}
@@ -1278,7 +1279,7 @@ def test_packed_sum_whose_top_coefficients_cancel():
     assert qs.kills(got) == ref.in_ideal(w, terms)
     assert [RatFunc(c, qs.lam) for c in qs.classes(got)] == \
         ref.class_vector(w, ref.terms(terms))
-    zero = R._packed.combine(w, [((1, 1), key), ((2, 2), key)], R._nf_memo)
+    zero = R._packed.combine(w, [((1, 1), v), ((2, 2), v)])
     assert zero.is_zero and zero.degree == -1
     assert (zero.slots, zero.width) == R._packed.layout(w) == (got.slots, got.width)
 
