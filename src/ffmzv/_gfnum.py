@@ -215,9 +215,6 @@ class GFVec:
         if width == 8:
             tests = [bytes(255 if v % p >> t & 1 else 0 for v in range(256))
                      for t in range(self._bits)]
-        # the lanes of two bits of one digit plane are disjoint when no digit
-        # below p has two bits set
-        disjoint = self._pop == 1
         entered = {}
 
         def enter(codes):
@@ -257,7 +254,7 @@ class GFVec:
                             if count:
                                 sums[k] += count << t
                                 x = _repeat(int.from_bytes(mask, "little"), reps, pbits) & cells
-                                part = part | x if disjoint else part + x
+                                part += x
                         window += part << bits * o
                     quo[i] = spec._encode(sums)
                 if D > period and i % period == 0:

@@ -19,9 +19,9 @@ deg(f/g) + deg P (upper bounds, made exact before S at least doubles:
 unlike a packed sum's bound, they drift, and the refresh lowered 13 of 19
 on the symbolic benchmark; without it a cold theorem q=2 w<=10 took
 6.38 s, not 5.41 s, on a 2-vCPU host).
-A row with a code >= p (linear_solve input over GF(p^e)), and any row
-updated against one, is a list of Poly entries to the end, since its
-degrees may outgrow S.
+Where some row has a code >= p (linear_solve input over GF(p^e)), every
+row is a list of Poly entries throughout, since its degrees may outgrow
+S; the choice is made once per elimination.
 """
 
 from __future__ import annotations
@@ -111,8 +111,9 @@ def _echelon(rows, ncols: int):
     codes = [[x.c for x in row] for row in rows]
     degs = [max(map(len, c)) - 1 for c in codes]
     slots, width = max(1, max(degs) + 1), _slot_width(p - 1)
-    rows = [_pack_rows(c, slots, width) if max(map(max, filter(None, c)), default=0) < p else row
-            for c, row in zip(codes, rows)]
+    packed = all(max(map(max, filter(None, c)), default=0) < p for c in codes)
+    if packed:
+        rows = [_pack_rows(c, slots, width) for c in codes]
     pivots, ci = [], 0
     while len(pivots) < len(rows):
         rank = len(pivots)
@@ -122,7 +123,6 @@ def _echelon(rows, ncols: int):
         col = [_entry(spec, rows[r], ci, slots, width) for r in range(rank, len(rows))]
         sel = rank + min((k for k, f in enumerate(col) if f.c), key=lambda k: col[k].degree)
         x = rows[sel]
-        packed = type(x) is int
         entries = _entries(spec, x, ncols, slots, width)
         pivot_row = _primitive(entries)
         if pivot_row is not entries:
@@ -138,7 +138,7 @@ def _echelon(rows, ncols: int):
                 continue
             g = d.gcd(f)
             a, b = (d // g, f // g) if g.degree > 0 else (d, f)
-            if not (packed and type(x) is int):
+            if not packed:
                 x = _entries(spec, x, ncols, slots, width)
                 rows[r] = [a * u if v.is_zero else a * u - b * v for u, v in zip(x, pivot_row)]
                 continue
@@ -149,8 +149,7 @@ def _echelon(rows, ncols: int):
             new_width = max(width, _slot_width((p - 1) ** 2 * (len(a.c) + len(b.c))))
             if need > slots or new_width > width:
                 new_slots = slots if need <= slots else max(need, 2 * slots)
-                rows = [_repack(y, ncols, slots, width, new_slots, new_width)
-                        if type(y) is int else y for y in rows]
+                rows = [_repack(y, ncols, slots, width, new_slots, new_width) for y in rows]
                 slots, width, x = new_slots, new_width, rows[r]
             x = _pack_slots(a.c, width) * x + _pack_slots((-b).c, width) * rows[rank]
             rows[r] = _reduce_slots(x, ncols * slots, width, p)

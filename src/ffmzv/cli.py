@@ -331,6 +331,9 @@ def _suite_prop41(ctx: Context) -> Report:
 
 
 def _suite_prop42(ctx: Context) -> Report:
+    # Only cases within the proven hypotheses run (s[-1] < q, n of depth <= 1),
+    # so check_prop42's "beyond proven hypotheses" observations serve the
+    # Python API alone; the suite's report bytes are pinned by the benchmark.
     reports = []
     cap = min(ctx.args.max_weight, 5)
     for wtot in range(cap + 1):
@@ -339,9 +342,7 @@ def _suite_prop42(ctx: Context) -> Report:
                 if not (s.is_empty or s[-1] < ctx.q):
                     continue
                 wn = wtot - ws
-                ns = [EMPTY] if wn == 0 else [Index((wn,))]
-                for n in ns:
-                    reports.append(ctx.reducer.check_prop42(s, n))
+                reports.append(ctx.reducer.check_prop42(s, Index((wn,)) if wn else EMPTY))
     return merge("prop42", {"q": ctx.q, "max_total_weight": cap}, reports)
 
 
@@ -499,8 +500,6 @@ _COMMANDS = {
     "charzero": _cmd_charzero,
 }
 
-_CHARZERO_ONLY = {"charzero"}
-
 
 def _emit(reports, args, elapsed_ms, out=sys.stdout):
     if isinstance(reports, Report):
@@ -538,10 +537,7 @@ def run(argv=None, out=sys.stdout) -> int:
         return int(exc.code or 0)
     t0 = time.time()
     try:
-        if args.command in _CHARZERO_ONLY:
-            ctx = _CharzeroContext(args)
-        else:
-            ctx = Context(args)
+        ctx = _CharzeroContext(args) if args.command == "charzero" else Context(args)
         reports = _COMMANDS[args.command](ctx)
     except (InvalidInput, NotAdmissible) as exc:
         print(f"error: {exc}", file=out)

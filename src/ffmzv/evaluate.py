@@ -233,15 +233,14 @@ class SeriesPacking:
 
 
 class Evaluator:
-    """Value computations over one GF(q), memoising power sums, packed level
-    factors and packed values."""
+    """Value computations over one GF(q), memoising exact numerators, packed
+    level factors and packed values."""
 
     def __init__(self, field: FieldSpec, budget: EvalBudget | None = None):
         self.field = field
         self.q = field.q
         self.budget = budget if budget is not None else EvalBudget()
-        self._power_sums, self._numerators, self._packings = {}, {}, {}
-        self._level, self._values = {}, {}
+        self._numerators, self._packings, self._level, self._values = {}, {}, {}, {}
 
     # -- Carlitz factorials -------------------------------------------------
 
@@ -255,22 +254,15 @@ class Evaluator:
         """Sum of a^(-s) over the q^d monic a of degree d, to absolute precision."""
         if d < 0 or s < 1:
             raise InvalidInput("need d >= 0 and s >= 1")
-        key = (d, s, prec)
-        hit = self._power_sums.get(key)
-        if hit is not None:
-            return hit
         m = prec - s * d + 1
         if m <= 0:
             # every a^(-s) has order s d > prec
-            out = LaurentSeries.zero(self.field, prec)
-        else:
-            self.budget.check_series(self.q, d, s, m)
-            # T^(m + sd - 1) // a^s holds the first m coefficients of
-            # T^(sd) a^(-s), highest first
-            codes, _ = self.field.vec.monic_quotient_sum([0] * (m + s * d - 1) + [1], d, s)
-            out = LaurentSeries._make(self.field, -s * d, codes[::-1], prec)
-        self._power_sums[key] = out
-        return out
+            return LaurentSeries.zero(self.field, prec)
+        self.budget.check_series(self.q, d, s, m)
+        # T^(m + sd - 1) // a^s holds the first m coefficients of
+        # T^(sd) a^(-s), highest first
+        codes, _ = self.field.vec.monic_quotient_sum([0] * (m + s * d - 1) + [1], d, s)
+        return LaurentSeries._make(self.field, -s * d, codes[::-1], prec)
 
     def power_sum_exact(self, d: int, s: int) -> RatFunc:
         """The same sum as an exact rational function (common denominator L_d^s)."""
@@ -339,18 +331,20 @@ class Evaluator:
 
     def _level_factors(self, family: ValueFamily, s: int, prec: int) -> tuple:
         """The packed level-d factors of the entry s for d up to its
-        ``_level_cutoff``: 1/L_d^s on the li side, S_d(s) on the zeta side."""
-        key = (family.side, s, prec)
-        hit = self._level.get(key)
+        ``_level_cutoff``: 1/L_d^s on the li side, S_d(s) on the zeta side.
+        For s <= q, S_d(s) = 1/L_d^s and both sides have the same cutoff, so
+        they share one memoised factor, keyed by the li side."""
+        side = "li" if s <= self.q else family.side
+        hit = self._level.get((side, s, prec))
         if hit is None:
             packing, out = self._packing(prec), []
             for d in range(self._level_cutoff(family, (s,), prec) + 1):
-                if family.side == "li" or s <= self.q:
+                if side == "li":
                     inv = RatFunc(self.field.poly([1]), self.L(d).power(s))
                     out.append(packing.pack(rat_to_laurent(inv, prec)))
                 else:
                     out.append(packing.pack(self.power_sum(d, s, prec)))
-            hit = self._level[key] = tuple(out)
+            hit = self._level[(side, s, prec)] = tuple(out)
         return hit
 
     def _order_bound(self, side: str, s: int, d: int) -> int:

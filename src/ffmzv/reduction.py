@@ -69,7 +69,6 @@ the echelon.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from ._linalg import _clear, _echelon, _residual
 from ._packed import Layouts, Packed, Quotient
@@ -92,18 +91,12 @@ def _family(name) -> str:
     return name
 
 
-@lru_cache(maxsize=None)
-def _y_in_T(spec) -> Poly:
-    """Y = T^q - T as a polynomial in T."""
-    return -carlitz_bracket(spec, 1)
-
-
 def _phi_poly(f: Poly) -> Poly:
     """f(T^q - T) for f in F_q[Y], by Horner's rule."""
     if f.degree <= 0:
         return f
     spec = f.spec
-    y = _y_in_T(spec)
+    y = -carlitz_bracket(spec, 1)  # Y = T^q - T
     out = Poly._make(spec, (f.c[-1],))
     for c in reversed(f.c[:-1]):
         out = out * y
@@ -678,7 +671,12 @@ class Reducer:
         return Report(check="prop41", params={"q": self.q, "s": s, "n": n}, cases=cases)
 
     def check_prop42(self, s, n) -> Report:
-        """Dagger image of a zeta-side generator with m = 1 in the quotient."""
+        """Dagger image of a zeta-side generator with m = 1 in the quotient.
+
+        Within the hypotheses (s empty or s[-1] < q, n of depth <= 1) the
+        case passes or fails; beyond them it is an observation.  The CLI
+        suite runs in-hypothesis cases only, so the observation branches
+        serve the Python API alone."""
         s, n = Index(s), Index(n)
         hyp = (s.is_empty or s[-1] < self.q) and n.depth <= 1
         gen = self._gen_A("zeta", s, 1, n)

@@ -17,8 +17,10 @@ import pytest
 from ffmzv import cli
 from ffmzv.algebra import LaurentSeries
 from ffmzv.cli import _build_parser, parse_poly, parse_ratfunc, run
-from ffmzv import (Evaluator, Index, IndexAlgebra, IndexPoly, InvalidInput, Poly, ProductKind,
-                   RatFunc, Reducer, ValueFamily, field, parse_index)
+from ffmzv import (BasisVector, DependenceProblem, DivisionByZero, EmptyIndex, EvalBudget,
+                   Evaluator, Index, IndexAlgebra, IndexPoly, InvalidInput, Poly, ProductKind,
+                   RatFunc, Reducer, ValueFamily, carlitz_bracket, field, parse_index,
+                   rat_to_laurent)
 from ffmzv.evaluate import SeriesPacking
 from test_reduction import DaggerBumpReducer
 
@@ -567,6 +569,7 @@ _EVAL = ["--family", "li", "--index", "(1)"]
     ["eval", "--p", "3", "--e", "-1"] + _EVAL,
     ["eval", "--q", "2", "--prec", "-1"] + _EVAL,
     ["depend", "--q", "2", "--values", "li:(1)", "--prec", "-1"],
+    ["depend", "--q", "2", "--values", ";"],
     ["verify", "--suite", "prodsum", "--q", "2", "--max-weight", "2", "--prec", "-1"],
     ["verify", "--suite", "products", "--q", "2", "--max-weight", "2", "--prec", "-1"],
     ["verify", "--suite", "products", "--q", "2", "--max-weight", "0"],
@@ -658,3 +661,56 @@ def test_printed_values_parse_back(q):
         if not den.is_zero:
             r = RatFunc(num, den)
             assert parse_ratfunc(F, str(r)) == r, str(r)
+
+
+def _raise_cases():
+    """(call, exception type, message fragment) for each public validation
+    error, over GF(2)."""
+    F = field(2)
+    E, R = Evaluator(F), Reducer(IndexAlgebra(F))
+    one, zero = RatFunc.of(1, F), Poly(F, [])
+    return [
+        pytest.param(lambda: E.power_sum(-1, 1, 10), InvalidInput, "d >= 0", id="power_sum-d"),
+        pytest.param(lambda: E.power_sum(1, 0, 10), InvalidInput, "s >= 1", id="power_sum-s"),
+        pytest.param(lambda: E.power_sum_exact(-1, 1), InvalidInput, "d >= 0",
+                     id="power_sum_exact-d"),
+        pytest.param(lambda: E.power_sum_exact(1, 0), InvalidInput, "s >= 1",
+                     id="power_sum_exact-s"),
+        pytest.param(lambda: EvalBudget(max_bruteforce=1).check_enumeration(2, 1), InvalidInput,
+                     "budget below q", id="budget"),
+        pytest.param(lambda: SeriesPacking(F, -1), InvalidInput, "precision must be >= 0",
+                     id="SeriesPacking"),
+        pytest.param(lambda: ValueFamily.parse("x"), InvalidInput, "unknown value family",
+                     id="ValueFamily"),
+        pytest.param(lambda: ProductKind.parse("x"), InvalidInput, "unknown product kind",
+                     id="ProductKind"),
+        pytest.param(lambda: IndexAlgebra(F).d_op((), IndexPoly(F)), EmptyIndex,
+                     "nonempty head", id="d_op"),
+        pytest.param(lambda: R.gen_A("zeta", (), 0, ()), InvalidInput, "m must be >= 1",
+                     id="gen_A"),
+        pytest.param(lambda: R._quotient(-1), InvalidInput, "weight must be >= 0",
+                     id="quotient"),
+        pytest.param(lambda: R.to_vector(2, IndexPoly(F, {Index((2,)): one})), InvalidInput,
+                     "not a weight-2 Thakur index", id="to_vector"),
+        pytest.param(lambda: R.linear_solve([BasisVector(1, {Index((1,)): one})],
+                                            BasisVector(2, {Index((1, 1)): one})),
+                     InvalidInput, "weight mismatch", id="linear_solve"),
+        pytest.param(lambda: DependenceProblem([LaurentSeries.zero(F, 10)], -1), InvalidInput,
+                     "degree bound must be >= 0", id="DependenceProblem"),
+        pytest.param(lambda: zero.leading(), DivisionByZero, "no leading coefficient",
+                     id="leading"),
+        pytest.param(lambda: F.T.divmod(zero), DivisionByZero, "division by zero",
+                     id="divmod"),
+        pytest.param(lambda: F.T ** -1, InvalidInput, "negative polynomial power",
+                     id="power"),
+        pytest.param(lambda: rat_to_laurent(one, -1), InvalidInput, "precision must be >= 0",
+                     id="rat_to_laurent"),
+        pytest.param(lambda: carlitz_bracket(F, 0), InvalidInput, "bracket index must be >= 1",
+                     id="carlitz_bracket"),
+    ]
+
+
+@pytest.mark.parametrize("call, exc, fragment", _raise_cases())
+def test_public_validation_errors(call, exc, fragment):
+    with pytest.raises(exc, match=fragment):
+        call()

@@ -685,10 +685,11 @@ def test_echelon_slot_boundaries(p, monkeypatch):
 
 
 def test_echelon_entrywise_row_outgrows_slots():
-    """Over GF(4) the pivot row [T, uT, 1, 0] has a genuine GF(4) code, so the
-    other row takes the entrywise update and becomes [0, 0, T^2+T+1, T, ...],
-    codes in F_2 of degree 2 past the 2 slots the input needed.  As the next
-    pivot it stays entrywise, and the echelon equals the reference."""
+    """Over GF(4) the row [T, uT, 1, 0] has a genuine GF(4) code, so every
+    row is entrywise for the whole elimination.  The other row becomes
+    [0, 0, T^2+T+1, T, ...], codes in F_2 of degree 2 past the 2 slots the
+    input needed; as the next pivot it is read entrywise, and the echelon
+    equals the reference."""
     F = field(4)
     T, u, one = F.T, F.poly([F.gen]), F.poly([1])
     rows = [[T, u * T, one, F.poly([])], [T + one, u * (T + one), T, one]]
